@@ -13,6 +13,7 @@ blank state |+> inert on the target side of every network here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -48,6 +49,7 @@ def pauli_x() -> Unitary:
     return Unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@functools.lru_cache(maxsize=1)
 def cnot() -> Unitary:
     """CNOT with control = first (more significant) qubit, active on |+>.
 
@@ -79,7 +81,9 @@ def sector_angles(theta1: float, theta2: float) -> Tuple[float, float]:
         cos delta2 = N- cos t1 sin t2,  sin delta2 = N- sin t1 cos t2,
 
     N_pm = sqrt(2 / (1 pm cos 2 t3)) and t3 the composed angle.  Both pairs
-    are verified to be unit vectors.  When both angles vanish (or are so
+    are verified to be unit vectors, except that where the odd-sector weight
+    is so small that N- overflows, delta2 is taken from the unnormalized odd
+    pair (only its direction matters).  When both angles vanish (or are so
     small the odd-sector norm underflows) the odd-sector angle is undefined
     and this raises; the gate builders special-case that corner (the odd
     sector becomes the identity there).
@@ -98,21 +102,27 @@ def sector_angles(theta1: float, theta2: float) -> Tuple[float, float]:
     one_plus_c3 = 1.0 + math.cos(2.0 * theta1) * math.cos(2.0 * theta2)
     n_even = math.sqrt(2.0 / one_plus_c3)
     n_odd = math.sqrt(2.0 / _odd_sector_weight(theta1, theta2))
-    pairs = (
-        (n_even * c1 * c2, n_even * s1 * s2),
-        (n_odd * c1 * s2, n_odd * s1 * c2),
-    )
+    even = (n_even * c1 * c2, n_even * s1 * s2)
+    if math.isinf(n_odd):
+        # a subnormal odd-sector weight overflows the normalization; atan2
+        # needs only the direction, which the unnormalized pair keeps
+        pairs = (even,)
+        odd = (c1 * s2, s1 * c2)
+    else:
+        odd = (n_odd * c1 * s2, n_odd * s1 * c2)
+        pairs = (even, odd)
     for cos_d, sin_d in pairs:
         if abs(cos_d * cos_d + sin_d * sin_d - 1.0) > CONSISTENCY_TOL:
             raise ValueError(
                 "internal consistency failure: sector angle pair is not "
                 f"normalized ({cos_d!r}, {sin_d!r})"
             )
-    delta1 = math.atan2(pairs[0][1], pairs[0][0])
-    delta2 = math.atan2(pairs[1][1], pairs[1][0])
+    delta1 = math.atan2(even[1], even[0])
+    delta2 = math.atan2(odd[1], odd[0])
     return delta1, delta2
 
 
+@functools.lru_cache(maxsize=32)
 def transfer_gate(theta1: float, theta2: float) -> Unitary:
     """Two-qubit gate concentrating the pair's distinguishability.
 
@@ -128,6 +138,11 @@ def transfer_gate(theta1: float, theta2: float) -> Unitary:
     gate Hermitian; it fixes the sign of the image of the fourth basis
     input.  At theta1 = theta2 = 0 the odd sector is defined as the
     identity (the physical family never populates it there).
+
+    Memoized: the rows of a trade-off sweep rebuild the same compression and
+    decompression gates.  The returned ``Unitary`` is immutable, so sharing
+    it is safe; invalid angles raise on every call (exceptions are not
+    cached).
     """
     _check_angle_range(theta1, "theta1")
     _check_angle_range(theta2, "theta2")

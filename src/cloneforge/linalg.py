@@ -10,12 +10,20 @@ Conventions used throughout the package:
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to evaluate concurrently.
+
+Validation happens at the boundaries, not per gate application:
+``StateVector`` and ``Unitary`` check their entries when constructed
+(finite, normalized, unitary), ``gates.GatePlacement`` and
+``networks.NetworkSpec`` check qubit lists when a network is built, and
+``networks.run_network`` checks each network output once.  ``apply_gate``
+checks only its qubit list; its result is valid by construction and is
+returned read-only without being copied or re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -73,6 +81,20 @@ class StateVector:
                     f"state vector is not normalized (|amps|^2 = {norm_sq!r}); "
                     "pass subnormalized=True for measurement branches"
                 )
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, amps: np.ndarray, subnormalized: bool) -> "StateVector":
+        """Wrap kernel output without copying or re-validating it.
+
+        Only for amplitudes computed from an already validated state and
+        unitary, which are finite and keep the norm by construction.
+        """
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "amps", amps)
+        object.__setattr__(state, "subnormalized", subnormalized)
+        return state
 
     @property
     def norm_squared(self) -> float:
@@ -147,27 +169,47 @@ def kron(a, b):
     )
 
 
-def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Iterable[int], n: int) -> np.ndarray:
+#: local basis order of a two-qubit gate whose two qubits are listed the other way round
+_SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+
+
+def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     """Apply ``gate`` to the listed qubits of a 2**n amplitude array.
 
     The first listed qubit is the most significant bit of the gate's local
-    basis.
+    basis.  The result is one new C-contiguous array.  One qubit, or two
+    adjacent ones, contract in a single ``matmul`` over an (A, k, C) view of
+    the amplitudes; a descending adjacent pair uses the gate conjugated by
+    SWAP.  When the gate ends on the last qubit (C = 1) it is one ``np.dot``
+    instead, because ``matmul`` over an (A, k, 1) view takes another BLAS path
+    and changes the last bits of the amplitudes.  Non-adjacent pairs go
+    through ``tensordot``.
     """
-    qubits = list(qubits)
+    first = min(qubits)
+    if len(qubits) == 1 or max(qubits) - first == 1:
+        if qubits[0] > first:
+            gate = gate[_SWAPPED_PAIR]
+        k = gate.shape[0]
+        rest = 2 ** (n - first) // k
+        if rest == 1:
+            return np.dot(amps.reshape(-1, k), gate.T).reshape(-1)
+        return np.matmul(gate, amps.reshape(-1, k, rest)).reshape(-1)
     k = len(qubits)
-    psi = amps.reshape((2,) * n)
-    op = gate.reshape((2,) * (2 * k))
-    out = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), qubits))
-    out = np.moveaxis(out, list(range(k)), qubits)
-    return np.ascontiguousarray(out.reshape(-1))
+    out = np.tensordot(
+        gate.reshape((2,) * (2 * k)), amps.reshape((2,) * n),
+        axes=(list(range(k, 2 * k)), qubits),
+    )
+    return np.moveaxis(out, list(range(k)), qubits).reshape(-1)
 
 
 def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     """Apply ``gate`` to the named qubits of ``state``, identity elsewhere.
 
     ``qubits`` is an ordered list of distinct indices; the first listed qubit
-    is the more significant bit of the gate's local basis.  The norm is
-    preserved (the gate is verified unitary at construction).
+    is the more significant bit of the gate's local basis.  Only the qubit
+    list is checked here: ``state`` and ``gate`` were validated when they
+    were built and a unitary preserves the norm, so the result is returned
+    read-only without copying or re-checking its amplitudes.
     """
     qubits = list(qubits)
     k = len(qubits)
@@ -183,18 +225,19 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
                 f"qubit index {q} out of range for {state.n_qubits}-qubit state"
             )
     out = _apply_matrix(state.amps, gate.entries, qubits, state.n_qubits)
-    return StateVector(state.n_qubits, out, subnormalized=state.subnormalized)
+    return StateVector._trusted(state.n_qubits, out, state.subnormalized)
 
 
 def embedded_matrix(gate: Unitary, qubits, n_qubits: int) -> np.ndarray:
-    """The full 2**n x 2**n matrix of ``gate`` acting on the listed qubits."""
-    qubits = list(qubits)
+    """The full 2**n x 2**n matrix of ``gate`` acting on the listed qubits.
+
+    The identity, read as a 2n-qubit state whose first n qubits index rows,
+    goes through the gate kernel once; every entry is an exact copy of a
+    gate entry or zero.
+    """
     dim = 2 ** n_qubits
-    cols = np.empty((dim, dim), dtype=np.complex128)
-    eye = np.eye(dim, dtype=np.complex128)
-    for j in range(dim):
-        cols[:, j] = _apply_matrix(eye[:, j], gate.entries, qubits, n_qubits)
-    return cols
+    eye = np.eye(dim, dtype=np.complex128).reshape(-1)
+    return _apply_matrix(eye, gate.entries, list(qubits), 2 * n_qubits).reshape(dim, dim)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -326,6 +326,11 @@ def run_network(
     projection it is in an exact product state).  ``reference`` must have
     the network's qubit count minus the measured qubit, and the reported
     fidelity is the squared overlap with it.
+
+    Gates are validated when the placements are built and ``apply_gate``
+    re-checks no amplitudes, so the output is checked once here (finite and
+    normalized to ``NORM_TOL``): through ``project_qubit``/``discard_qubit``
+    when heralded, and by rebuilding it as a ``StateVector`` otherwise.
     """
     if input_state.n_qubits != spec.n_qubits:
         raise ValueError(
@@ -337,10 +342,11 @@ def run_network(
             state = apply_gate(state, p.gate, p.qubits)
         if reference.n_qubits != spec.n_qubits:
             raise ValueError("reference size does not match the network output")
+        post = StateVector(state.n_qubits, state.amps, subnormalized=state.subnormalized)
         return SimulationResult(
             success_probability=1.0,
-            post_state=state,
-            global_fidelity_vs_exact=global_fidelity(reference, state),
+            post_state=post,
+            global_fidelity_vs_exact=global_fidelity(reference, post),
             input_sign=input_sign,
             failure_state=None,
         )

@@ -39,6 +39,30 @@ def embed(gate: np.ndarray, qubits, n: int) -> np.ndarray:
     return full
 
 
+def kron_embed(gate: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Embedding of a k-qubit gate built from Kronecker products.
+
+    ``gate`` is first extended by ``np.kron`` with one 2x2 identity per
+    untouched wire, which puts the listed qubits first, in their listed
+    order; a wire permutation matrix then moves every wire to its place.
+    Same conventions as `embed`.
+    """
+    qubits = list(qubits)
+    order = qubits + [q for q in range(n) if q not in qubits]
+    full = gate
+    for _ in range(n - len(qubits)):
+        full = np.kron(full, np.eye(2))
+    dim = 2 ** n
+    perm = np.zeros((dim, dim))
+    for index in range(dim):
+        # bit ``pos`` of ``index`` (most significant first) belongs to wire order[pos]
+        natural = 0
+        for pos, wire in enumerate(order):
+            natural |= ((index >> (n - 1 - pos)) & 1) << (n - 1 - wire)
+        perm[natural, index] = 1.0
+    return perm @ full @ perm.T
+
+
 def family_amps(theta: float, sign: int) -> np.ndarray:
     """cos(theta)|0> + sign*sin(theta)|1> as a plain array."""
     return np.array([math.cos(theta), sign * math.sin(theta)], dtype=np.complex128)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloneforge.bounds import CloneCoefficients, CloningProblem, clone_coefficients, compose_angle, optimal_phis
@@ -116,9 +116,25 @@ def test_transfer_gate_rejects_out_of_range():
     st.floats(min_value=0.0, max_value=math.pi / 4),
 )
 @settings(max_examples=80, deadline=None)
+@example(4.39e-155, 4.39e-155)
+@example(0.0, 4.39e-155)
+@example(4.39e-155, 0.0)
 def test_transfer_gate_unitary_everywhere(t1, t2):
     m = transfer_gate(t1, t2).entries
     assert np.max(np.abs(m @ m.conj().T - np.eye(4))) < 1e-12
+
+
+def test_transfer_gate_memo_is_safe_to_share():
+    first = transfer_gate(0.3, 0.2)
+    assert transfer_gate(0.3, 0.2) is first
+    with pytest.raises(ValueError):
+        first.entries[0, 0] = 5.0
+    # exceptions are not cached: an invalid angle raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            transfer_gate(1.0, 0.1)
+    assert transfer_gate.cache_info().maxsize is not None
+    assert cnot() is cnot()
 
 
 # ------------------------------------------------- sector-reflection algebra
@@ -330,6 +346,9 @@ def test_circuit_decomposition_rejects_composite_kinds():
     st.floats(min_value=0.0, max_value=math.pi / 4),
 )
 @settings(max_examples=60, deadline=None)
+@example(4.39e-155, 4.39e-155)
+@example(0.0, 4.39e-155)
+@example(4.39e-155, 0.0)
 def test_decompose_transfer_everywhere(t1, t2):
     circuit = decompose_transfer(t1, t2)
     assert circuit.max_abs_error < 1e-10

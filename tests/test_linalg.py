@@ -130,6 +130,33 @@ def test_apply_gate_matches_explicit_embedding(rng, n):
                 assert np.allclose(out.amps, full[:, idx], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_apply_gate_matches_kron_oracle_on_network_shapes(rng, n):
+    """Every placement shape the networks emit, against a Kronecker-built matrix.
+
+    Single qubits on the first, a middle and the last wire; adjacent pairs in
+    both orders; the non-adjacent (ancilla, system 0) pair in both orders.
+    """
+    last = n - 1
+    shapes = [(0,), (n // 2,), (last,), (1, 2), (2, 1), (last - 1, last),
+              (last, last - 1), (last, 0), (0, last)]
+    for qubits in shapes:
+        gate = random_unitary(rng, 2 ** len(qubits))
+        full = oracles.kron_embed(gate, qubits, n)
+        for _ in range(3):
+            amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            out = apply_gate(state, Unitary(gate), qubits)
+            assert np.max(np.abs(out.amps - full @ state.amps)) < 1e-14, qubits
+            assert not out.amps.flags.writeable
+            with pytest.raises(ValueError):
+                out.amps[0] = 0.0
+    with pytest.raises(ValueError):
+        apply_gate(state, Unitary(I2), (n,))
+    with pytest.raises(ValueError):
+        apply_gate(state, Unitary(I4), (last, last))
+
+
 def test_embedded_matrix_matches_oracle(rng):
     gate = random_unitary(rng, 2)
     got = embedded_matrix(Unitary(gate), (1,), 3)
