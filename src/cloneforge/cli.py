@@ -21,6 +21,11 @@ from . import verify as verify_suites
 
 #: largest tolerated |simulated - bound| before --strict exits with code 3
 STRICT_TOL = 1e-8
+#: most output copies ``simulate`` and ``tradeoff`` accept: a simulated state
+#: spans N + 1 qubits, 2**21 amplitudes (32 MiB) at N = 20
+MAX_SIMULATED_COPIES = 20
+#: most points of one ``tradeoff`` sweep
+MAX_SWEEP_STEPS = 10_001
 
 _CONFIG_KEYS = {
     "theta",
@@ -196,6 +201,14 @@ def _build_problem(cfg) -> bounds.CloningProblem:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_simulated_size(problem: bounds.CloningProblem) -> None:
+    """Refuse a register too large to simulate before any state is built."""
+    if problem.n_copies > MAX_SIMULATED_COPIES:
+        raise ConfigError(
+            f"--n must be at most {MAX_SIMULATED_COPIES} to simulate, got {problem.n_copies}"
+        )
+
+
 def _problem_options(fn):
     decorators = [
         click.option(
@@ -360,6 +373,7 @@ def simulate_cmd(
         output_path=output_path,
     )
     problem = _build_problem(cfg)
+    _check_simulated_size(problem)
     if cfg["mode"] is None:
         raise ConfigError("mode is required: choose exact, approx, or hybrid")
     if cfg["mode"] not in networks.MODES:
@@ -434,6 +448,7 @@ def tradeoff_cmd(
         output_path=output_path,
     )
     problem = _build_problem(cfg)
+    _check_simulated_size(problem)
     if abs(problem.eta_plus - 0.5) > 1e-12:
         raise ConfigError("the hybrid trade-off is defined for equal priors only")
     sweep = dict(cfg["sweep"] or {})
@@ -459,6 +474,8 @@ def tradeoff_cmd(
         raise ConfigError(f"invalid sweep values: {exc}") from exc
     if steps_v < 2:
         raise ConfigError("sweep needs at least 2 steps")
+    if steps_v > MAX_SWEEP_STEPS:
+        raise ConfigError(f"--steps must be at most {MAX_SWEEP_STEPS}, got {steps_v}")
     if not (p_lo - 1e-9 <= start_v <= stop_v <= 1.0 + 1e-12):
         raise ConfigError(
             f"sweep bounds must satisfy {_fmt(p_lo)} <= start <= stop <= 1, "

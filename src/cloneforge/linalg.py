@@ -18,6 +18,21 @@ Validation happens at the boundaries, not per gate application:
 ``networks.run_network`` checks each network output once.  ``apply_gate``
 checks only its qubit list; its result is valid by construction and is
 returned read-only without being copied or re-checked.
+
+The gate kernel picks its BLAS call from the shape of the update.  A gate on
+one qubit, or on two adjacent ones, starting at wire ``first`` of an n-qubit
+register splits the amplitudes into an (A, k, C) view, A = 2**first batches
+of k gate rows times C = 2**(n - first) / k trailing amplitudes:
+
+* C = 1, or A >= 64 with 2 <= C <= 8: one ``np.dot`` of the (A, k*C) view
+  against gate (x) I_C, so many small batches cost one BLAS call;
+* otherwise one ``matmul`` over the view, which calls BLAS once per batch.
+
+A = C = 1 (a gate spanning the whole register from wire 0) goes through the
+C = 1 ``np.dot``, which numpy hands to a matrix-vector product whose last bits
+differ from the matrix-matrix products of every other shape; callers that
+simulate a prefix of a larger register (``networks.run_network``) keep one
+spare wire under such a gate.  Non-adjacent pairs go through ``tensordot``.
 """
 
 from __future__ import annotations
@@ -86,8 +101,9 @@ class StateVector:
     def _trusted(cls, n_qubits: int, amps: np.ndarray, subnormalized: bool) -> "StateVector":
         """Wrap kernel output without copying or re-validating it.
 
-        Only for amplitudes computed from an already validated state and
-        unitary, which are finite and keep the norm by construction.
+        Only for amplitudes computed from an already validated state by a
+        validated unitary, or copied from it with exact zeros added or
+        removed; both are finite and keep the norm by construction.
         """
         amps.flags.writeable = False
         state = object.__new__(cls)
@@ -140,7 +156,7 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
     single = np.array([np.cos(theta), s * np.sin(theta)], dtype=np.complex128)
     amps = single
     for _ in range(copies - 1):
-        amps = np.kron(amps, single)
+        amps = (amps[:, None] * single).reshape(-1)
     return StateVector(copies, amps)
 
 
@@ -173,27 +189,43 @@ def kron(a, b):
 _SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
+#: fewest batches (A) for which one ``np.dot`` against gate (x) I_C beats
+#: ``matmul``'s per-batch BLAS calls
+_DOT_MIN_BATCHES = 64
+#: most trailing amplitudes (C) per batch for that ``np.dot``: gate (x) I_C
+#: grows as C**2 and past 8 the zero products cost more than the calls saved
+_DOT_MAX_TRAILING = 8
+
+
 def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     """Apply ``gate`` to the listed qubits of a 2**n amplitude array.
 
     The first listed qubit is the most significant bit of the gate's local
     basis.  The result is one new C-contiguous array.  One qubit, or two
-    adjacent ones, contract in a single ``matmul`` over an (A, k, C) view of
-    the amplitudes; a descending adjacent pair uses the gate conjugated by
-    SWAP.  When the gate ends on the last qubit (C = 1) it is one ``np.dot``
-    instead, because ``matmul`` over an (A, k, 1) view takes another BLAS path
-    and changes the last bits of the amplitudes.  Non-adjacent pairs go
-    through ``tensordot``.
+    adjacent ones, contract over an (A, k, C) view of the amplitudes; a
+    descending adjacent pair uses the gate conjugated by SWAP.  With C = 1,
+    or with A >= 64 batches of 2 <= C <= 8, that is one ``np.dot`` of the
+    (A, k*C) view against gate (x) I_C (built by strided assignment; every
+    added entry is an exact zero, so each sum gains only exact zero terms).
+    Any other such view goes through one ``matmul``; ``matmul`` over an
+    (A, k, 1) view would take a matrix-vector BLAS path and change the last
+    bits of the amplitudes.  Non-adjacent pairs go through ``tensordot``.
     """
     first = min(qubits)
     if len(qubits) == 1 or max(qubits) - first == 1:
         if qubits[0] > first:
             gate = gate[_SWAPPED_PAIR]
         k = gate.shape[0]
+        batches = 2 ** first
         rest = 2 ** (n - first) // k
-        if rest == 1:
-            return np.dot(amps.reshape(-1, k), gate.T).reshape(-1)
-        return np.matmul(gate, amps.reshape(-1, k, rest)).reshape(-1)
+        if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
+            if rest > 1:
+                wide = np.zeros((k * rest, k * rest), dtype=np.complex128)
+                for c in range(rest):
+                    wide[c::rest, c::rest] = gate
+                gate = wide
+            return np.dot(amps.reshape(batches, -1), gate.T).reshape(-1)
+        return np.matmul(gate, amps.reshape(batches, k, rest)).reshape(-1)
     k = len(qubits)
     out = np.tensordot(
         gate.reshape((2,) * (2 * k)), amps.reshape((2,) * n),
@@ -240,6 +272,39 @@ def embedded_matrix(gate: Unitary, qubits, n_qubits: int) -> np.ndarray:
     return _apply_matrix(eye, gate.entries, list(qubits), 2 * n_qubits).reshape(dim, dim)
 
 
+def live_prefix(state: StateVector) -> StateVector:
+    """``state`` cut to its leading qubits that carry amplitude.
+
+    A trailing qubit is blank when every amplitude with its bit set is
+    exactly 0.0.  Blank qubits are cut off from the last one down: the last
+    qubit is blank when the odd entries are all zero, and then the even
+    entries are the amplitudes of the qubits before it.  At least one qubit
+    is kept.  Only exact zeros are dropped, so `pad_qubits` gives back the
+    same amplitudes.
+    """
+    amps = state.amps
+    blank = 0
+    while blank < state.n_qubits - 1 and not amps[1::2].any():
+        amps = amps[::2]
+        blank += 1
+    if not blank:
+        return state
+    return StateVector._trusted(state.n_qubits - blank, amps.copy(), state.subnormalized)
+
+
+def pad_qubits(state: StateVector, n_qubits: int) -> StateVector:
+    """Append blank |+> qubits after the last one, up to ``n_qubits``.
+
+    Exact zero padding: the amplitudes are copied unchanged into every
+    2**(n_qubits - state.n_qubits)-th slot of an array of zeros.
+    """
+    if n_qubits == state.n_qubits:
+        return state
+    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
+    amps[:: 2 ** (n_qubits - state.n_qubits)] = state.amps
+    return StateVector._trusted(n_qubits, amps, state.subnormalized)
+
+
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.n_qubits != b.n_qubits:
@@ -257,9 +322,9 @@ def global_fidelity(a: StateVector, b: StateVector) -> float:
     return float(min(val, 1.0))
 
 
-def _branch_mask(n_qubits: int, qubit: int, bit: int) -> np.ndarray:
-    idx = np.arange(2 ** n_qubits)
-    return ((idx >> (n_qubits - 1 - qubit)) & 1) == bit
+def _branch(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
+    """View of the amplitudes whose ``qubit`` reads ``bit``, in index order."""
+    return amps.reshape(2 ** qubit, 2, -1)[:, bit, :]
 
 
 def branch_probability(state: StateVector, qubit: int, outcome: str) -> float:
@@ -268,8 +333,7 @@ def branch_probability(state: StateVector, qubit: int, outcome: str) -> float:
     if not (0 <= qubit < state.n_qubits):
         raise ValueError(f"qubit index {qubit} out of range")
     bit = 0 if outcome == PLUS else 1
-    mask = _branch_mask(state.n_qubits, qubit, bit)
-    return float(np.sum(np.abs(state.amps[mask]) ** 2))
+    return float(np.sum(np.abs(_branch(state.amps, qubit, bit)) ** 2))
 
 
 def project_qubit(state: StateVector, qubit: int, outcome: str):
@@ -286,9 +350,8 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
             f"probability {prob:.3e}"
         )
     bit = 0 if outcome == PLUS else 1
-    keep = _branch_mask(state.n_qubits, qubit, bit)
     amps = state.amps.copy()
-    amps[~keep] = 0.0
+    _branch(amps, qubit, 1 - bit)[...] = 0.0
     amps /= np.sqrt(prob)
     return prob, StateVector(state.n_qubits, amps)
 
@@ -311,6 +374,5 @@ def discard_qubit(state: StateVector, qubit: int) -> StateVector:
             f"qubit {qubit} is not in a definite basis state "
             f"(p_plus={p_plus!r}, p_minus={p_minus!r}); cannot discard"
         )
-    keep = _branch_mask(state.n_qubits, qubit, bit)
-    amps = state.amps[keep]
+    amps = _branch(state.amps, qubit, bit).reshape(-1)
     return StateVector(state.n_qubits - 1, amps, subnormalized=state.subnormalized)

@@ -56,6 +56,8 @@ from .linalg import (
     family_state,
     global_fidelity,
     kron,
+    live_prefix,
+    pad_qubits,
     project_qubit,
 )
 
@@ -309,6 +311,22 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     )
 
 
+def _run_placements(state: StateVector, placements, n_qubits: int) -> StateVector:
+    """Apply placements to a leading-wire prefix of an ``n_qubits`` register.
+
+    The wires past ``state`` are blank |+>.  A placement that reaches one
+    first appends blank wires up to its top qubit, plus one more when it
+    touches wire 0 (a gate spanning the whole prefix from wire 0 would take
+    another BLAS path, see `cloneforge.linalg`), capped at ``n_qubits``.
+    """
+    for p in placements:
+        reach = min(n_qubits, max(p.qubits) + 1 + (0 in p.qubits))
+        if reach > state.n_qubits:
+            state = pad_qubits(state, reach)
+        state = apply_gate(state, p.gate, p.qubits)
+    return state
+
+
 def run_network(
     spec: NetworkSpec,
     input_state: StateVector,
@@ -327,21 +345,29 @@ def run_network(
     the network's qubit count minus the measured qubit, and the reported
     fidelity is the squared overlap with it.
 
+    Placements run on the live prefix of the register: trailing wires whose
+    amplitudes are all exactly zero are cut off (`linalg.live_prefix`), on
+    the input and again on the success branch, and appended by exact zero
+    padding when a placement first reaches them.  The state is padded back
+    to full width before the projection and before the output check, so
+    measurement, fidelity and the check see the same dense arrays as a
+    full-width run, and every number is the same.
+
     Gates are validated when the placements are built and ``apply_gate``
     re-checks no amplitudes, so the output is checked once here (finite and
     normalized to ``NORM_TOL``): through ``project_qubit``/``discard_qubit``
     when heralded, and by rebuilding it as a ``StateVector`` otherwise.
     """
-    if input_state.n_qubits != spec.n_qubits:
+    n = spec.n_qubits
+    if input_state.n_qubits != n:
         raise ValueError(
-            f"input has {input_state.n_qubits} qubit(s), network expects {spec.n_qubits}"
+            f"input has {input_state.n_qubits} qubit(s), network expects {n}"
         )
-    state = input_state
+    state = live_prefix(input_state)
     if spec.measurement is None:
-        for p in spec.placements:
-            state = apply_gate(state, p.gate, p.qubits)
-        if reference.n_qubits != spec.n_qubits:
+        if reference.n_qubits != n:
             raise ValueError("reference size does not match the network output")
+        state = pad_qubits(_run_placements(state, spec.placements, n), n)
         post = StateVector(state.n_qubits, state.amps, subnormalized=state.subnormalized)
         return SimulationResult(
             success_probability=1.0,
@@ -351,24 +377,21 @@ def run_network(
             failure_state=None,
         )
     meas = spec.measurement
-    if reference.n_qubits != spec.n_qubits - 1:
+    if reference.n_qubits != n - 1:
         raise ValueError("reference size does not match the post-selected output")
     last_touch = -1
     for i, p in enumerate(spec.placements):
         if meas.qubit in p.qubits:
             last_touch = i
-    for p in spec.placements[: last_touch + 1]:
-        state = apply_gate(state, p.gate, p.qubits)
+    state = pad_qubits(_run_placements(state, spec.placements[: last_touch + 1], n), n)
     prob, success = project_qubit(state, meas.qubit, meas.success_outcome)
     failure_state = None
     if 1.0 - prob > 1e-12:
         fail_outcome = MINUS if meas.success_outcome == PLUS else PLUS
         _, failure = project_qubit(state, meas.qubit, fail_outcome)
         failure_state = discard_qubit(failure, meas.qubit)
-    state = success
-    for p in spec.placements[last_touch + 1 :]:
-        state = apply_gate(state, p.gate, p.qubits)
-    post = discard_qubit(state, meas.qubit)
+    state = _run_placements(live_prefix(success), spec.placements[last_touch + 1 :], n)
+    post = discard_qubit(pad_qubits(state, n), meas.qubit)
     return SimulationResult(
         success_probability=prob,
         post_state=post,

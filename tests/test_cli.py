@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from cloneforge import cli, gates, verify
+from cloneforge import cli, gates, networks, verify
 
 PI_8 = math.pi / 8
 
@@ -385,6 +385,48 @@ def test_tradeoff_only_sweeps_p_s(tmp_path):
     result = run_cli("tradeoff", "--config", path)
     assert result.exit_code == 2
     assert "only p_s sweeps" in result.output
+
+
+# ---------------------------------------------------------------------------
+# resource guards
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make any attempt to build or run a network fail the command."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was simulated")
+
+    monkeypatch.setattr(networks, "prepare_input", refuse)
+    monkeypatch.setattr(networks, "evaluate_cloner", refuse)
+
+
+SIZED_COMMANDS = [("simulate", "--mode", "approx"), ("tradeoff",)]
+
+
+@pytest.mark.parametrize("command", SIZED_COMMANDS)
+def test_oversized_register_rejected_before_any_state(no_simulation, tmp_path, command):
+    too_many = cli.MAX_SIMULATED_COPIES + 1
+    for source in (("-n", too_many), ("--config", write_config(tmp_path, {"n": too_many}))):
+        result = run_cli(*command, "--theta", 0.3, *source)
+        assert result.exit_code == 2, result.output
+        assert "--n must be at most 20" in result.output
+    # at the cap the request passes the guard and reaches the simulation
+    result = run_cli(*command, "--theta", 0.3, "-n", cli.MAX_SIMULATED_COPIES)
+    assert isinstance(result.exception, AssertionError)
+
+
+def test_oversized_sweep_rejected_before_any_state(no_simulation, tmp_path):
+    too_many = cli.MAX_SWEEP_STEPS + 1
+    config = write_config(tmp_path, {"sweep": {"steps": too_many}})
+    for source in (("--steps", too_many), ("--config", config)):
+        result = run_cli("tradeoff", "--theta", 0.3, *source)
+        assert result.exit_code == 2, result.output
+        assert "--steps must be at most 10001" in result.output
+    result = run_cli("tradeoff", "--theta", 0.3, "--steps", cli.MAX_SWEEP_STEPS)
+    assert isinstance(result.exception, AssertionError)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from cloneforge.linalg import (
     global_fidelity,
     inner,
     kron,
+    live_prefix,
+    pad_qubits,
     project_qubit,
 )
 
@@ -130,16 +132,21 @@ def test_apply_gate_matches_explicit_embedding(rng, n):
                 assert np.allclose(out.amps, full[:, idx], atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 9, 10])
 def test_apply_gate_matches_kron_oracle_on_network_shapes(rng, n):
     """Every placement shape the networks emit, against a Kronecker-built matrix.
 
     Single qubits on the first, a middle and the last wire; adjacent pairs in
     both orders; the non-adjacent (ancilla, system 0) pair in both orders.
+    From 9 qubits on, gates starting at wire 6 or later leave A >= 64 batches
+    of C in {2, 4, 8} trailing amplitudes (C = 8 needs 10 qubits), the shapes
+    contracted against gate (x) I_C in one ``np.dot``.
     """
     last = n - 1
     shapes = [(0,), (n // 2,), (last,), (1, 2), (2, 1), (last - 1, last),
               (last, last - 1), (last, 0), (0, last)]
+    if n >= 9:
+        shapes += [(6,), (7,), (last - 1,), (6, 7), (last - 1, last - 2)]
     for qubits in shapes:
         gate = random_unitary(rng, 2 ** len(qubits))
         full = oracles.kron_embed(gate, qubits, n)
@@ -155,6 +162,51 @@ def test_apply_gate_matches_kron_oracle_on_network_shapes(rng, n):
         apply_gate(state, Unitary(I2), (n,))
     with pytest.raises(ValueError):
         apply_gate(state, Unitary(I4), (last, last))
+
+
+def _with_blank_wires(amps, blank):
+    padded = np.zeros((amps.size, 2 ** blank), dtype=np.complex128)
+    padded[:, 0] = amps
+    return padded.reshape(-1)
+
+
+def test_live_prefix_cuts_only_exactly_blank_trailing_wires(rng):
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps /= np.linalg.norm(amps)
+    state = StateVector(6, _with_blank_wires(amps, 3), subnormalized=True)
+    cut = live_prefix(state)
+    assert cut.n_qubits == 3 and cut.subnormalized
+    assert np.array_equal(cut.amps, amps)
+    assert not cut.amps.flags.writeable
+    back = pad_qubits(cut, 6)
+    assert back.n_qubits == 6 and back.subnormalized
+    assert np.array_equal(back.amps, state.amps)
+    assert pad_qubits(cut, 3) is cut
+    # every wire blank: one qubit is kept
+    assert live_prefix(basis_state(4, 0)).n_qubits == 1
+
+
+def test_live_prefix_keeps_wires_that_are_not_blank(rng):
+    dense = rng.normal(size=32) + 1j * rng.normal(size=32)
+    dense /= np.linalg.norm(dense)
+    state = StateVector(5, dense)
+    assert live_prefix(state) is state
+    # only wire 2 is blank: the trailing wires 3 and 4 still carry amplitude
+    middle = dense.reshape(4, 2, 4).copy()
+    middle[:, 1, :] = 0.0
+    middle = StateVector(5, middle.reshape(-1) / np.linalg.norm(middle))
+    assert live_prefix(middle) is middle
+    # the last wire is set only together with the one before it
+    pair = np.zeros(8)
+    pair[0] = pair[3] = 1 / math.sqrt(2)
+    assert live_prefix(StateVector(3, pair)).n_qubits == 3
+    # amplitudes of 1e-300 on the last wire are not zero
+    tiny = _with_blank_wires(np.array([0.6, 0.8j]), 4)
+    tiny[1::2] = 1e-300
+    assert live_prefix(StateVector(5, tiny)).n_qubits == 5
+    tiny[1::2] = 0.0
+    tiny[2::4] = 1e-300
+    assert live_prefix(StateVector(5, tiny)).n_qubits == 4
 
 
 def test_embedded_matrix_matches_oracle(rng):

@@ -17,8 +17,18 @@ from cloneforge.gates import (
     KIND_SEPARATION,
     KIND_TRANSFER,
 )
-from cloneforge.linalg import MINUS, PLUS, apply_gate, basis_state, family_state, inner, kron
+from cloneforge.linalg import (
+    MINUS,
+    PLUS,
+    StateVector,
+    apply_gate,
+    basis_state,
+    family_state,
+    inner,
+    kron,
+)
 from cloneforge.networks import (
+    MODES,
     Measurement,
     NetworkSpec,
     approx_network,
@@ -310,3 +320,74 @@ def test_expand_decompositions_remaps_wires():
     cnots = [p for p in spec.placements if p.kind == KIND_CNOT]
     assert any(p.qubits == (0, 2) for p in cnots)
     assert all("[from" in p.label for p in spec.placements if p.kind != KIND_CLONE)
+
+
+# ------------------------------------------------- live prefix vs full width
+
+
+def _assert_matches_full_width_oracle(spec, states, references):
+    """run_network against the full-width Kronecker oracle, one input at a time."""
+    placements = [(p.gate.entries, p.qubits) for p in spec.placements]
+    measured = spec.measurement.qubit if spec.measurement else None
+    expected = oracles.run_network_full(
+        placements, spec.n_qubits, [state.amps for state in states], measured
+    )
+    for state, reference, (prob, post, failure) in zip(states, references, expected):
+        result = run_network(spec, state, reference=reference)
+        assert abs(result.success_probability - prob) < 1e-12
+        assert np.max(np.abs(result.post_state.amps - post)) < 1e-12
+        if failure is None:
+            assert result.failure_state is None
+        else:
+            assert np.max(np.abs(result.failure_state.amps - failure)) < 1e-12
+        fidelity = abs(np.vdot(reference.amps, post)) ** 2
+        assert abs(result.global_fidelity_vs_exact - fidelity) < 1e-12
+
+
+def _network(prob, mode):
+    if mode == "exact":
+        return exact_network(prob)
+    if mode == "approx":
+        return approx_network(prob)
+    p_exact = exact_clone_probability(prob.theta, prob.m_copies, prob.n_copies)
+    return hybrid_network(prob, 0.5 * (p_exact + 1.0))
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", MODES)
+def test_run_network_matches_full_width_oracle(mode, decomposed):
+    """Live-prefix simulation changes no number: every M <= 3, N <= 8, sign."""
+    for m in (1, 2, 3):
+        for n in range(m + 1, 9):
+            prob = problem(theta=0.3, m=m, n=n, eta_plus=0.5 if mode == "hybrid" else 0.7)
+            spec = _network(prob, mode)
+            if decomposed:
+                spec = expand_decompositions(spec)
+            ancilla = spec.measurement is not None
+            _assert_matches_full_width_oracle(
+                spec,
+                [prepare_input(prob, sign, with_ancilla=ancilla) for sign in (PLUS, MINUS)],
+                [family_state(prob.theta, sign, copies=n) for sign in (PLUS, MINUS)],
+            )
+
+
+def _random_amps(rng, n_qubits):
+    amps = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_run_network_on_inputs_without_blank_trailing_wires(rng, mode):
+    """A random input, one blank only in the middle, trailing amplitudes of 1e-300."""
+    prob = problem(theta=0.3, m=2, n=5)
+    spec = expand_decompositions(_network(prob, mode))
+    width = spec.n_qubits
+    reference = family_state(prob.theta, PLUS, copies=5)
+    middle = _random_amps(rng, width).reshape(4, 2, -1)
+    middle[:, 1, :] = 0.0
+    tiny = prepare_input(prob, PLUS, with_ancilla=mode == "exact").amps.copy()
+    tiny[1::2] = 1e-300
+    inputs = (_random_amps(rng, width), middle.reshape(-1) / np.linalg.norm(middle), tiny)
+    _assert_matches_full_width_oracle(
+        spec, [StateVector(width, amps) for amps in inputs], [reference] * len(inputs)
+    )
