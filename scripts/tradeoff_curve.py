@@ -26,6 +26,7 @@ from cloneforge.bounds import (
     idp_probability,
     overlap_after_copies,
 )
+from cloneforge.cli import MAX_SIMULATED_COPIES, MAX_SWEEP_STEPS
 from cloneforge.networks import evaluate_cloner
 
 
@@ -66,6 +67,17 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=9, help="sweep points per angle")
     parser.add_argument("--csv", default=None, help="also write the table to this file")
     args = parser.parse_args(argv)
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        parser.error(f"--steps must lie in 2..{MAX_SWEEP_STEPS}, got {args.steps}")
+    if args.m < 1:
+        parser.error(f"--m must be at least 1, got {args.m}")
+    if not args.m < args.n <= MAX_SIMULATED_COPIES:
+        parser.error(
+            f"--n must lie in {args.m + 1}..{MAX_SIMULATED_COPIES} (above --m), got {args.n}"
+        )
+    for theta in args.theta:
+        if not 0.0 < theta <= math.pi / 4:
+            parser.error(f"--theta must lie in (0, pi/4], got {theta!r}")
 
     rows = []
     for theta in args.theta:

@@ -15,9 +15,10 @@ Validation happens at the boundaries, not per gate application:
 ``StateVector`` and ``Unitary`` check their entries when constructed
 (finite, normalized, unitary), ``gates.GatePlacement`` and
 ``networks.NetworkSpec`` check qubit lists when a network is built, and
-``networks.run_network`` checks each network output once.  ``apply_gate``
-checks only its qubit list; its result is valid by construction and is
-returned read-only without being copied or re-checked.
+``networks.run_network`` checks each network output once, when it pads the
+live register it simulated (the herald included) to the system width.
+``apply_gate`` checks only its qubit list; its result is valid by
+construction and is returned read-only without being copied or re-checked.
 
 The gate kernel picks its BLAS call from the shape of the update.  A gate on
 one qubit, or on two adjacent ones, starting at wire ``first`` of an n-qubit
@@ -38,7 +39,7 @@ spare wire under such a gate.  Non-adjacent pairs go through ``tensordot``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -292,17 +293,20 @@ def live_prefix(state: StateVector) -> StateVector:
     return StateVector._trusted(state.n_qubits - blank, amps.copy(), state.subnormalized)
 
 
-def pad_qubits(state: StateVector, n_qubits: int) -> StateVector:
-    """Append blank |+> qubits after the last one, up to ``n_qubits``.
+def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> StateVector:
+    """Insert blank |+> qubits before wire ``at``, up to ``n_qubits`` in all.
 
-    Exact zero padding: the amplitudes are copied unchanged into every
-    2**(n_qubits - state.n_qubits)-th slot of an array of zeros.
+    By default they are appended after the last wire.  Exact zero padding:
+    the amplitudes are copied unchanged into the slots of an array of zeros
+    where every inserted wire reads |+>.
     """
-    if n_qubits == state.n_qubits:
+    k = state.n_qubits
+    if n_qubits == k:
         return state
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[:: 2 ** (n_qubits - state.n_qubits)] = state.amps
-    return StateVector._trusted(n_qubits, amps, state.subnormalized)
+    at = k if at is None else at
+    amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)), dtype=np.complex128)
+    amps[:, 0, :] = state.amps.reshape(2 ** at, -1)
+    return StateVector._trusted(n_qubits, amps.reshape(-1), state.subnormalized)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -51,11 +51,9 @@ from .linalg import (
     PLUS,
     StateVector,
     apply_gate,
-    basis_state,
     discard_qubit,
     family_state,
     global_fidelity,
-    kron,
     live_prefix,
     pad_qubits,
     project_qubit,
@@ -95,9 +93,11 @@ class NetworkSpec:
                         f"placement {p.label!r} references qubit {q}, but the "
                         f"network has {self.n_qubits} qubit(s)"
                     )
-        if self.measurement is not None:
-            if not (0 <= self.measurement.qubit < self.n_qubits):
-                raise ValueError("measurement qubit out of range")
+        if self.measurement is not None and self.measurement.qubit != self.n_qubits - 1:
+            raise ValueError(
+                f"measurement qubit must be the last wire, {self.n_qubits - 1}, "
+                f"got {self.measurement.qubit}"
+            )
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,8 @@ class ClonerReport:
 
 def prepare_input(problem: CloningProblem, sign: str, with_ancilla: bool) -> StateVector:
     """M family-state copies, N-M blank |+> qubits, optional |+> ancilla."""
-    m, n = problem.m_copies, problem.n_copies
-    state = family_state(problem.theta, sign, copies=m)
-    blanks = n - m + (1 if with_ancilla else 0)
-    if blanks:
-        state = kron(state, basis_state(blanks, 0))
-    return state
+    width = problem.n_copies + (1 if with_ancilla else 0)
+    return pad_qubits(family_state(problem.theta, sign, copies=problem.m_copies), width)
 
 
 def _transfer_placement(theta1: float, theta2: float, qubits: Tuple[int, int]) -> GatePlacement:
@@ -327,6 +323,51 @@ def _run_placements(state: StateVector, placements, n_qubits: int) -> StateVecto
     return state
 
 
+def _run_to_herald(state: StateVector, placements, ancilla: int) -> Tuple[StateVector, int]:
+    """Apply the placements before a herald on the live register.
+
+    ``state`` is a leading-wire prefix of a register whose last wire,
+    ``ancilla``, is measured.  The working register holds the system wires
+    0..width-1 and, from the first placement that touches the ancilla on,
+    the ancilla as its last wire, at position ``width``.  System wires grow
+    by the reach rule of `_run_placements`, capped at ``ancilla``: blank
+    wires go in before the ancilla, and a spare wire past every system wire
+    is the ancilla itself.  Returns the register, ancilla last, and
+    ``width``.
+    """
+    width = min(state.n_qubits, ancilla)
+    joined = state.n_qubits > ancilla
+    for p in placements:
+        system = [q for q in p.qubits if q != ancilla]
+        reach = max(system, default=-1) + 1 + (0 in system)
+        grown = max(width, min(reach, ancilla))
+        joins = joined or reach > ancilla or ancilla in p.qubits
+        if grown > width or joins > joined:
+            state = pad_qubits(state, grown + joins, at=width)
+            width, joined = grown, joins
+        qubits = tuple(width if q == ancilla else q for q in p.qubits)
+        state = apply_gate(state, p.gate, qubits)
+    if not joined:
+        state = pad_qubits(state, width + 1)
+    return state, width
+
+
+def _output(state: StateVector, n_qubits: int) -> StateVector:
+    """The register's first ``n_qubits`` wires, checked once.
+
+    Missing wires are padded blank.  A wire past ``n_qubits`` can only be
+    the measured wire that `_run_placements` took as a spare after the
+    herald; it is blank and is cut off.  Rebuilding the result as a
+    ``StateVector`` checks it is finite and, unless ``state`` is a
+    measurement branch, normalized to ``NORM_TOL``.
+    """
+    if state.n_qubits > n_qubits:
+        amps = state.amps[:: 2 ** (state.n_qubits - n_qubits)]
+    else:
+        amps = pad_qubits(state, n_qubits).amps
+    return StateVector(n_qubits, amps, subnormalized=state.subnormalized)
+
+
 def run_network(
     spec: NetworkSpec,
     input_state: StateVector,
@@ -336,30 +377,31 @@ def run_network(
 ) -> SimulationResult:
     """Run a network on one input and compare against a reference state.
 
-    Placements are applied in order.  If a measurement is present it fires
-    immediately after the last placement touching the measured qubit: the
-    success branch is post-selected (probability recorded) and the remaining
-    placements act on it; the failure branch is kept, frozen at the point of
-    failure, with the measured qubit dropped from both branches (after
-    projection it is in an exact product state).  ``reference`` must have
-    the network's qubit count minus the measured qubit, and the reported
-    fidelity is the squared overlap with it.
+    ``input_state`` covers the register's leading 1..n wires; the wires past
+    it are blank |+>.  Placements are applied in order.  If a measurement is
+    present it fires immediately after the last placement touching the
+    measured qubit: the success branch is post-selected (probability
+    recorded) and the remaining placements act on it; the failure branch is
+    kept, frozen at the point of failure, with the measured qubit dropped
+    from both branches (after projection it is in an exact product state).
+    ``reference`` must have the network's qubit count minus the measured
+    qubit, and the reported fidelity is the squared overlap with it.
 
     Placements run on the live prefix of the register: trailing wires whose
     amplitudes are all exactly zero are cut off (`linalg.live_prefix`), on
     the input and again on the success branch, and appended by exact zero
-    padding when a placement first reaches them.  The state is padded back
-    to full width before the projection and before the output check, so
-    measurement, fidelity and the check see the same dense arrays as a
-    full-width run, and every number is the same.
+    padding when a placement first reaches them.  The herald runs on that
+    prefix too: the ancilla joins it as its last wire when a placement
+    first touches it, and is projected and dropped there, so the blank
+    system wires past the prefix are never simulated.
 
     Gates are validated when the placements are built and ``apply_gate``
-    re-checks no amplitudes, so the output is checked once here (finite and
-    normalized to ``NORM_TOL``): through ``project_qubit``/``discard_qubit``
-    when heralded, and by rebuilding it as a ``StateVector`` otherwise.
+    re-checks no amplitudes, so each output is padded to the system width
+    and checked once (finite and normalized to ``NORM_TOL``).  The failure
+    branch is checked when the measured qubit is discarded from it.
     """
     n = spec.n_qubits
-    if input_state.n_qubits != n:
+    if input_state.n_qubits > n:
         raise ValueError(
             f"input has {input_state.n_qubits} qubit(s), network expects {n}"
         )
@@ -367,8 +409,7 @@ def run_network(
     if spec.measurement is None:
         if reference.n_qubits != n:
             raise ValueError("reference size does not match the network output")
-        state = pad_qubits(_run_placements(state, spec.placements, n), n)
-        post = StateVector(state.n_qubits, state.amps, subnormalized=state.subnormalized)
+        post = _output(_run_placements(state, spec.placements, n), n)
         return SimulationResult(
             success_probability=1.0,
             post_state=post,
@@ -383,15 +424,18 @@ def run_network(
     for i, p in enumerate(spec.placements):
         if meas.qubit in p.qubits:
             last_touch = i
-    state = pad_qubits(_run_placements(state, spec.placements[: last_touch + 1], n), n)
-    prob, success = project_qubit(state, meas.qubit, meas.success_outcome)
+    state, width = _run_to_herald(state, spec.placements[: last_touch + 1], meas.qubit)
+    prob, success = project_qubit(state, width, meas.success_outcome)
     failure_state = None
     if 1.0 - prob > 1e-12:
         fail_outcome = MINUS if meas.success_outcome == PLUS else PLUS
-        _, failure = project_qubit(state, meas.qubit, fail_outcome)
-        failure_state = discard_qubit(failure, meas.qubit)
-    state = _run_placements(live_prefix(success), spec.placements[last_touch + 1 :], n)
-    post = discard_qubit(pad_qubits(state, n), meas.qubit)
+        _, failure = project_qubit(state, width, fail_outcome)
+        failure_state = pad_qubits(discard_qubit(failure, width), n - 1)
+    # the projection left exact zeros in the other half: drop the ancilla
+    bit = 0 if meas.success_outcome == PLUS else 1
+    system = StateVector._trusted(width, success.amps[bit::2].copy(), False)
+    state = _run_placements(live_prefix(system), spec.placements[last_touch + 1 :], n)
+    post = _output(state, n - 1)
     return SimulationResult(
         success_probability=prob,
         post_state=post,
@@ -435,12 +479,11 @@ def evaluate_cloner(
         p_bound = 1.0
     if decompose_gates:
         spec = expand_decompositions(spec)
-    with_ancilla = spec.measurement is not None
     results = {}
     for sign in (PLUS, MINUS):
         results[sign] = run_network(
             spec,
-            prepare_input(problem, sign, with_ancilla),
+            family_state(problem.theta, sign, copies=problem.m_copies),
             input_sign=sign,
             reference=family_state(problem.theta, sign, copies=problem.n_copies),
         )

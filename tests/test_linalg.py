@@ -186,6 +186,23 @@ def test_live_prefix_cuts_only_exactly_blank_trailing_wires(rng):
     assert live_prefix(basis_state(4, 0)).n_qubits == 1
 
 
+def test_pad_qubits_inserts_blank_wires_at_any_wire(rng):
+    head = StateVector(2, random_unitary(rng, 4)[:, 0])
+    tail = StateVector(1, random_unitary(rng, 2)[:, 0])
+    joined = kron(head, tail)
+    for at, blanks in ((0, 1), (2, 1), (2, 3), (3, 2)):
+        got = pad_qubits(joined, 3 + blanks, at=at)
+        assert got.n_qubits == 3 + blanks and not got.amps.flags.writeable
+        if at == 3:
+            expect = kron(joined, basis_state(blanks, 0))
+        elif at == 2:
+            expect = kron(kron(head, basis_state(blanks, 0)), tail)
+        else:
+            expect = kron(basis_state(blanks, 0), joined)
+        assert np.array_equal(got.amps, expect.amps)
+    assert np.array_equal(pad_qubits(joined, 5).amps, pad_qubits(joined, 5, at=3).amps)
+
+
 def test_live_prefix_keeps_wires_that_are_not_blank(rng):
     dense = rng.normal(size=32) + 1j * rng.normal(size=32)
     dense /= np.linalg.norm(dense)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cloneforge import networks
 from cloneforge.bounds import (
     CloningProblem,
     angle_for_copies,
@@ -16,16 +17,19 @@ from cloneforge.gates import (
     KIND_LOCAL,
     KIND_SEPARATION,
     KIND_TRANSFER,
+    GatePlacement,
 )
 from cloneforge.linalg import (
     MINUS,
     PLUS,
     StateVector,
+    Unitary,
     apply_gate,
     basis_state,
     family_state,
     inner,
     kron,
+    pad_qubits,
 )
 from cloneforge.networks import (
     MODES,
@@ -43,6 +47,7 @@ from cloneforge.networks import (
 )
 
 import oracles
+from conftest import random_unitary
 
 P12 = 0.5857864376269049
 P13 = 0.4530818393219728
@@ -266,7 +271,7 @@ def test_run_network_empty_spec():
 
 def test_run_network_rejects_wrong_input_size():
     spec = approx_network(problem())
-    with pytest.raises(ValueError, match="qubit"):
+    with pytest.raises(ValueError, match=r"input has 3 qubit\(s\), network expects 2"):
         run_network(spec, basis_state(3, 0), reference=basis_state(2, 0))
 
 
@@ -332,6 +337,7 @@ def _assert_matches_full_width_oracle(spec, states, references):
     expected = oracles.run_network_full(
         placements, spec.n_qubits, [state.amps for state in states], measured
     )
+    results = []
     for state, reference, (prob, post, failure) in zip(states, references, expected):
         result = run_network(spec, state, reference=reference)
         assert abs(result.success_probability - prob) < 1e-12
@@ -342,6 +348,25 @@ def _assert_matches_full_width_oracle(spec, states, references):
             assert np.max(np.abs(result.failure_state.amps - failure)) < 1e-12
         fidelity = abs(np.vdot(reference.amps, post)) ** 2
         assert abs(result.global_fidelity_vs_exact - fidelity) < 1e-12
+        results.append(result)
+    return results
+
+
+def _assert_same_bits(got, want):
+    assert got.success_probability == want.success_probability
+    assert got.global_fidelity_vs_exact == want.global_fidelity_vs_exact
+    assert np.array_equal(got.post_state.amps, want.post_state.amps)
+    if want.failure_state is None:
+        assert got.failure_state is None
+    else:
+        assert np.array_equal(got.failure_state.amps, want.failure_state.amps)
+
+
+def _rate(prob, mode):
+    """The hybrid success probability the tests use, halfway to 1."""
+    if mode != "hybrid":
+        return None
+    return 0.5 * (exact_clone_probability(prob.theta, prob.m_copies, prob.n_copies) + 1.0)
 
 
 def _network(prob, mode):
@@ -349,14 +374,17 @@ def _network(prob, mode):
         return exact_network(prob)
     if mode == "approx":
         return approx_network(prob)
-    p_exact = exact_clone_probability(prob.theta, prob.m_copies, prob.n_copies)
-    return hybrid_network(prob, 0.5 * (p_exact + 1.0))
+    return hybrid_network(prob, _rate(prob, mode))
 
 
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_run_network_matches_full_width_oracle(mode, decomposed):
-    """Live-prefix simulation changes no number: every M <= 3, N <= 8, sign."""
+    """Live-prefix simulation changes no number: every M <= 3, N <= 8, sign.
+
+    ``evaluate_cloner`` passes only the M input wires; its results are the
+    same bits as ``run_network`` on the full-width input.
+    """
     for m in (1, 2, 3):
         for n in range(m + 1, 9):
             prob = problem(theta=0.3, m=m, n=n, eta_plus=0.5 if mode == "hybrid" else 0.7)
@@ -364,11 +392,14 @@ def test_run_network_matches_full_width_oracle(mode, decomposed):
             if decomposed:
                 spec = expand_decompositions(spec)
             ancilla = spec.measurement is not None
-            _assert_matches_full_width_oracle(
+            full_width = _assert_matches_full_width_oracle(
                 spec,
                 [prepare_input(prob, sign, with_ancilla=ancilla) for sign in (PLUS, MINUS)],
                 [family_state(prob.theta, sign, copies=n) for sign in (PLUS, MINUS)],
             )
+            report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+            for got, want in zip((report.plus_result, report.minus_result), full_width):
+                _assert_same_bits(got, want)
 
 
 def _random_amps(rng, n_qubits):
@@ -391,3 +422,57 @@ def test_run_network_on_inputs_without_blank_trailing_wires(rng, mode):
     _assert_matches_full_width_oracle(
         spec, [StateVector(width, amps) for amps in inputs], [reference] * len(inputs)
     )
+
+
+def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
+    """Placements reach past the live wires before, at and after the ancilla joins."""
+    local = GatePlacement(Unitary(random_unitary(rng, 2)), (5,), "local@5")
+    pair = GatePlacement(Unitary(random_unitary(rng, 4)), (3, 2), "pair@(3,2)")
+    far = GatePlacement(Unitary(random_unitary(rng, 4)), (4, 0), "far@(4,0)")
+    herald = GatePlacement(Unitary(random_unitary(rng, 4)), (0, 5), "herald@(0,5)")
+    reference = family_state(0.3, PLUS, copies=5)
+    for placements in (
+        (local, pair, herald, local, pair),  # system wires go in before the ancilla
+        (pair, far, local, herald),  # the spare wire past every system wire is the ancilla
+        (pair, herald, far),  # the herald fires before the last placement
+        (pair,),  # no placement touches the ancilla
+    ):
+        spec = NetworkSpec(6, placements, Measurement(qubit=5))
+        inputs = [family_state(0.3, PLUS), StateVector(6, _random_amps(rng, 6))]
+        _assert_matches_full_width_oracle(
+            spec, [pad_qubits(state, 6) for state in inputs], [reference] * 2
+        )
+        for state in inputs:
+            _assert_same_bits(
+                run_network(spec, state, reference=reference),
+                run_network(spec, pad_qubits(state, 6), reference=reference),
+            )
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", ["exact", "hybrid"])
+def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
+    """At N = 16 no state spans the system and the ancilla; the herald sees M + 2 wires."""
+    seen = {"apply_gate": [], "project_qubit": [], "discard_qubit": []}
+
+    def spy(name):
+        original = getattr(networks, name)
+
+        def record(state, *args):
+            seen[name].append(state.n_qubits)
+            return original(state, *args)
+
+        return record
+
+    for name in seen:
+        monkeypatch.setattr(networks, name, spy(name))
+    n = 16
+    for m in (1, 2, 3):
+        for values in seen.values():
+            values.clear()
+        prob = problem(theta=0.3, m=m, n=n)
+        report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+        assert report.success_deviation < 1e-10
+        assert seen["apply_gate"] and len(seen["project_qubit"]) == 4
+        assert max(max(values) for values in seen.values() if values) <= n
+        assert max(seen["project_qubit"]) <= m + 2
