@@ -24,7 +24,7 @@ from .bounds import (
     CloneCoefficients,
     separation_bound,
 )
-from .linalg import Unitary, embedded_matrix
+from .linalg import _SWAPPED_PAIR, Unitary
 
 #: matrices re-multiplied from a decomposition must match the target this well
 DECOMPOSITION_TOL = 1e-10
@@ -32,6 +32,15 @@ DECOMPOSITION_TOL = 1e-10
 CONSISTENCY_TOL = 1e-12
 #: two single-qubit state maps can only share a unitary if overlaps agree
 OVERLAP_MATCH_TOL = 1e-10
+
+
+#: 2x2 blocks of the 4x4 gates: the even and odd parity sectors, the target
+#: of a control at |+> on the first qubit, the active sector of the
+#: separation gate (ancilla first)
+_EVEN_SECTOR = np.ix_([0, 3], [0, 3])
+_ODD_SECTOR = np.ix_([1, 2], [1, 2])
+_CONTROL_PLUS = np.ix_([0, 1], [0, 1])
+_ANCILLA_ACTIVE = np.ix_([0, 2], [0, 2])
 
 
 def _reflection(beta: float) -> np.ndarray:
@@ -148,19 +157,19 @@ def transfer_gate(theta1: float, theta2: float) -> Unitary:
     _check_angle_range(theta2, "theta2")
     m = np.zeros((4, 4))
     if _odd_sector_weight(theta1, theta2) == 0.0:
-        m[np.ix_([0, 3], [0, 3])] = _reflection(0.0)
+        m[_EVEN_SECTOR] = _reflection(0.0)
         m[1, 1] = m[2, 2] = 1.0
         return Unitary(m)
     delta1, delta2 = sector_angles(theta1, theta2)
-    m[np.ix_([0, 3], [0, 3])] = _reflection(delta1)
-    m[np.ix_([1, 2], [1, 2])] = _reflection(delta2 + math.pi / 2.0)
+    m[_EVEN_SECTOR] = _reflection(delta1)
+    m[_ODD_SECTOR] = _reflection(delta2 + math.pi / 2.0)
     return Unitary(m)
 
 
 def equal_parity_reflection(delta: float) -> Unitary:
     """Reflection by delta on span{|++>, |-->}, identity on the odd sector."""
     m = np.zeros((4, 4))
-    m[np.ix_([0, 3], [0, 3])] = _reflection(delta)
+    m[_EVEN_SECTOR] = _reflection(delta)
     m[1, 1] = m[2, 2] = 1.0
     return Unitary(m)
 
@@ -168,7 +177,7 @@ def equal_parity_reflection(delta: float) -> Unitary:
 def controlled_reflection(delta: float) -> Unitary:
     """Reflection by delta on the second qubit when the first is |+>."""
     m = np.zeros((4, 4))
-    m[np.ix_([0, 1], [0, 1])] = _reflection(delta)
+    m[_CONTROL_PLUS] = _reflection(delta)
     m[2, 2] = m[3, 3] = 1.0
     return Unitary(m)
 
@@ -249,7 +258,7 @@ def separation_gate(theta_in: float, theta_out: float) -> Unitary:
     """
     gamma = separation_gamma(theta_in, theta_out)
     m = np.zeros((4, 4))
-    m[np.ix_([0, 2], [0, 2])] = _reflection(gamma)
+    m[_ANCILLA_ACTIVE] = _reflection(gamma)
     m[1, 1] = m[3, 3] = 1.0
     return Unitary(m)
 
@@ -337,13 +346,21 @@ class CircuitDecomposition:
     max_abs_error: float = field(init=False)
 
     def __post_init__(self):
+        if self.target.dim != 4:
+            raise ValueError(
+                f"decomposition targets must be two-qubit gates, got dimension {self.target.dim}"
+            )
         for p in self.placements:
             if p.kind not in (KIND_CNOT, KIND_LOCAL):
                 raise ValueError(
                     f"decompositions may contain only CNOT and single-qubit "
                     f"placements, got kind {p.kind!r}"
                 )
-        err = float(np.max(np.abs(self.rebuild() - self.target.entries)))
+            if not set(p.qubits) <= {0, 1}:
+                raise ValueError(
+                    f"decomposition placements act on wires 0 and 1, got {p.qubits}"
+                )
+        err = float(np.abs(self.rebuild() - self.target.entries).max())
         if err > DECOMPOSITION_TOL:
             raise ValueError(
                 f"decomposition does not re-multiply to its target "
@@ -352,11 +369,27 @@ class CircuitDecomposition:
         object.__setattr__(self, "max_abs_error", err)
 
     def rebuild(self) -> np.ndarray:
-        """Re-multiply the placements into a full matrix on the two wires."""
-        n = self.target.n_qubits
-        total = np.eye(2 ** n, dtype=np.complex128)
+        """Re-multiply the placements into a full matrix on the two wires.
+
+        The placements' 4x4 matrices are multiplied in time order.  A
+        two-qubit placement's matrix is its gate, with the local basis
+        reordered when its wires are listed as (1, 0); a one-qubit gate is
+        copied once for each value of the other wire.
+        """
+        total = np.eye(4, dtype=np.complex128)
         for p in self.placements:
-            total = embedded_matrix(p.gate, p.qubits, n) @ total
+            matrix = p.gate.entries
+            if p.qubits == (1, 0):
+                matrix = matrix[_SWAPPED_PAIR]
+            elif len(p.qubits) == 1:
+                matrix = np.zeros((4, 4), dtype=np.complex128)
+                # wire 0 is the more significant bit: a gate on it acts on
+                # entries two apart, a gate on wire 1 on adjacent ones
+                if p.qubits == (0,):
+                    matrix[0::2, 0::2] = matrix[1::2, 1::2] = p.gate.entries
+                else:
+                    matrix[:2, :2] = matrix[2:, 2:] = p.gate.entries
+            total = matrix @ total
         return total
 
     @property

@@ -38,6 +38,7 @@ spare wire under such a gate.  Non-adjacent pairs go through ``tensordot``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -60,8 +61,9 @@ class ImpossibleBranchError(ValueError):
 
 
 def _as_complex_array(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).copy()
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    arr = np.array(values, dtype=np.complex128)
+    # a complex entry is finite when both its parts are
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -118,6 +120,14 @@ class StateVector:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(dim: int) -> np.ndarray:
+    """The real dim x dim identity, shared read-only by the unitarity checks."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """A dense unitary on one or more qubits, verified at construction."""
@@ -132,7 +142,7 @@ class Unitary:
         dim = mat.shape[0]
         if dim < 2 or (dim & (dim - 1)) != 0:
             raise ValueError(f"unitary dimension must be a power of two >= 2, got {dim}")
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+        err = np.abs(mat.conj().T @ mat - _identity(dim)).max()
         if err >= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {err:.3e})")
         object.__setattr__(self, "entries", mat)
@@ -157,7 +167,11 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
     single = np.array([np.cos(theta), s * np.sin(theta)], dtype=np.complex128)
     amps = single
     for _ in range(copies - 1):
-        amps = (amps[:, None] * single).reshape(-1)
+        # each doubling writes amps * single[b] into the column of the new bit b
+        doubled = np.empty((amps.size, 2), dtype=np.complex128)
+        np.multiply(amps, single[0], out=doubled[:, 0])
+        np.multiply(amps, single[1], out=doubled[:, 1])
+        amps = doubled.reshape(-1)
     return StateVector(copies, amps)
 
 
@@ -259,18 +273,6 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
             )
     out = _apply_matrix(state.amps, gate.entries, qubits, state.n_qubits)
     return StateVector._trusted(state.n_qubits, out, state.subnormalized)
-
-
-def embedded_matrix(gate: Unitary, qubits, n_qubits: int) -> np.ndarray:
-    """The full 2**n x 2**n matrix of ``gate`` acting on the listed qubits.
-
-    The identity, read as a 2n-qubit state whose first n qubits index rows,
-    goes through the gate kernel once; every entry is an exact copy of a
-    gate entry or zero.
-    """
-    dim = 2 ** n_qubits
-    eye = np.eye(dim, dtype=np.complex128).reshape(-1)
-    return _apply_matrix(eye, gate.entries, list(qubits), 2 * n_qubits).reshape(dim, dim)
 
 
 def live_prefix(state: StateVector) -> StateVector:

@@ -128,12 +128,6 @@ class ClonerReport:
     success_deviation: float
 
 
-def prepare_input(problem: CloningProblem, sign: str, with_ancilla: bool) -> StateVector:
-    """M family-state copies, N-M blank |+> qubits, optional |+> ancilla."""
-    width = problem.n_copies + (1 if with_ancilla else 0)
-    return pad_qubits(family_state(problem.theta, sign, copies=problem.m_copies), width)
-
-
 def _transfer_placement(theta1: float, theta2: float, qubits: Tuple[int, int]) -> GatePlacement:
     return GatePlacement(
         gate=transfer_gate(theta1, theta2),

@@ -108,6 +108,30 @@ def run_network_full(placements, n: int, inputs, measured=None):
     ]
 
 
+def family_power(theta: float, sign: int, k: int) -> np.ndarray:
+    """k-fold tensor power of cos(theta)|0> + sign*sin(theta)|1>, by ``np.kron``.
+
+    The single copy takes its cosine and sine from numpy, as the package
+    does, so the power can be compared bit for bit.
+    """
+    single = np.array([np.cos(theta), sign * np.sin(theta)], dtype=np.complex128)
+    return functools.reduce(np.kron, [single] * k)
+
+
+def prepare_input(problem, sign: str, with_ancilla: bool) -> np.ndarray:
+    """Amplitudes of M family-state copies, N-M blank |+> qubits, optional |+> ancilla.
+
+    The copies are `family_power`; every blank wire reads |+>, so the
+    amplitudes sit at every 2**blanks-th index of an array of zeros.
+    """
+    width = problem.n_copies + (1 if with_ancilla else 0)
+    amps = np.zeros(2 ** width, dtype=np.complex128)
+    amps[:: 2 ** (width - problem.m_copies)] = family_power(
+        problem.theta, 1 if sign == "plus" else -1, problem.m_copies
+    )
+    return amps
+
+
 def family_amps(theta: float, sign: int) -> np.ndarray:
     """cos(theta)|0> + sign*sin(theta)|1> as a plain array."""
     return np.array([math.cos(theta), sign * math.sin(theta)], dtype=np.complex128)

@@ -399,7 +399,6 @@ def no_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a network was simulated")
 
-    monkeypatch.setattr(networks, "prepare_input", refuse)
     monkeypatch.setattr(networks, "evaluate_cloner", refuse)
 
 

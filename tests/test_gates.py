@@ -10,6 +10,7 @@ from cloneforge.gates import (
     CircuitDecomposition,
     GatePlacement,
     KIND_CNOT,
+    KIND_LOCAL,
     clone_gate,
     cnot,
     conjugating_rotation,
@@ -28,12 +29,16 @@ from cloneforge.gates import (
 from cloneforge.linalg import (
     MINUS,
     PLUS,
+    Unitary,
     apply_gate,
     basis_state,
     family_state,
     inner,
     kron,
 )
+
+import oracles
+from conftest import random_unitary
 
 GRID = np.linspace(0.01, math.pi / 4, 8)
 
@@ -135,6 +140,58 @@ def test_transfer_gate_memo_is_safe_to_share():
             transfer_gate(1.0, 0.1)
     assert transfer_gate.cache_info().maxsize is not None
     assert cnot() is cnot()
+
+
+def _local(matrix, qubit):
+    return GatePlacement(Unitary(matrix), (qubit,), f"local@{qubit}", kind=KIND_LOCAL)
+
+
+def _cnot(control, target):
+    return GatePlacement(cnot(), (control, target), "CNOT", kind=KIND_CNOT)
+
+
+def test_rebuild_matches_kron_oracle(rng):
+    """``rebuild`` multiplies the same 4x4 matrices as ``np.kron`` embeddings.
+
+    The emitted decompositions place one-qubit gates on wire 0 and CNOTs in
+    both orders; the hand-built circuit adds one-qubit gates on wire 1.
+    """
+    circuits = [decompose_transfer(t1, t2) for t1 in GRID for t2 in GRID]
+    circuits += [decompose_transfer(0.0, 0.0), decompose_transfer(0.0, 0.4)]
+    circuits += [decompose_separation(t, 0.7) for t in GRID[:-2]]
+    placements = (
+        _local(random_unitary(rng, 2), 1),
+        _cnot(0, 1),
+        _local(random_unitary(rng, 2), 0),
+        _cnot(1, 0),
+        _local(random_unitary(rng, 2), 1),
+    )
+    circuits.append(CircuitDecomposition(Unitary(_kron_product(placements)), placements))
+    shapes = set()
+    for circuit in circuits:
+        want = _kron_product(circuit.placements)
+        assert np.array_equal(circuit.rebuild(), want)
+        assert circuit.max_abs_error == float(np.max(np.abs(want - circuit.target.entries)))
+        shapes.update((p.kind, p.qubits) for p in circuit.placements)
+    assert shapes == {
+        (KIND_LOCAL, (0,)), (KIND_LOCAL, (1,)), (KIND_CNOT, (0, 1)), (KIND_CNOT, (1, 0)),
+    }
+
+
+def _kron_product(placements):
+    total = np.eye(4, dtype=np.complex128)
+    for p in placements:
+        total = oracles.kron_embed(p.gate.entries, p.qubits, 2) @ total
+    return total
+
+
+def test_circuit_decomposition_rejects_other_widths(rng):
+    with pytest.raises(ValueError, match="two-qubit"):
+        CircuitDecomposition(target=Unitary(random_unitary(rng, 8)), placements=())
+    with pytest.raises(ValueError, match="wires 0 and 1"):
+        CircuitDecomposition(
+            target=transfer_gate(0.2, 0.5), placements=(_local(np.eye(2), 2),)
+        )
 
 
 # ------------------------------------------------- sector-reflection algebra

@@ -16,7 +16,6 @@ from cloneforge.linalg import (
     basis_state,
     branch_probability,
     discard_qubit,
-    embedded_matrix,
     family_state,
     global_fidelity,
     inner,
@@ -54,6 +53,17 @@ def test_state_vector_subnormalized_flag_allows_small_norm():
 def test_state_vector_rejects_nan():
     with pytest.raises(ValueError):
         StateVector(1, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_entries_rejected_in_either_part(part, bad):
+    """One finiteness check over the complex entries still sees both parts."""
+    entry = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(ValueError, match=r"^state vector contains non-finite entries$"):
+        StateVector(1, np.array([entry, 1.0]))
+    with pytest.raises(ValueError, match=r"^unitary contains non-finite entries$"):
+        Unitary(np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 def test_unitary_rejects_non_unitary():
@@ -226,12 +236,6 @@ def test_live_prefix_keeps_wires_that_are_not_blank(rng):
     assert live_prefix(StateVector(5, tiny)).n_qubits == 4
 
 
-def test_embedded_matrix_matches_oracle(rng):
-    gate = random_unitary(rng, 2)
-    got = embedded_matrix(Unitary(gate), (1,), 3)
-    assert np.allclose(got, oracles.embed(gate, (1,), 3), atol=1e-14)
-
-
 def test_apply_gate_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_gate(basis_state(2, 0), Unitary(I4), (0,))
@@ -303,6 +307,22 @@ def test_family_copies_overlap_power_law(theta, k):
     b = family_state(theta, MINUS, copies=k)
     assert inner(a, b).real == pytest.approx(math.cos(2 * theta) ** k, abs=1e-12)
     assert abs(a.norm_squared - 1.0) < 1e-12
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=math.log(1e-12), max_value=math.log(math.pi / 4)).map(math.exp),
+        st.just(math.pi / 4),
+    ),
+    st.sampled_from([PLUS, MINUS]),
+    st.integers(min_value=1, max_value=14),
+)
+@settings(max_examples=120, deadline=None)
+def test_family_state_has_the_bits_of_the_kron_power(theta, sign, k):
+    """The tensor power is built in place with the products of ``np.kron``."""
+    got = family_state(theta, sign, copies=k).amps
+    want = oracles.family_power(theta, 1 if sign == PLUS else -1, k)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_global_fidelity_values():

@@ -42,7 +42,6 @@ from cloneforge.networks import (
     exact_network,
     expand_decompositions,
     hybrid_network,
-    prepare_input,
     run_network,
 )
 
@@ -59,6 +58,12 @@ def problem(theta=math.pi / 8, m=1, n=2, eta_plus=0.5):
     return CloningProblem(theta=theta, m_copies=m, n_copies=n, eta_plus=eta_plus)
 
 
+def prepare_input(prob, sign, with_ancilla):
+    """The oracle's network input, as a package state."""
+    amps = oracles.prepare_input(prob, sign, with_ancilla)
+    return StateVector(prob.n_copies + (1 if with_ancilla else 0), amps)
+
+
 # ------------------------------------------------------------- input states
 
 
@@ -70,6 +75,7 @@ def test_prepare_input_layout():
         oracles.family_amps(prob.theta, +1), np.array([1.0, 0.0])
     )
     assert np.max(np.abs(state.amps - expect)) < 1e-15
+    assert np.array_equal(state.amps, pad_qubits(family_state(prob.theta, PLUS), 2).amps)
 
 
 def test_prepare_input_with_ancilla():
@@ -82,6 +88,8 @@ def test_prepare_input_with_ancilla():
         np.array([1.0, 0.0]),
     )
     assert np.max(np.abs(state.amps - expect)) < 1e-15
+    package = pad_qubits(family_state(prob.theta, MINUS, copies=2), 4)
+    assert np.array_equal(state.amps, package.amps)
 
 
 def test_prepare_input_overlap_is_copy_power():
