@@ -7,8 +7,9 @@ The object of study is the pair of single-qubit states
 with 0 <= theta <= pi/4, occurring with prior probabilities eta_plus and
 eta_minus = 1 - eta_plus.  Their overlap is cos(2 theta), and the overlap of
 k-fold copies is cos(2 theta)**k.  Everything in this module is an analytic
-function of (theta, M, N, eta_plus); an independent brute-force maximizer is
-included so the closed forms can be cross-checked rather than trusted.
+function of (theta, M, N, eta_plus) and needs only the standard library, so
+``cloneforge bounds`` never loads numpy.  The independent brute-force
+maximizer that cross-checks these closed forms lives in ``verify``.
 
 All functions are pure; angles are radians.
 """
@@ -18,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-#: tolerance used for internal consistency checks of derived quantities
-CONSISTENCY_TOL = 1e-12
+#: cloning strategies understood by evaluate_cloner and the CLI; each has its
+#: closed-form bound here
+MODES = ("exact", "approx", "hybrid")
 #: slack admitted when validating probabilities that sit exactly on a boundary
 RANGE_SLACK = 1e-12
 
@@ -319,58 +319,3 @@ def d_cloner_local_fidelity(theta3: float, theta1: float) -> float:
 def d_cloner_global_fidelity(theta3: float, theta1: float) -> float:
     """Two-copy overlap of the same split: the square of the local value."""
     return d_cloner_local_fidelity(theta3, theta1) ** 2
-
-
-def _golden_section_max(fn, lo: float, hi: float, iters: int = 80) -> float:
-    """Return x maximizing a unimodal ``fn`` on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def brute_force_fidelity(problem: CloningProblem, grid_size: int = 2000) -> float:
-    """Independent oracle: maximize the fidelity objective by direct search.
-
-    Scans phi_plus over [0, pi/2] (with phi_minus = phi_plus - 2 theta_M)
-    on ``grid_size`` points, then refines the best bracket by golden-section
-    search.  When the minus state carries the larger prior the maximizer can
-    leave the scan window, so the equivalent relabeled problem (priors
-    swapped) is searched instead; the two share their maximum value.
-    """
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    _check_theta(problem.theta)
-    if problem.eta_plus >= 0.5:
-        ep = problem.eta_plus
-    else:
-        ep = problem.eta_minus
-    theta_m = problem.theta_m
-    theta_n = problem.theta_n
-    em = 1.0 - ep
-
-    def objective(phi_plus: float) -> float:
-        phi_minus = phi_plus - 2.0 * theta_m
-        return (
-            ep * math.cos(theta_n - phi_plus) ** 2
-            + em * math.cos(theta_n + phi_minus) ** 2
-        )
-
-    xs = np.linspace(0.0, math.pi / 2.0, grid_size)
-    vals = np.array([objective(x) for x in xs])
-    i = int(np.argmax(vals))
-    lo = xs[max(0, i - 1)]
-    hi = xs[min(grid_size - 1, i + 1)]
-    best = _golden_section_max(objective, lo, hi)
-    return objective(best)

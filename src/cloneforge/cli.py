@@ -6,6 +6,11 @@ and CSV uses LF line endings, so identical invocations are byte-identical.
 
 The environment variable CLONEFORGE_SEED is reserved but inert: nothing in
 the package samples randomness (probabilities come from exact projection).
+
+Only the closed forms (``bounds``) are imported at module level, and they
+need only the standard library: ``cloneforge bounds`` and every ``--help``
+run without loading numpy.  The commands that simulate, decompose or verify
+import ``networks``, ``gates`` and ``verify`` when they run.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from typing import Optional
 
 import click
 
-from . import bounds, gates, networks
-from . import verify as verify_suites
+from . import bounds
 
 #: largest tolerated |simulated - bound| before --strict exits with code 3
 STRICT_TOL = 1e-8
@@ -159,8 +163,8 @@ def _cli_theta(theta: Optional[float], overlap: Optional[float], degrees: bool):
     if theta is not None and overlap is not None:
         raise ConfigError("give either --theta or --overlap, not both")
     if overlap is not None:
-        if not -1.0 <= overlap <= 1.0:
-            raise ConfigError(f"overlap must lie in [-1, 1], got {overlap}")
+        if not 0.0 <= overlap <= 1.0:
+            raise ConfigError(f"--overlap must lie in [0, 1], got {overlap}")
         return 0.5 * math.acos(overlap)
     if theta is None:
         return None
@@ -324,7 +328,7 @@ def bounds_cmd(config_path, theta, overlap, degrees, m, n, eta_plus, output_form
 @_problem_options
 @click.option(
     "--mode",
-    type=click.Choice(list(networks.MODES)),
+    type=click.Choice(list(bounds.MODES)),
     default=None,
     help="Cloning strategy to simulate.",
 )
@@ -361,6 +365,8 @@ def simulate_cmd(
     strict,
 ):
     """Simulate a cloning network and compare it against its bounds."""
+    from . import networks
+
     cfg = _merged_config(
         config_path,
         theta=_cli_theta(theta, overlap, degrees),
@@ -376,8 +382,8 @@ def simulate_cmd(
     _check_simulated_size(problem)
     if cfg["mode"] is None:
         raise ConfigError("mode is required: choose exact, approx, or hybrid")
-    if cfg["mode"] not in networks.MODES:
-        raise ConfigError(f"mode must be one of {networks.MODES}, got {cfg['mode']!r}")
+    if cfg["mode"] not in bounds.MODES:
+        raise ConfigError(f"mode must be one of {bounds.MODES}, got {cfg['mode']!r}")
     if cfg["mode"] == "hybrid" and cfg["p_s"] is None:
         raise ConfigError("hybrid mode requires p_s")
     run_p_s = float(cfg["p_s"]) if cfg["mode"] == "hybrid" else None
@@ -438,6 +444,8 @@ def tradeoff_cmd(
     steps,
 ):
     """Sweep the hybrid success probability and tabulate the trade-off."""
+    from . import networks
+
     cfg = _merged_config(
         config_path,
         theta=_cli_theta(theta, overlap, degrees),
@@ -509,8 +517,10 @@ def tradeoff_cmd(
     _emit(text, cfg["output_path"])
 
 
-def _placement_json(placement: gates.GatePlacement):
-    if placement.kind == gates.KIND_CNOT:
+def _placement_json(placement):
+    from .gates import KIND_CNOT
+
+    if placement.kind == KIND_CNOT:
         return {
             "gate": "CNOT",
             "qubits": list(placement.qubits),
@@ -558,6 +568,8 @@ def decompose_cmd(gate_name, theta1, theta2, degrees, output_path):
     the more significant qubit of the gate; for CNOT entries the first
     listed qubit is the control, active on |+>).
     """
+    from . import gates
+
     if degrees:
         theta1 = math.radians(theta1)
         theta2 = math.radians(theta2)
@@ -583,7 +595,9 @@ def decompose_cmd(gate_name, theta1, theta2, degrees, output_path):
 @main.command("verify")
 def verify_cmd():
     """Run the built-in verification suites; exit 0 only if all pass."""
-    results = verify_suites.run_all()
+    from . import verify
+
+    results = verify.run_all()
     width = max(len(result.name) for result in results)
     for result in results:
         status = "ok  " if result.passed else "FAIL"

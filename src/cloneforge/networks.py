@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .bounds import (
+    MODES,
     CloningProblem,
     OptimalAngles,
     angle_for_copies,
@@ -58,9 +59,6 @@ from .linalg import (
     pad_qubits,
     project_qubit,
 )
-
-#: modes understood by evaluate_cloner and the CLI
-MODES = ("exact", "approx", "hybrid")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from cloneforge.bounds import (
     OptimalAngles,
     TradeoffPoint,
     angle_for_copies,
-    brute_force_fidelity,
     clone_coefficients,
     compose_angle,
     d_cloner_global_fidelity,
@@ -29,6 +28,7 @@ from cloneforge.bounds import (
     separated_angle,
     separation_bound,
 )
+from cloneforge.verify import brute_force_fidelity
 
 import oracles
 

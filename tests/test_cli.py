@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ def test_degrees_flag_matches_radians():
     in_radians = run_cli("bounds", "--theta", math.radians(22.5))
     assert in_degrees.exit_code == 0
     assert in_degrees.output == in_radians.output
+
+
+@pytest.mark.parametrize("overlap", ["-0.5", "-1", "1.5", "nan"])
+def test_overlap_outside_unit_interval_names_the_flag(overlap):
+    result = run_cli("bounds", "--overlap", overlap)
+    assert result.exit_code == 2
+    assert f"--overlap must lie in [0, 1], got {float(overlap)}" in result.output
+
+
+def test_overlap_edges_are_accepted():
+    assert record_of(run_cli("bounds", "--overlap", "0"))["theta_m"] == CELL(math.pi / 4)
+    # unit overlap is theta = 0, refused by the bounds themselves
+    result = run_cli("bounds", "--overlap", "1")
+    assert result.exit_code == 2
+    assert "identical states" in result.output
 
 
 def test_theta_and_overlap_conflict():
@@ -554,3 +570,26 @@ def test_help_lists_all_commands():
     for name in ("bounds", "simulate", "tradeoff", "decompose", "verify"):
         assert name in result.output
     assert run_cli("-h").exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# frozen output of the pure-Python surface
+# ---------------------------------------------------------------------------
+
+#: stdout, stderr and exit code of ``bounds`` requests (accepted and rejected)
+#: and of every ``--help``, captured before the package imported lazily
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["args"]))
+def test_output_matches_frozen_bytes(case):
+    result = CliRunner().invoke(
+        cli.main, case["args"], prog_name="cloneforge", env={"COLUMNS": "80"}
+    )
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        case["exit_code"],
+        case["stdout"],
+        case["stderr"],
+    )

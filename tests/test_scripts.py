@@ -65,3 +65,53 @@ def test_tradeoff_curve_table(capsys):
     assert len(rows) == 2
     # p_s runs from the exact-cloning probability to 1
     assert rows[-1].split()[3] == "1.000000"
+
+
+@pytest.fixture
+def decomposition_report(monkeypatch):
+    """The decomposition report with its grid census replaced by a failure."""
+    module = load_script("decomposition_report")
+
+    def refuse(grid_points):
+        raise AssertionError(f"a {grid_points}-point census ran")
+
+    monkeypatch.setattr(module, "census", refuse)
+    return module
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--grid", "-3"], "--grid must lie in 1..400, got -3"),
+        (["--grid", "0"], "--grid must lie in 1..400, got 0"),
+        (["--grid", "401"], "--grid must lie in 1..400, got 401"),
+        (["--theta1", "1.0"], "--theta1 must lie in (0, pi/4], got 1.0"),
+        (["--theta1", "nan"], "--theta1 must lie in (0, pi/4], got nan"),
+        (["--theta1", "0"], "--theta1 must lie in (0, pi/4], got 0.0"),
+        (["--theta2", "-0.2"], "--theta2 must lie in (0, pi/4], got -0.2"),
+        (["--theta2", "0.7854"], "--theta2 must lie in (0, pi/4], got 0.7854"),
+    ],
+)
+def test_decomposition_report_rejects_bad_flags(decomposition_report, capsys, args, message):
+    with pytest.raises(SystemExit) as exit_info:
+        decomposition_report.main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    # nothing is decomposed before the flags are checked
+    assert captured.out == ""
+
+
+def test_decomposition_report_accepts_the_edges_of_its_domain(decomposition_report):
+    quarter = repr(math.pi / 4)
+    with pytest.raises(AssertionError, match="400-point census"):
+        decomposition_report.main(
+            ["--theta1", quarter, "--theta2", quarter, "--grid", str(decomposition_report.MAX_GRID)]
+        )
+
+
+def test_decomposition_report_census(capsys):
+    assert load_script("decomposition_report").main(["--grid", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("census over a 2 x 2 angle grid")
+    assert "CNOT counts [1, 4]" in last
