@@ -25,8 +25,8 @@ from . import bounds
 
 #: largest tolerated |simulated - bound| before --strict exits with code 3
 STRICT_TOL = 1e-8
-#: most output copies ``simulate`` and ``tradeoff`` accept: a simulated state
-#: spans N + 1 qubits, 2**21 amplitudes (32 MiB) at N = 20
+#: most output copies ``simulate`` and ``tradeoff`` accept: the largest
+#: simulated state spans the N output qubits, 2**20 amplitudes (16 MiB) at N = 20
 MAX_SIMULATED_COPIES = 20
 #: most points of one ``tradeoff`` sweep
 MAX_SWEEP_STEPS = 10_001
@@ -165,6 +165,8 @@ def _cli_theta(theta: Optional[float], overlap: Optional[float], degrees: bool):
     if overlap is not None:
         if not 0.0 <= overlap <= 1.0:
             raise ConfigError(f"--overlap must lie in [0, 1], got {overlap}")
+        if overlap == 1.0:
+            raise ConfigError("--overlap must be below 1: overlap 1 means identical states")
         return 0.5 * math.acos(overlap)
     if theta is None:
         return None
@@ -195,13 +197,22 @@ def _build_problem(cfg) -> bounds.CloningProblem:
     if cfg["theta"] is None:
         raise ConfigError("theta is required: give --theta, --overlap, or a config file")
     try:
-        return bounds.CloningProblem(
-            theta=float(_snap_angle(float(cfg["theta"]))),
-            m_copies=int(cfg["m"]),
-            n_copies=int(cfg["n"]),
-            eta_plus=float(cfg["eta_plus"]),
-        )
+        theta = float(_snap_angle(float(cfg["theta"])))
+        m_copies = int(cfg["m"])
+        n_copies = int(cfg["n"])
+        eta_plus = float(cfg["eta_plus"])
     except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    # the problem's own checks would name its fields, not the flags
+    if not 0.0 < theta <= math.pi / 4.0:
+        raise ConfigError(f"--theta must lie in (0, pi/4], got {theta}")
+    if m_copies < 1:
+        raise ConfigError(f"--m must be at least 1, got {m_copies}")
+    if not 0.0 <= eta_plus <= 1.0:
+        raise ConfigError(f"--eta-plus must lie in [0, 1], got {eta_plus}")
+    try:
+        return bounds.CloningProblem(theta, m_copies, n_copies, eta_plus)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -575,6 +586,17 @@ def decompose_cmd(gate_name, theta1, theta2, degrees, output_path):
         theta2 = math.radians(theta2)
     theta1 = _snap_angle(theta1)
     theta2 = _snap_angle(theta2)
+    if gate_name == "separation":
+        for flag, value in (("--theta1", theta1), ("--theta2", theta2)):
+            if not 0.0 < value <= math.pi / 4.0:
+                raise ConfigError(
+                    f"{flag} must lie in (0, pi/4] for the separation gate, got {value}"
+                )
+        if theta1 > theta2 + 1e-12:
+            raise ConfigError(
+                f"--theta1 must not exceed --theta2: the separation gate widens the pair, "
+                f"got {theta1} > {theta2}"
+            )
     try:
         if gate_name == "transfer":
             circuit = gates.decompose_transfer(theta1, theta2)

@@ -34,12 +34,10 @@ CONSISTENCY_TOL = 1e-12
 OVERLAP_MATCH_TOL = 1e-10
 
 
-#: 2x2 blocks of the 4x4 gates: the even and odd parity sectors, the target
-#: of a control at |+> on the first qubit, the active sector of the
-#: separation gate (ancilla first)
+#: 2x2 blocks of the 4x4 gates: the even and odd parity sectors, the active
+#: sector of the separation gate (ancilla first)
 _EVEN_SECTOR = np.ix_([0, 3], [0, 3])
 _ODD_SECTOR = np.ix_([1, 2], [1, 2])
-_CONTROL_PLUS = np.ix_([0, 1], [0, 1])
 _ANCILLA_ACTIVE = np.ix_([0, 2], [0, 2])
 
 
@@ -52,10 +50,6 @@ def _reflection(beta: float) -> np.ndarray:
 def _rotation(phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
-
-
-def pauli_x() -> Unitary:
-    return Unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -163,36 +157,6 @@ def transfer_gate(theta1: float, theta2: float) -> Unitary:
     delta1, delta2 = sector_angles(theta1, theta2)
     m[_EVEN_SECTOR] = _reflection(delta1)
     m[_ODD_SECTOR] = _reflection(delta2 + math.pi / 2.0)
-    return Unitary(m)
-
-
-def equal_parity_reflection(delta: float) -> Unitary:
-    """Reflection by delta on span{|++>, |-->}, identity on the odd sector."""
-    m = np.zeros((4, 4))
-    m[_EVEN_SECTOR] = _reflection(delta)
-    m[1, 1] = m[2, 2] = 1.0
-    return Unitary(m)
-
-
-def controlled_reflection(delta: float) -> Unitary:
-    """Reflection by delta on the second qubit when the first is |+>."""
-    m = np.zeros((4, 4))
-    m[_CONTROL_PLUS] = _reflection(delta)
-    m[2, 2] = m[3, 3] = 1.0
-    return Unitary(m)
-
-
-def parity_exchange() -> Unitary:
-    """Hermitian involution exchanging the two sectors' reflection actions.
-
-    Built as (1 (x) X) . CNOT(control=second qubit) . (1 (x) X); it swaps
-    |+-> with |--> and conjugates a controlled reflection into an
-    equal-parity reflection of the same angle.
-    """
-    x = pauli_x().entries.real
-    i2 = np.eye(2)
-    cnot_second = np.eye(4)[[2, 1, 0, 3]]
-    m = np.kron(i2, x) @ cnot_second @ np.kron(i2, x)
     return Unitary(m)
 
 

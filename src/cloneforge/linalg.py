@@ -9,7 +9,9 @@ Conventions used throughout the package:
 * Measurement outcomes are the strings ``"plus"`` and ``"minus"``.
 
 All values are immutable after construction and all operations are pure
-functions, so everything here is safe to evaluate concurrently.
+functions, so everything here is safe to evaluate concurrently.  Every
+``StateVector`` is normalized: `project_qubit` returns the branch
+probability beside the renormalized post-state.
 
 Validation happens at the boundaries, not per gate application:
 ``StateVector`` and ``Unitary`` check their entries when constructed
@@ -71,16 +73,10 @@ def _as_complex_array(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Amplitudes of an ``n_qubits``-qubit pure state.
-
-    A regular state is normalized; states produced as un-renormalized
-    measurement branches carry ``subnormalized=True`` and their squared norm
-    is the branch probability.
-    """
+    """Amplitudes of an ``n_qubits``-qubit pure state, normalized to ``NORM_TOL``."""
 
     n_qubits: int
     amps: np.ndarray
-    subnormalized: bool = False
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -92,16 +88,12 @@ class StateVector:
                 f"length {2 ** self.n_qubits}, got shape {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
-        if not self.subnormalized:
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm_sq - 1.0) > NORM_TOL:
-                raise ValueError(
-                    f"state vector is not normalized (|amps|^2 = {norm_sq!r}); "
-                    "pass subnormalized=True for measurement branches"
-                )
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state vector is not normalized (|amps|^2 = {norm_sq!r})")
 
     @classmethod
-    def _trusted(cls, n_qubits: int, amps: np.ndarray, subnormalized: bool) -> "StateVector":
+    def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
         """Wrap kernel output without copying or re-validating it.
 
         Only for amplitudes computed from an already validated state by a
@@ -112,12 +104,7 @@ class StateVector:
         state = object.__new__(cls)
         object.__setattr__(state, "n_qubits", n_qubits)
         object.__setattr__(state, "amps", amps)
-        object.__setattr__(state, "subnormalized", subnormalized)
         return state
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -187,11 +174,7 @@ def kron(a, b):
     The left operand indexes the more significant bits of the result.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            a.n_qubits + b.n_qubits,
-            np.kron(a.amps, b.amps),
-            subnormalized=a.subnormalized or b.subnormalized,
-        )
+        return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
     if isinstance(a, Unitary) and isinstance(b, Unitary):
         return Unitary(np.kron(a.entries, b.entries))
     raise TypeError(
@@ -272,7 +255,7 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
                 f"qubit index {q} out of range for {state.n_qubits}-qubit state"
             )
     out = _apply_matrix(state.amps, gate.entries, qubits, state.n_qubits)
-    return StateVector._trusted(state.n_qubits, out, state.subnormalized)
+    return StateVector._trusted(state.n_qubits, out)
 
 
 def live_prefix(state: StateVector) -> StateVector:
@@ -292,7 +275,7 @@ def live_prefix(state: StateVector) -> StateVector:
         blank += 1
     if not blank:
         return state
-    return StateVector._trusted(state.n_qubits - blank, amps.copy(), state.subnormalized)
+    return StateVector._trusted(state.n_qubits - blank, amps.copy())
 
 
 def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> StateVector:
@@ -308,7 +291,7 @@ def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> S
     at = k if at is None else at
     amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)), dtype=np.complex128)
     amps[:, 0, :] = state.amps.reshape(2 ** at, -1)
-    return StateVector._trusted(n_qubits, amps.reshape(-1), state.subnormalized)
+    return StateVector._trusted(n_qubits, amps.reshape(-1))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -321,9 +304,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def global_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for two normalized states."""
-    if a.subnormalized or b.subnormalized:
-        raise ValueError("global_fidelity requires normalized states")
+    """|<a|b>|^2, the fidelity of two pure states."""
     val = abs(inner(a, b)) ** 2
     return float(min(val, 1.0))
 
@@ -360,25 +341,3 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
     _branch(amps, qubit, 1 - bit)[...] = 0.0
     amps /= np.sqrt(prob)
     return prob, StateVector(state.n_qubits, amps)
-
-
-def discard_qubit(state: StateVector, qubit: int) -> StateVector:
-    """Drop a qubit that is in a definite |+> or |-> product state.
-
-    Raises ValueError if the qubit is entangled with (or in superposition
-    relative to) the rest of the register.
-    """
-    p_plus = branch_probability(state, qubit, PLUS)
-    p_minus = branch_probability(state, qubit, MINUS)
-    total = p_plus + p_minus
-    if p_plus >= total - 1e-12 * max(total, 1.0):
-        bit = 0
-    elif p_minus >= total - 1e-12 * max(total, 1.0):
-        bit = 1
-    else:
-        raise ValueError(
-            f"qubit {qubit} is not in a definite basis state "
-            f"(p_plus={p_plus!r}, p_minus={p_minus!r}); cannot discard"
-        )
-    amps = _branch(state.amps, qubit, bit).reshape(-1)
-    return StateVector(state.n_qubits - 1, amps, subnormalized=state.subnormalized)

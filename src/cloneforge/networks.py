@@ -2,7 +2,8 @@
 
 Three strategies share one layout: ``N`` system qubits (indices 0..N-1) and,
 when a heralding stage exists, one ancilla at index ``N`` (always last, so
-system indices never shift).
+system indices never shift).  A heralded run reports its success branch
+only: the probability of the herald and the post-selected output.
 
 * exact:   compress M copies onto qubit 0, separate the compressed angle all
            the way to the N-copy angle with an ancilla-heralded gate, then
@@ -52,7 +53,6 @@ from .linalg import (
     PLUS,
     StateVector,
     apply_gate,
-    discard_qubit,
     family_state,
     global_fidelity,
     live_prefix,
@@ -62,26 +62,17 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """Heralding measurement: project ``qubit`` and keep ``success_outcome``."""
-
-    qubit: int
-    success_outcome: str = PLUS
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
-    """An ordered gate list on ``n_qubits`` wires plus an optional herald.
+    """An ordered gate list on ``n_qubits`` wires, optionally heralded.
 
-    The measurement, when present, happens immediately after the last
-    placement touching the measured qubit; later placements act on the
-    post-selected branch only (the failure branch is frozen at the point of
-    failure).
+    A heralded network's last wire is an ancilla.  It is projected onto
+    |+> immediately after the last placement touching it, and later
+    placements act on that success branch only.
     """
 
     n_qubits: int
     placements: Tuple[GatePlacement, ...]
-    measurement: Optional[Measurement] = None
+    heralded: bool = False
 
     def __post_init__(self):
         for p in self.placements:
@@ -91,22 +82,15 @@ class NetworkSpec:
                         f"placement {p.label!r} references qubit {q}, but the "
                         f"network has {self.n_qubits} qubit(s)"
                     )
-        if self.measurement is not None and self.measurement.qubit != self.n_qubits - 1:
-            raise ValueError(
-                f"measurement qubit must be the last wire, {self.n_qubits - 1}, "
-                f"got {self.measurement.qubit}"
-            )
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of one network run on one input sign."""
+    """Outcome of one network run on one input: its success branch."""
 
     success_probability: float
     post_state: StateVector
     global_fidelity_vs_exact: float
-    input_sign: str
-    failure_state: Optional[StateVector] = None
 
 
 @dataclass(frozen=True)
@@ -197,11 +181,7 @@ def exact_network(problem: CloningProblem) -> NetworkSpec:
         + (_separation_placement(theta_m, theta_n, n),)
         + decompression_sequence(problem).placements
     )
-    return NetworkSpec(
-        n_qubits=n + 1,
-        placements=placements,
-        measurement=Measurement(qubit=n, success_outcome=PLUS),
-    )
+    return NetworkSpec(n_qubits=n + 1, placements=placements, heralded=True)
 
 
 def approx_network(problem: CloningProblem) -> NetworkSpec:
@@ -260,11 +240,7 @@ def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
         + (rotate,)
         + decompression_sequence(problem).placements
     )
-    return NetworkSpec(
-        n_qubits=n + 1,
-        placements=placements,
-        measurement=Measurement(qubit=n, success_outcome=PLUS),
-    )
+    return NetworkSpec(n_qubits=n + 1, placements=placements, heralded=True)
 
 
 def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
@@ -295,7 +271,7 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     return NetworkSpec(
         n_qubits=spec.n_qubits,
         placements=tuple(expanded),
-        measurement=spec.measurement,
+        heralded=spec.heralded,
     )
 
 
@@ -350,34 +326,32 @@ def _output(state: StateVector, n_qubits: int) -> StateVector:
     Missing wires are padded blank.  A wire past ``n_qubits`` can only be
     the measured wire that `_run_placements` took as a spare after the
     herald; it is blank and is cut off.  Rebuilding the result as a
-    ``StateVector`` checks it is finite and, unless ``state`` is a
-    measurement branch, normalized to ``NORM_TOL``.
+    ``StateVector`` checks it is finite and normalized to ``NORM_TOL``.
     """
     if state.n_qubits > n_qubits:
         amps = state.amps[:: 2 ** (state.n_qubits - n_qubits)]
     else:
         amps = pad_qubits(state, n_qubits).amps
-    return StateVector(n_qubits, amps, subnormalized=state.subnormalized)
+    return StateVector(n_qubits, amps)
 
 
 def run_network(
     spec: NetworkSpec,
     input_state: StateVector,
     *,
-    input_sign: str = PLUS,
     reference: StateVector,
 ) -> SimulationResult:
     """Run a network on one input and compare against a reference state.
 
     ``input_state`` covers the register's leading 1..n wires; the wires past
-    it are blank |+>.  Placements are applied in order.  If a measurement is
-    present it fires immediately after the last placement touching the
-    measured qubit: the success branch is post-selected (probability
-    recorded) and the remaining placements act on it; the failure branch is
-    kept, frozen at the point of failure, with the measured qubit dropped
-    from both branches (after projection it is in an exact product state).
-    ``reference`` must have the network's qubit count minus the measured
-    qubit, and the reported fidelity is the squared overlap with it.
+    it are blank |+>.  Placements are applied in order.  A heralded network
+    projects its ancilla onto |+> immediately after the last placement
+    touching it: the probability of that outcome is recorded, the
+    renormalized success branch goes on through the remaining placements,
+    and the ancilla, blank after the projection, is dropped from it.  The
+    failure branch is not simulated.  ``reference`` has the network's qubit
+    count minus the ancilla, and the reported fidelity is the squared
+    overlap with it.
 
     Placements run on the live prefix of the register: trailing wires whose
     amplitudes are all exactly zero are cut off (`linalg.live_prefix`), on
@@ -388,52 +362,36 @@ def run_network(
     system wires past the prefix are never simulated.
 
     Gates are validated when the placements are built and ``apply_gate``
-    re-checks no amplitudes, so each output is padded to the system width
-    and checked once (finite and normalized to ``NORM_TOL``).  The failure
-    branch is checked when the measured qubit is discarded from it.
+    re-checks no amplitudes, so the output is padded to the system width
+    and checked once (finite and normalized to ``NORM_TOL``).
     """
     n = spec.n_qubits
     if input_state.n_qubits > n:
         raise ValueError(
             f"input has {input_state.n_qubits} qubit(s), network expects {n}"
         )
+    system_width = n - 1 if spec.heralded else n
+    if reference.n_qubits != system_width:
+        raise ValueError("reference size does not match the network output")
     state = live_prefix(input_state)
-    if spec.measurement is None:
-        if reference.n_qubits != n:
-            raise ValueError("reference size does not match the network output")
-        post = _output(_run_placements(state, spec.placements, n), n)
-        return SimulationResult(
-            success_probability=1.0,
-            post_state=post,
-            global_fidelity_vs_exact=global_fidelity(reference, post),
-            input_sign=input_sign,
-            failure_state=None,
+    placements = spec.placements
+    prob = 1.0
+    if spec.heralded:
+        ancilla = n - 1
+        last_touch = max(
+            (i for i, p in enumerate(placements) if ancilla in p.qubits), default=-1
         )
-    meas = spec.measurement
-    if reference.n_qubits != n - 1:
-        raise ValueError("reference size does not match the post-selected output")
-    last_touch = -1
-    for i, p in enumerate(spec.placements):
-        if meas.qubit in p.qubits:
-            last_touch = i
-    state, width = _run_to_herald(state, spec.placements[: last_touch + 1], meas.qubit)
-    prob, success = project_qubit(state, width, meas.success_outcome)
-    failure_state = None
-    if 1.0 - prob > 1e-12:
-        fail_outcome = MINUS if meas.success_outcome == PLUS else PLUS
-        _, failure = project_qubit(state, width, fail_outcome)
-        failure_state = pad_qubits(discard_qubit(failure, width), n - 1)
-    # the projection left exact zeros in the other half: drop the ancilla
-    bit = 0 if meas.success_outcome == PLUS else 1
-    system = StateVector._trusted(width, success.amps[bit::2].copy(), False)
-    state = _run_placements(live_prefix(system), spec.placements[last_touch + 1 :], n)
-    post = _output(state, n - 1)
+        state, width = _run_to_herald(state, placements[: last_touch + 1], ancilla)
+        prob, success = project_qubit(state, width, PLUS)
+        # the projection left exact zeros in the odd entries: drop the ancilla
+        system = StateVector._trusted(width, success.amps[::2].copy())
+        state = live_prefix(system)
+        placements = placements[last_touch + 1 :]
+    post = _output(_run_placements(state, placements, n), system_width)
     return SimulationResult(
         success_probability=prob,
         post_state=post,
         global_fidelity_vs_exact=global_fidelity(reference, post),
-        input_sign=input_sign,
-        failure_state=failure_state,
     )
 
 
@@ -476,7 +434,6 @@ def evaluate_cloner(
         results[sign] = run_network(
             spec,
             family_state(problem.theta, sign, copies=problem.m_copies),
-            input_sign=sign,
             reference=family_state(problem.theta, sign, copies=problem.n_copies),
         )
     fidelity = (

@@ -148,6 +148,38 @@ def copies_amps(theta: float, sign: int, k: int) -> np.ndarray:
     return kron_all(*([family_amps(theta, sign)] * k))
 
 
+#: Pauli X, which swaps |+> and |->
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def reflection(beta: float) -> np.ndarray:
+    """Real 2x2 reflection: det -1, axis at angle beta/2."""
+    c, s = math.cos(beta), math.sin(beta)
+    return np.array([[c, s], [s, -c]])
+
+
+def equal_parity_reflection(delta: float) -> np.ndarray:
+    """Reflection by delta on span{|++>, |-->}, identity on the odd sector."""
+    m = np.eye(4)
+    m[np.ix_([0, 3], [0, 3])] = reflection(delta)
+    return m
+
+
+def controlled_reflection(delta: float) -> np.ndarray:
+    """Reflection by delta on the second qubit when the first is |+>."""
+    m = np.eye(4)
+    m[:2, :2] = reflection(delta)
+    return m
+
+
+#: (1 (x) X) . CNOT(control = second qubit, active on |+>) . (1 (x) X): a
+#: Hermitian involution that swaps |+-> with |--> and conjugates a controlled
+#: reflection into the equal-parity reflection of the same angle
+PARITY_EXCHANGE = (
+    np.kron(np.eye(2), PAULI_X) @ np.eye(4)[[2, 1, 0, 3]] @ np.kron(np.eye(2), PAULI_X)
+)
+
+
 def objective(theta_n: float, phi_plus: float, phi_minus: float, eta_plus: float) -> float:
     """Prior-weighted fidelity of output states rotated by (phi_plus, phi_minus)."""
     return (

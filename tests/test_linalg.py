@@ -15,7 +15,6 @@ from cloneforge.linalg import (
     apply_gate,
     basis_state,
     branch_probability,
-    discard_qubit,
     family_state,
     global_fidelity,
     inner,
@@ -43,11 +42,6 @@ def test_state_vector_requires_power_of_two_length():
 def test_state_vector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
-
-
-def test_state_vector_subnormalized_flag_allows_small_norm():
-    sv = StateVector(1, np.array([0.5, 0.0]), subnormalized=True)
-    assert sv.norm_squared == pytest.approx(0.25)
 
 
 def test_state_vector_rejects_nan():
@@ -183,13 +177,13 @@ def _with_blank_wires(amps, blank):
 def test_live_prefix_cuts_only_exactly_blank_trailing_wires(rng):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    state = StateVector(6, _with_blank_wires(amps, 3), subnormalized=True)
+    state = StateVector(6, _with_blank_wires(amps, 3))
     cut = live_prefix(state)
-    assert cut.n_qubits == 3 and cut.subnormalized
+    assert cut.n_qubits == 3
     assert np.array_equal(cut.amps, amps)
     assert not cut.amps.flags.writeable
     back = pad_qubits(cut, 6)
-    assert back.n_qubits == 6 and back.subnormalized
+    assert back.n_qubits == 6
     assert np.array_equal(back.amps, state.amps)
     assert pad_qubits(cut, 3) is cut
     # every wire blank: one qubit is kept
@@ -262,7 +256,7 @@ def test_apply_gate_preserves_norm(seed, n):
     qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
     gate = Unitary(random_unitary(rng, 2 ** k))
     out = apply_gate(state, gate, qubits)
-    assert abs(out.norm_squared - 1.0) < 1e-12
+    assert abs(np.sum(np.abs(out.amps) ** 2) - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------ inner products
@@ -306,7 +300,7 @@ def test_family_copies_overlap_power_law(theta, k):
     a = family_state(theta, PLUS, copies=k)
     b = family_state(theta, MINUS, copies=k)
     assert inner(a, b).real == pytest.approx(math.cos(2 * theta) ** k, abs=1e-12)
-    assert abs(a.norm_squared - 1.0) < 1e-12
+    assert abs(np.sum(np.abs(a.amps) ** 2) - 1.0) < 1e-12
 
 
 @given(
@@ -332,12 +326,6 @@ def test_global_fidelity_values():
     assert global_fidelity(
         family_state(th, PLUS), family_state(th, MINUS)
     ) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_global_fidelity_rejects_subnormalized():
-    sub = StateVector(1, np.array([0.5, 0.0]), subnormalized=True)
-    with pytest.raises(ValueError):
-        global_fidelity(sub, basis_state(1, 0))
 
 
 # -------------------------------------------------------------- measurement
@@ -376,19 +364,6 @@ def test_branch_probabilities_sum_to_one(seed, n):
     qubit = int(rng.integers(0, n))
     total = branch_probability(state, qubit, PLUS) + branch_probability(state, qubit, MINUS)
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_discard_definite_qubit():
-    state = kron(basis_state(1, 1), family_state(math.pi / 8, PLUS))
-    reduced = discard_qubit(state, 0)
-    assert np.allclose(reduced.amps, family_state(math.pi / 8, PLUS).amps)
-
-
-def test_discard_entangled_qubit_rejected():
-    amps = np.zeros(4)
-    amps[0] = amps[3] = 1 / math.sqrt(2)
-    with pytest.raises(ValueError):
-        discard_qubit(StateVector(2, amps), 0)
 
 
 def test_family_state_rejects_unknown_sign():

@@ -33,7 +33,6 @@ from cloneforge.linalg import (
 )
 from cloneforge.networks import (
     MODES,
-    Measurement,
     NetworkSpec,
     approx_network,
     compression_sequence,
@@ -155,7 +154,7 @@ def test_decompression_inverts_compression():
 def test_exact_network_shape():
     spec = exact_network(problem(m=1, n=3))
     assert spec.n_qubits == 4
-    assert spec.measurement == Measurement(qubit=3, success_outcome=PLUS)
+    assert spec.heralded
     kinds = [p.kind for p in spec.placements]
     assert kinds.count(KIND_SEPARATION) == 1
 
@@ -171,20 +170,10 @@ def test_exact_network_statistics():
     assert report.success_deviation < 1e-10
 
 
-def test_exact_network_failure_branch_is_all_blanks():
-    report = evaluate_cloner(problem(m=1, n=2), "exact")
-    for result in (report.plus_result, report.minus_result):
-        fail = result.failure_state
-        assert fail is not None
-        assert fail.n_qubits == 2
-        assert np.max(np.abs(fail.amps - basis_state(2, 0).amps)) < 1e-10
-
-
 def test_exact_network_perfect_at_maximal_angle():
     # orthogonal inputs clone deterministically
     report = evaluate_cloner(problem(theta=math.pi / 4, m=1, n=2), "exact")
     assert report.success_probability == pytest.approx(1.0, abs=1e-12)
-    assert report.plus_result.failure_state is None
 
 
 # ------------------------------------------------------ approximate cloning
@@ -200,7 +189,7 @@ def test_approx_network_statistics():
 
 def test_approx_network_no_measurement():
     spec = approx_network(problem())
-    assert spec.measurement is None
+    assert not spec.heralded
     assert spec.n_qubits == 2
 
 
@@ -231,7 +220,6 @@ def test_hybrid_network_reduces_to_approx_at_unit_rate():
     report = evaluate_cloner(problem(), "hybrid", p_s=1.0)
     assert report.success_probability == pytest.approx(1.0, abs=1e-10)
     assert report.fidelity == pytest.approx(F12_EQUAL, abs=1e-9)
-    assert report.plus_result.failure_state is None
 
 
 def test_hybrid_matches_tradeoff_curve_between_endpoints():
@@ -259,8 +247,8 @@ def test_run_network_is_deterministic():
     spec = exact_network(prob)
     state = prepare_input(prob, PLUS, with_ancilla=True)
     ref = family_state(prob.theta, PLUS, copies=3)
-    a = run_network(spec, state, input_sign=PLUS, reference=ref)
-    b = run_network(spec, state, input_sign=PLUS, reference=ref)
+    a = run_network(spec, state, reference=ref)
+    b = run_network(spec, state, reference=ref)
     assert a.success_probability == b.success_probability
     assert np.array_equal(a.post_state.amps, b.post_state.amps)
     assert a.global_fidelity_vs_exact == b.global_fidelity_vs_exact
@@ -297,8 +285,6 @@ def test_network_spec_validates_indices():
             n_qubits=1,
             placements=compression_sequence(problem(m=3, n=4)).placements,
         )
-    with pytest.raises(ValueError, match="measurement"):
-        NetworkSpec(n_qubits=2, placements=(), measurement=Measurement(qubit=2))
 
 
 def test_evaluate_cloner_rejects_unknown_mode():
@@ -339,35 +325,31 @@ def test_expand_decompositions_remaps_wires():
 
 
 def _assert_matches_full_width_oracle(spec, states, references):
-    """run_network against the full-width Kronecker oracle, one input at a time."""
+    """run_network against the full-width Kronecker oracle, one input at a time.
+
+    Returns the results and the oracle's failure branches (None where the
+    herald cannot fail), which ``run_network`` does not simulate.
+    """
     placements = [(p.gate.entries, p.qubits) for p in spec.placements]
-    measured = spec.measurement.qubit if spec.measurement else None
+    measured = spec.n_qubits - 1 if spec.heralded else None
     expected = oracles.run_network_full(
         placements, spec.n_qubits, [state.amps for state in states], measured
     )
     results = []
-    for state, reference, (prob, post, failure) in zip(states, references, expected):
+    for state, reference, (prob, post, _) in zip(states, references, expected):
         result = run_network(spec, state, reference=reference)
         assert abs(result.success_probability - prob) < 1e-12
         assert np.max(np.abs(result.post_state.amps - post)) < 1e-12
-        if failure is None:
-            assert result.failure_state is None
-        else:
-            assert np.max(np.abs(result.failure_state.amps - failure)) < 1e-12
         fidelity = abs(np.vdot(reference.amps, post)) ** 2
         assert abs(result.global_fidelity_vs_exact - fidelity) < 1e-12
         results.append(result)
-    return results
+    return results, [failure for _, _, failure in expected]
 
 
 def _assert_same_bits(got, want):
     assert got.success_probability == want.success_probability
     assert got.global_fidelity_vs_exact == want.global_fidelity_vs_exact
     assert np.array_equal(got.post_state.amps, want.post_state.amps)
-    if want.failure_state is None:
-        assert got.failure_state is None
-    else:
-        assert np.array_equal(got.failure_state.amps, want.failure_state.amps)
 
 
 def _rate(prob, mode):
@@ -391,7 +373,8 @@ def test_run_network_matches_full_width_oracle(mode, decomposed):
     """Live-prefix simulation changes no number: every M <= 3, N <= 8, sign.
 
     ``evaluate_cloner`` passes only the M input wires; its results are the
-    same bits as ``run_network`` on the full-width input.
+    same bits as ``run_network`` on the full-width input.  The exact
+    network's failure branch, in the oracle, leaves every wire blank.
     """
     for m in (1, 2, 3):
         for n in range(m + 1, 9):
@@ -399,12 +382,15 @@ def test_run_network_matches_full_width_oracle(mode, decomposed):
             spec = _network(prob, mode)
             if decomposed:
                 spec = expand_decompositions(spec)
-            ancilla = spec.measurement is not None
-            full_width = _assert_matches_full_width_oracle(
+            full_width, failures = _assert_matches_full_width_oracle(
                 spec,
-                [prepare_input(prob, sign, with_ancilla=ancilla) for sign in (PLUS, MINUS)],
+                [prepare_input(prob, sign, with_ancilla=spec.heralded) for sign in (PLUS, MINUS)],
                 [family_state(prob.theta, sign, copies=n) for sign in (PLUS, MINUS)],
             )
+            if mode == "exact":
+                for failure in failures:
+                    assert failure is not None
+                    assert np.max(np.abs(failure - basis_state(n, 0).amps)) < 1e-10
             report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
             for got, want in zip((report.plus_result, report.minus_result), full_width):
                 _assert_same_bits(got, want)
@@ -445,7 +431,7 @@ def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
         (pair, herald, far),  # the herald fires before the last placement
         (pair,),  # no placement touches the ancilla
     ):
-        spec = NetworkSpec(6, placements, Measurement(qubit=5))
+        spec = NetworkSpec(6, placements, heralded=True)
         inputs = [family_state(0.3, PLUS), StateVector(6, _random_amps(rng, 6))]
         _assert_matches_full_width_oracle(
             spec, [pad_qubits(state, 6) for state in inputs], [reference] * 2
@@ -460,8 +446,11 @@ def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", ["exact", "hybrid"])
 def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
-    """At N = 16 no state spans the system and the ancilla; the herald sees M + 2 wires."""
-    seen = {"apply_gate": [], "project_qubit": [], "discard_qubit": []}
+    """At N = 16 no state spans the system and the ancilla; the herald sees M + 2 wires.
+
+    Only the success branch is projected: one projection per input sign.
+    """
+    seen = {"apply_gate": [], "project_qubit": []}
 
     def spy(name):
         original = getattr(networks, name)
@@ -481,6 +470,6 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
         prob = problem(theta=0.3, m=m, n=n)
         report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
         assert report.success_deviation < 1e-10
-        assert seen["apply_gate"] and len(seen["project_qubit"]) == 4
+        assert seen["apply_gate"] and len(seen["project_qubit"]) == 2
         assert max(max(values) for values in seen.values() if values) <= n
         assert max(seen["project_qubit"]) <= m + 2
