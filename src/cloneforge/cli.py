@@ -216,6 +216,26 @@ def _build_problem(cfg) -> bounds.CloningProblem:
         raise ConfigError(str(exc)) from exc
 
 
+def _checked_p_s(problem: bounds.CloningProblem, value) -> float:
+    """``--p-s`` as a float in [p_exact, 1], the range of the hybrid trade-off."""
+    try:
+        p_s = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--p-s must be a number, got {value!r}") from exc
+    try:
+        p_exact = bounds.exact_clone_probability(
+            problem.theta, problem.m_copies, problem.n_copies
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the same slack as the library's range check; NaN fails the comparison
+    if not p_exact - bounds.RANGE_SLACK <= p_s <= 1.0 + bounds.RANGE_SLACK:
+        raise ConfigError(
+            f"--p-s must lie in [p_exact, 1] = [{p_exact!r}, 1], got {p_s}"
+        )
+    return p_s
+
+
 def _check_simulated_size(problem: bounds.CloningProblem) -> None:
     """Refuse a register too large to simulate before any state is built."""
     if problem.n_copies > MAX_SIMULATED_COPIES:
@@ -327,7 +347,8 @@ def bounds_cmd(config_path, theta, overlap, degrees, m, n, eta_plus, output_form
             if abs(problem.eta_plus - 0.5) > 1e-12:
                 raise ValueError("the hybrid trade-off is defined for equal priors only")
             point = bounds.hybrid_fidelity_bound(
-                problem.theta, problem.m_copies, problem.n_copies, float(cfg["p_s"])
+                problem.theta, problem.m_copies, problem.n_copies,
+                _checked_p_s(problem, cfg["p_s"]),
             )
             record["f_hybrid"] = point.fidelity_bound
     except ValueError as exc:
@@ -397,7 +418,7 @@ def simulate_cmd(
         raise ConfigError(f"mode must be one of {bounds.MODES}, got {cfg['mode']!r}")
     if cfg["mode"] == "hybrid" and cfg["p_s"] is None:
         raise ConfigError("hybrid mode requires p_s")
-    run_p_s = float(cfg["p_s"]) if cfg["mode"] == "hybrid" else None
+    run_p_s = _checked_p_s(problem, cfg["p_s"]) if cfg["mode"] == "hybrid" else None
     try:
         report = networks.evaluate_cloner(
             problem, cfg["mode"], p_s=run_p_s, decompose_gates=decompose_gates
@@ -586,7 +607,13 @@ def decompose_cmd(gate_name, theta1, theta2, degrees, output_path):
         theta2 = math.radians(theta2)
     theta1 = _snap_angle(theta1)
     theta2 = _snap_angle(theta2)
-    if gate_name == "separation":
+    if gate_name == "transfer":
+        for flag, value in (("--theta1", theta1), ("--theta2", theta2)):
+            if not 0.0 <= value <= math.pi / 4.0:
+                raise ConfigError(
+                    f"{flag} must lie in [0, pi/4] for the transfer gate, got {value}"
+                )
+    else:
         for flag, value in (("--theta1", theta1), ("--theta2", theta2)):
             if not 0.0 < value <= math.pi / 4.0:
                 raise ConfigError(

@@ -36,6 +36,11 @@ C = 1 ``np.dot``, which numpy hands to a matrix-vector product whose last bits
 differ from the matrix-matrix products of every other shape; callers that
 simulate a prefix of a larger register (``networks.run_network``) keep one
 spare wire under such a gate.  Non-adjacent pairs go through ``tensordot``.
+
+`global_fidelity` makes no BLAS call: it contracts an n-qubit state with n
+copies of a one-qubit state wire by wire, with element-wise ufuncs in a
+fixed order, so no reported fidelity depends on the BLAS thread count and
+the 2**n-amplitude product state is never built.
 """
 
 from __future__ import annotations
@@ -303,9 +308,22 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def global_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, the fidelity of two pure states."""
-    val = abs(inner(a, b)) ** 2
+def global_fidelity(single: StateVector, state: StateVector) -> float:
+    """|<single^(x)n|state>|^2 for a one-qubit ``single`` and n-qubit ``state``.
+
+    The fidelity of ``state`` with n copies of ``single``, without building
+    the 2**n-amplitude power: each pass contracts the last wire,
+    ``a[0::2] * conj(c0) + a[1::2] * conj(c1)``, halving the amplitudes
+    until one is left.  Only element-wise ufuncs run, in a fixed order, so
+    the result does not depend on the BLAS library or its thread count.
+    """
+    if single.n_qubits != 1:
+        raise ValueError(f"single must be a one-qubit state, got {single.n_qubits} qubits")
+    c0, c1 = single.amps.conj()
+    amps = state.amps
+    while amps.size > 1:
+        amps = amps[0::2] * c0 + amps[1::2] * c1
+    val = abs(complex(amps[0])) ** 2
     return float(min(val, 1.0))
 
 

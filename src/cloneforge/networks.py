@@ -341,7 +341,7 @@ def run_network(
     *,
     reference: StateVector,
 ) -> SimulationResult:
-    """Run a network on one input and compare against a reference state.
+    """Run a network on one input and compare against a product reference.
 
     ``input_state`` covers the register's leading 1..n wires; the wires past
     it are blank |+>.  Placements are applied in order.  A heralded network
@@ -349,9 +349,11 @@ def run_network(
     touching it: the probability of that outcome is recorded, the
     renormalized success branch goes on through the remaining placements,
     and the ancilla, blank after the projection, is dropped from it.  The
-    failure branch is not simulated.  ``reference`` has the network's qubit
-    count minus the ancilla, and the reported fidelity is the squared
-    overlap with it.
+    failure branch is not simulated.  ``reference`` is a one-qubit state,
+    and the reported fidelity is the squared overlap of the output (the
+    system wires, without the ancilla) with one copy of it on every wire,
+    contracted wire by wire (`linalg.global_fidelity`), so the 2**N
+    reference is never built.
 
     Placements run on the live prefix of the register: trailing wires whose
     amplitudes are all exactly zero are cut off (`linalg.live_prefix`), on
@@ -370,9 +372,11 @@ def run_network(
         raise ValueError(
             f"input has {input_state.n_qubits} qubit(s), network expects {n}"
         )
+    if reference.n_qubits != 1:
+        raise ValueError(
+            f"reference must be a one-qubit state, got {reference.n_qubits} qubits"
+        )
     system_width = n - 1 if spec.heralded else n
-    if reference.n_qubits != system_width:
-        raise ValueError("reference size does not match the network output")
     state = live_prefix(input_state)
     placements = spec.placements
     prob = 1.0
@@ -434,7 +438,7 @@ def evaluate_cloner(
         results[sign] = run_network(
             spec,
             family_state(problem.theta, sign, copies=problem.m_copies),
-            reference=family_state(problem.theta, sign, copies=problem.n_copies),
+            reference=family_state(problem.theta, sign),
         )
     fidelity = (
         problem.eta_plus * results[PLUS].global_fidelity_vs_exact

@@ -12,6 +12,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +154,27 @@ def test_rejected_problem_names_the_flag(args, message):
         result = run_cli(command, *args)
         assert result.exit_code == 2
         assert message in result.output
+
+
+@pytest.mark.parametrize("p_s", ["1.5", "0.1", "nan"])
+@pytest.mark.parametrize(
+    "command", [("bounds",), ("simulate", "--mode", "hybrid")], ids=["bounds", "simulate"]
+)
+def test_p_s_outside_its_range_names_the_flag(command, p_s):
+    result = run_cli(*command, "--theta", "0.3", "--p-s", p_s)
+    assert result.exit_code == 2
+    assert (
+        f"--p-s must lie in [p_exact, 1] = [0.5478444576612735, 1], got {float(p_s)}"
+        in result.output
+    )
+
+
+@pytest.mark.parametrize("command", [("bounds",), ("simulate",)])
+def test_p_s_from_config_must_be_a_number(tmp_path, command):
+    path = write_config(tmp_path, {"theta": 0.3, "mode": "hybrid", "p_s": "abc"})
+    result = run_cli(*command, "--config", path)
+    assert result.exit_code == 2
+    assert "--p-s must be a number, got 'abc'" in result.output
 
 
 def test_theta_and_overlap_conflict():
@@ -550,6 +574,17 @@ def test_decompose_rejects_widening_separation():
     assert "--theta1 must not exceed --theta2: the separation gate widens the pair" in result.output
 
 
+@pytest.mark.parametrize(
+    "theta1, theta2, flag, value",
+    [("1", "0.2", "--theta1", 1.0), ("0.2", "-0.1", "--theta2", -0.1), ("nan", "0.2", "--theta1", "nan")],
+    ids=["above", "below", "nan"],
+)
+def test_decompose_transfer_outside_quarter_turn_names_the_flag(theta1, theta2, flag, value):
+    result = run_cli("decompose", "--gate", "transfer", "--theta1", theta1, "--theta2", theta2)
+    assert result.exit_code == 2
+    assert f"{flag} must lie in [0, pi/4] for the transfer gate, got {value}" in result.output
+
+
 def test_decompose_separation_from_zero_names_the_flag():
     result = run_cli("decompose", "--gate", "separation", "--theta1", "0", "--theta2", "0.2")
     assert result.exit_code == 2
@@ -615,3 +650,36 @@ def test_output_matches_frozen_bytes(case):
         case["stdout"],
         case["stderr"],
     )
+
+
+# ---------------------------------------------------------------------------
+# the same bytes at any BLAS thread count
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: at N = 14 and 16 OpenBLAS splits a dot product's sum across threads (at
+#: N = 12 it does not), so a fidelity taken by one would change its last bits
+THREAD_CASES = [
+    ("simulate", "--theta", "0.3", "-m", "1", "-n", "16", "--mode", "exact", "--decompose-gates"),
+    ("simulate", "--theta", "0.2", "-m", "2", "-n", "12", "--mode", "approx", "--eta-plus", "0.7"),
+    ("tradeoff", "--theta", "0.3", "-m", "1", "-n", "14"),
+]
+
+
+def stdout_at_blas_threads(threads, args):
+    """stdout of ``cloneforge ARGS`` in a fresh process with ``threads`` BLAS threads."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cloneforge.cli", *args],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("args", THREAD_CASES, ids=lambda args: " ".join(args[:1] + args[-2:]))
+def test_output_is_the_same_at_one_and_two_blas_threads(args):
+    assert stdout_at_blas_threads(1, args) == stdout_at_blas_threads(2, args)

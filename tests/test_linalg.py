@@ -319,6 +319,36 @@ def test_family_state_has_the_bits_of_the_kron_power(theta, sign, k):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@given(
+    st.one_of(
+        st.floats(min_value=math.log(1e-12), max_value=math.log(math.pi / 4)).map(math.exp),
+        st.just(math.pi / 4),
+    ),
+    st.sampled_from([PLUS, MINUS]),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_global_fidelity_matches_overlap_with_the_explicit_power(theta, sign, n, seed, random_state):
+    """The wire-by-wire contraction against ``np.vdot`` with the built power."""
+    power = oracles.family_power(theta, 1 if sign == PLUS else -1, n)
+    if random_state:
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        amps /= np.linalg.norm(amps)
+    else:
+        other = PLUS if seed % 2 else MINUS
+        amps = oracles.family_power(theta, 1 if other == PLUS else -1, n)
+    got = global_fidelity(family_state(theta, sign), StateVector(n, amps))
+    assert abs(got - abs(np.vdot(power, amps)) ** 2) < 1e-12
+
+
+def test_global_fidelity_rejects_a_wider_single_state():
+    with pytest.raises(ValueError, match="one-qubit"):
+        global_fidelity(basis_state(2, 0), basis_state(2, 0))
+
+
 def test_global_fidelity_values():
     th = math.pi / 8
     assert global_fidelity(family_state(th, PLUS), family_state(th, PLUS)) == 1.0
@@ -326,6 +356,9 @@ def test_global_fidelity_values():
     assert global_fidelity(
         family_state(th, PLUS), family_state(th, MINUS)
     ) == pytest.approx(0.5, abs=1e-15)
+    # a complex single state: the contraction conjugates it
+    phase = StateVector(1, np.array([1.0, 1.0j]) / math.sqrt(2))
+    assert global_fidelity(phase, kron(phase, phase)) == pytest.approx(1.0, abs=1e-15)
 
 
 # -------------------------------------------------------------- measurement

@@ -246,7 +246,7 @@ def test_run_network_is_deterministic():
     prob = problem(m=1, n=3)
     spec = exact_network(prob)
     state = prepare_input(prob, PLUS, with_ancilla=True)
-    ref = family_state(prob.theta, PLUS, copies=3)
+    ref = family_state(prob.theta, PLUS)
     a = run_network(spec, state, reference=ref)
     b = run_network(spec, state, reference=ref)
     assert a.success_probability == b.success_probability
@@ -276,7 +276,7 @@ def test_run_network_rejects_wrong_reference_size():
     spec = exact_network(prob)
     state = prepare_input(prob, PLUS, with_ancilla=True)
     with pytest.raises(ValueError, match="reference"):
-        run_network(spec, state, reference=basis_state(3, 0))
+        run_network(spec, state, reference=basis_state(2, 0))
 
 
 def test_network_spec_validates_indices():
@@ -327,20 +327,24 @@ def test_expand_decompositions_remaps_wires():
 def _assert_matches_full_width_oracle(spec, states, references):
     """run_network against the full-width Kronecker oracle, one input at a time.
 
-    Returns the results and the oracle's failure branches (None where the
-    herald cannot fail), which ``run_network`` does not simulate.
+    Each reference is one qubit; the oracle's fidelity is the overlap with
+    its explicit power over the output wires.  Returns the results and the
+    oracle's failure branches (None where the herald cannot fail), which
+    ``run_network`` does not simulate.
     """
     placements = [(p.gate.entries, p.qubits) for p in spec.placements]
     measured = spec.n_qubits - 1 if spec.heralded else None
     expected = oracles.run_network_full(
         placements, spec.n_qubits, [state.amps for state in states], measured
     )
+    width = spec.n_qubits - spec.heralded
     results = []
     for state, reference, (prob, post, _) in zip(states, references, expected):
         result = run_network(spec, state, reference=reference)
         assert abs(result.success_probability - prob) < 1e-12
         assert np.max(np.abs(result.post_state.amps - post)) < 1e-12
-        fidelity = abs(np.vdot(reference.amps, post)) ** 2
+        power = oracles.kron_all(*[reference.amps] * width)
+        fidelity = abs(np.vdot(power, post)) ** 2
         assert abs(result.global_fidelity_vs_exact - fidelity) < 1e-12
         results.append(result)
     return results, [failure for _, _, failure in expected]
@@ -385,7 +389,7 @@ def test_run_network_matches_full_width_oracle(mode, decomposed):
             full_width, failures = _assert_matches_full_width_oracle(
                 spec,
                 [prepare_input(prob, sign, with_ancilla=spec.heralded) for sign in (PLUS, MINUS)],
-                [family_state(prob.theta, sign, copies=n) for sign in (PLUS, MINUS)],
+                [family_state(prob.theta, sign) for sign in (PLUS, MINUS)],
             )
             if mode == "exact":
                 for failure in failures:
@@ -407,7 +411,7 @@ def test_run_network_on_inputs_without_blank_trailing_wires(rng, mode):
     prob = problem(theta=0.3, m=2, n=5)
     spec = expand_decompositions(_network(prob, mode))
     width = spec.n_qubits
-    reference = family_state(prob.theta, PLUS, copies=5)
+    reference = family_state(prob.theta, PLUS)
     middle = _random_amps(rng, width).reshape(4, 2, -1)
     middle[:, 1, :] = 0.0
     tiny = prepare_input(prob, PLUS, with_ancilla=mode == "exact").amps.copy()
@@ -424,7 +428,7 @@ def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
     pair = GatePlacement(Unitary(random_unitary(rng, 4)), (3, 2), "pair@(3,2)")
     far = GatePlacement(Unitary(random_unitary(rng, 4)), (4, 0), "far@(4,0)")
     herald = GatePlacement(Unitary(random_unitary(rng, 4)), (0, 5), "herald@(0,5)")
-    reference = family_state(0.3, PLUS, copies=5)
+    reference = family_state(0.3, PLUS)
     for placements in (
         (local, pair, herald, local, pair),  # system wires go in before the ancilla
         (pair, far, local, herald),  # the spare wire past every system wire is the ancilla
