@@ -149,15 +149,6 @@ def optimal_phis(problem: CloningProblem) -> OptimalAngles:
     )
 
 
-def fidelity_at_angles(problem: CloningProblem, angles: OptimalAngles) -> float:
-    """Prior-weighted global fidelity achieved at the given output angles."""
-    theta_n = problem.theta_n
-    return (
-        problem.eta_plus * math.cos(theta_n - angles.phi_plus) ** 2
-        + problem.eta_minus * math.cos(theta_n + angles.phi_minus) ** 2
-    )
-
-
 def fidelity_bound(problem: CloningProblem) -> float:
     """Largest achievable prior-weighted global fidelity for the problem.
 

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 strict-mode deviation.  Numeric output is fixed at 12 significant digits
 and CSV uses LF line endings, so identical invocations are byte-identical.
 
+``bounds``, ``simulate`` and ``tradeoff`` share one request path,
+`_request`: defaults, then the ``--config`` file, then explicit flags are
+merged over the one key table `_KEYS`; each value is coerced once, and a
+value that cannot be names its flag.  The commands then check only what
+they alone read (the mode, ``--p-s``, the sweep window).
+
 The environment variable CLONEFORGE_SEED is reserved but inert: nothing in
 the package samples randomness (probabilities come from exact projection).
 
@@ -31,19 +37,6 @@ MAX_SIMULATED_COPIES = 20
 #: most points of one ``tradeoff`` sweep
 MAX_SWEEP_STEPS = 10_001
 
-_CONFIG_KEYS = {
-    "theta",
-    "m",
-    "n",
-    "eta_plus",
-    "mode",
-    "p_s",
-    "sweep",
-    "output_format",
-    "output_path",
-}
-_SWEEP_KEYS = {"param", "start", "stop", "steps"}
-
 
 class ConfigError(click.ClickException):
     """Invalid configuration; exits with code 2."""
@@ -61,15 +54,11 @@ def _fmt(value: float) -> str:
     return format(float(value) + 0.0, ".12g")
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
-
-
 def _jsonable(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -90,27 +79,27 @@ def _cell(value) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
-    return "\n".join(lines) + "\n"
+    lines = [header] + [[_cell(value) for value in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _flatten(record, prefix=""):
     flat = {}
     for key, value in record.items():
-        name = f"{prefix}{key}"
         if isinstance(value, dict):
-            flat.update(_flatten(value, f"{name}_"))
+            flat.update(_flatten(value, f"{prefix}{key}_"))
         else:
-            flat[name] = value
+            flat[f"{prefix}{key}"] = value
     return flat
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
     if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--output cannot be written: {exc}") from exc
     else:
         click.echo(text, nl=False)
 
@@ -124,6 +113,63 @@ def _emit_record(record, output_format: Optional[str], output_path: Optional[str
     _emit(text, output_path)
 
 
+def _number(flag: str, value) -> float:
+    """A number, or a string that reads as one; never a bool."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{flag} must be a number, got {value!r}")
+
+
+def _integer(flag: str, value) -> int:
+    """An integer, an integral float, or a string that reads as an integer; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{flag} must be an integer, got {value!r}")
+
+
+def _one_of(*choices):
+    def coerce(flag: str, value):
+        if value not in choices:
+            raise ConfigError(f"{flag} must be one of {choices}, got {value!r}")
+        return value
+
+    return coerce
+
+
+def _path(flag: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{flag} must be a file path, got {value!r}")
+    return value
+
+
+#: every config key: key -> (the flag that overrides it, default, coercion).
+#: A null config value is taken as the key left out, where the default is None.
+_KEYS = {
+    "theta": ("--theta", None, _number),
+    "m": ("--m", 1, _integer),
+    "n": ("--n", 2, _integer),
+    "eta_plus": ("--eta-plus", 0.5, _number),
+    "mode": ("--mode", None, _one_of(*bounds.MODES)),
+    "p_s": ("--p-s", None, _number),
+    "output_format": ("--format", None, _one_of("json", "csv")),
+    "output_path": ("--output", None, _path),
+}
+#: the keys of the config's "sweep" object besides "param"; ``tradeoff`` has their flags
+_SWEEP_KEYS = {
+    "start": ("--start", None, _number),
+    "stop": ("--stop", 1.0, _number),
+    "steps": ("--steps", 11, _integer),
+}
+
+
 def _load_config(path: Optional[str]):
     if path is None:
         return {}
@@ -134,16 +180,20 @@ def _load_config(path: Optional[str]):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(_KEYS) - {"sweep"})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    sweep = data.get("sweep")
+    sweep = data.pop("sweep", None)
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("config sweep must be an object")
-        bad = sorted(set(sweep) - _SWEEP_KEYS)
+        bad = sorted(set(sweep) - set(_SWEEP_KEYS) - {"param"})
         if bad:
             raise ConfigError(f"unknown sweep key(s): {', '.join(bad)}")
+        param = sweep.pop("param", "p_s")
+        if param != "p_s":
+            raise ConfigError(f"only p_s sweeps are supported, got {param!r}")
+        data.update(sweep)
     return data
 
 
@@ -151,11 +201,9 @@ def _load_config(path: Optional[str]):
 _ANGLE_SNAP = 1e-9
 
 
-def _snap_angle(value: Optional[float]) -> Optional[float]:
+def _snap_angle(value: float) -> float:
     """Round an angle onto pi/4 when it misses only by decimal truncation."""
-    if value is not None and abs(value - math.pi / 4.0) <= _ANGLE_SNAP:
-        return math.pi / 4.0
-    return value
+    return math.pi / 4.0 if abs(value - math.pi / 4.0) <= _ANGLE_SNAP else value
 
 
 def _cli_theta(theta: Optional[float], overlap: Optional[float], degrees: bool):
@@ -173,66 +221,42 @@ def _cli_theta(theta: Optional[float], overlap: Optional[float], degrees: bool):
     return math.radians(theta) if degrees else theta
 
 
-def _merged_config(config_path: Optional[str], **flags):
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    cfg = {
-        "theta": None,
-        "m": 1,
-        "n": 2,
-        "eta_plus": 0.5,
-        "mode": None,
-        "p_s": None,
-        "sweep": None,
-        "output_format": None,
-        "output_path": None,
-    }
-    cfg.update(_load_config(config_path))
-    for key, value in flags.items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _request(opts):
+    """The merged, coerced request and its problem, from a command's options.
 
-
-def _build_problem(cfg) -> bounds.CloningProblem:
+    Defaults, overlaid by the config file, overlaid by the flags that were
+    given; every value is coerced once and the problem is checked against
+    the flags before the library sees it.
+    """
+    keys = {**_KEYS, **_SWEEP_KEYS}
+    flags = dict(opts, theta=_cli_theta(opts["theta"], opts["overlap"], opts["degrees"]))
+    cfg = {key: default for key, (_, default, _) in keys.items()}
+    cfg.update(_load_config(opts["config_path"]))
+    cfg.update((key, flags[key]) for key in keys if flags.get(key) is not None)
     if cfg["theta"] is None:
         raise ConfigError("theta is required: give --theta, --overlap, or a config file")
-    try:
-        theta = float(_snap_angle(float(cfg["theta"])))
-        m_copies = int(cfg["m"])
-        n_copies = int(cfg["n"])
-        eta_plus = float(cfg["eta_plus"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, (flag, default, coerce) in keys.items():
+        if cfg[key] is not None or default is not None:
+            cfg[key] = coerce(flag, cfg[key])
+    theta, m_copies, n_copies = _snap_angle(cfg["theta"]), cfg["m"], cfg["n"]
     # the problem's own checks would name its fields, not the flags
     if not 0.0 < theta <= math.pi / 4.0:
         raise ConfigError(f"--theta must lie in (0, pi/4], got {theta}")
     if m_copies < 1:
         raise ConfigError(f"--m must be at least 1, got {m_copies}")
-    if not 0.0 <= eta_plus <= 1.0:
-        raise ConfigError(f"--eta-plus must lie in [0, 1], got {eta_plus}")
-    try:
-        return bounds.CloningProblem(theta, m_copies, n_copies, eta_plus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if n_copies <= m_copies:
+        raise ConfigError(f"--n must exceed --m, got n = {n_copies}, m = {m_copies}")
+    if not 0.0 <= cfg["eta_plus"] <= 1.0:
+        raise ConfigError(f"--eta-plus must lie in [0, 1], got {cfg['eta_plus']}")
+    return cfg, bounds.CloningProblem(theta, m_copies, n_copies, cfg["eta_plus"])
 
 
-def _checked_p_s(problem: bounds.CloningProblem, value) -> float:
-    """``--p-s`` as a float in [p_exact, 1], the range of the hybrid trade-off."""
-    try:
-        p_s = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--p-s must be a number, got {value!r}") from exc
-    try:
-        p_exact = bounds.exact_clone_probability(
-            problem.theta, problem.m_copies, problem.n_copies
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _checked_p_s(problem: bounds.CloningProblem, p_s: float) -> float:
+    """``--p-s`` within [p_exact, 1], the range of the hybrid trade-off."""
+    p_exact = bounds.exact_clone_probability(problem.theta, problem.m_copies, problem.n_copies)
     # the same slack as the library's range check; NaN fails the comparison
     if not p_exact - bounds.RANGE_SLACK <= p_s <= 1.0 + bounds.RANGE_SLACK:
-        raise ConfigError(
-            f"--p-s must lie in [p_exact, 1] = [{p_exact!r}, 1], got {p_s}"
-        )
+        raise ConfigError(f"--p-s must lie in [p_exact, 1] = [{p_exact!r}, 1], got {p_s}")
     return p_s
 
 
@@ -318,19 +342,9 @@ def main() -> None:
     default=None,
     help="Hybrid success probability; adds f_hybrid to the record.",
 )
-def bounds_cmd(config_path, theta, overlap, degrees, m, n, eta_plus, output_format, output_path, p_s):
+def bounds_cmd(p_s, **opts):
     """Closed-form fidelity and probability bounds for one problem."""
-    cfg = _merged_config(
-        config_path,
-        theta=_cli_theta(theta, overlap, degrees),
-        m=m,
-        n=n,
-        eta_plus=eta_plus,
-        p_s=p_s,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    problem = _build_problem(cfg)
+    cfg, problem = _request(dict(opts, p_s=p_s))
     try:
         s_m = bounds.overlap_after_copies(problem.theta, problem.m_copies)
         record = {
@@ -381,44 +395,21 @@ def bounds_cmd(config_path, theta, overlap, degrees, m, n, eta_plus, output_form
     is_flag=True,
     help=f"Exit 3 if simulation deviates from its bound by more than {STRICT_TOL:g}.",
 )
-def simulate_cmd(
-    config_path,
-    theta,
-    overlap,
-    degrees,
-    m,
-    n,
-    eta_plus,
-    output_format,
-    output_path,
-    mode,
-    p_s,
-    decompose_gates,
-    strict,
-):
+def simulate_cmd(mode, p_s, decompose_gates, strict, **opts):
     """Simulate a cloning network and compare it against its bounds."""
     from . import networks
 
-    cfg = _merged_config(
-        config_path,
-        theta=_cli_theta(theta, overlap, degrees),
-        m=m,
-        n=n,
-        eta_plus=eta_plus,
-        mode=mode,
-        p_s=p_s,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    problem = _build_problem(cfg)
+    cfg, problem = _request(dict(opts, mode=mode, p_s=p_s))
     _check_simulated_size(problem)
     if cfg["mode"] is None:
         raise ConfigError("mode is required: choose exact, approx, or hybrid")
-    if cfg["mode"] not in bounds.MODES:
-        raise ConfigError(f"mode must be one of {bounds.MODES}, got {cfg['mode']!r}")
-    if cfg["mode"] == "hybrid" and cfg["p_s"] is None:
+    hybrid = cfg["mode"] == "hybrid"
+    # one config file may serve every command, so only a --p-s flag is refused here
+    if p_s is not None and not hybrid:
+        raise ConfigError(f"--p-s applies to --mode hybrid only, got --mode {cfg['mode']}")
+    if hybrid and cfg["p_s"] is None:
         raise ConfigError("hybrid mode requires p_s")
-    run_p_s = _checked_p_s(problem, cfg["p_s"]) if cfg["mode"] == "hybrid" else None
+    run_p_s = _checked_p_s(problem, cfg["p_s"]) if hybrid else None
     try:
         report = networks.evaluate_cloner(
             problem, cfg["mode"], p_s=run_p_s, decompose_gates=decompose_gates
@@ -461,57 +452,17 @@ def simulate_cmd(
 @click.option("--start", type=float, default=None, help="Sweep start (default: exact-cloning probability).")
 @click.option("--stop", type=float, default=None, help="Sweep stop (default 1).")
 @click.option("--steps", type=int, default=None, help="Number of sweep points (default 11).")
-def tradeoff_cmd(
-    config_path,
-    theta,
-    overlap,
-    degrees,
-    m,
-    n,
-    eta_plus,
-    output_format,
-    output_path,
-    start,
-    stop,
-    steps,
-):
+def tradeoff_cmd(start, stop, steps, **opts):
     """Sweep the hybrid success probability and tabulate the trade-off."""
     from . import networks
 
-    cfg = _merged_config(
-        config_path,
-        theta=_cli_theta(theta, overlap, degrees),
-        m=m,
-        n=n,
-        eta_plus=eta_plus,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    problem = _build_problem(cfg)
+    cfg, problem = _request(dict(opts, start=start, stop=stop, steps=steps))
     _check_simulated_size(problem)
     if abs(problem.eta_plus - 0.5) > 1e-12:
         raise ConfigError("the hybrid trade-off is defined for equal priors only")
-    sweep = dict(cfg["sweep"] or {})
-    if start is not None:
-        sweep["start"] = start
-    if stop is not None:
-        sweep["stop"] = stop
-    if steps is not None:
-        sweep["steps"] = steps
-    if sweep.get("param", "p_s") != "p_s":
-        raise ConfigError(f"only p_s sweeps are supported, got {sweep.get('param')!r}")
-    try:
-        p_lo = bounds.exact_clone_probability(
-            problem.theta, problem.m_copies, problem.n_copies
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        start_v = float(sweep.get("start", p_lo))
-        stop_v = float(sweep.get("stop", 1.0))
-        steps_v = int(sweep.get("steps", 11))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep values: {exc}") from exc
+    p_lo = bounds.exact_clone_probability(problem.theta, problem.m_copies, problem.n_copies)
+    start_v = p_lo if cfg["start"] is None else cfg["start"]
+    stop_v, steps_v = cfg["stop"], cfg["steps"]
     if steps_v < 2:
         raise ConfigError("sweep needs at least 2 steps")
     if steps_v > MAX_SWEEP_STEPS:
@@ -602,33 +553,22 @@ def decompose_cmd(gate_name, theta1, theta2, degrees, output_path):
     """
     from . import gates
 
-    if degrees:
-        theta1 = math.radians(theta1)
-        theta2 = math.radians(theta2)
-    theta1 = _snap_angle(theta1)
-    theta2 = _snap_angle(theta2)
-    if gate_name == "transfer":
-        for flag, value in (("--theta1", theta1), ("--theta2", theta2)):
-            if not 0.0 <= value <= math.pi / 4.0:
-                raise ConfigError(
-                    f"{flag} must lie in [0, pi/4] for the transfer gate, got {value}"
-                )
-    else:
-        for flag, value in (("--theta1", theta1), ("--theta2", theta2)):
-            if not 0.0 < value <= math.pi / 4.0:
-                raise ConfigError(
-                    f"{flag} must lie in (0, pi/4] for the separation gate, got {value}"
-                )
-        if theta1 > theta2 + 1e-12:
+    theta1, theta2 = (_snap_angle(math.radians(t) if degrees else t) for t in (theta1, theta2))
+    separation = gate_name == "separation"
+    interval = "(0, pi/4]" if separation else "[0, pi/4]"
+    for flag, value in (("--theta1", theta1), ("--theta2", theta2)):
+        if not 0.0 <= value <= math.pi / 4.0 or (separation and value == 0.0):
             raise ConfigError(
-                f"--theta1 must not exceed --theta2: the separation gate widens the pair, "
-                f"got {theta1} > {theta2}"
+                f"{flag} must lie in {interval} for the {gate_name} gate, got {value}"
             )
+    if separation and theta1 > theta2 + 1e-12:
+        raise ConfigError(
+            f"--theta1 must not exceed --theta2: the separation gate widens the pair, "
+            f"got {theta1} > {theta2}"
+        )
+    decompose = gates.decompose_separation if separation else gates.decompose_transfer
     try:
-        if gate_name == "transfer":
-            circuit = gates.decompose_transfer(theta1, theta2)
-        else:
-            circuit = gates.decompose_separation(theta1, theta2)
+        circuit = decompose(theta1, theta2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     record = {

@@ -140,10 +140,6 @@ class Unitary:
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "dim", dim)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
 
 def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
     """The two-state family member cos(theta)|+> +/- sin(theta)|->.
@@ -173,19 +169,17 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def kron(a, b):
-    """Kronecker product of two StateVectors or two Unitaries.
+def kron(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two StateVectors.
 
     The left operand indexes the more significant bits of the result.
     """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        return Unitary(np.kron(a.entries, b.entries))
-    raise TypeError(
-        "kron operands must both be StateVector or both be Unitary, got "
-        f"{type(a).__name__} and {type(b).__name__}"
-    )
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError(
+            "kron operands must both be StateVector, got "
+            f"{type(a).__name__} and {type(b).__name__}"
+        )
+    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
 
 
 #: local basis order of a two-qubit gate whose two qubits are listed the other way round

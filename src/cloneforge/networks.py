@@ -171,8 +171,6 @@ def _separation_placement(theta_in: float, theta_out: float, n: int) -> GatePlac
 
 def exact_network(problem: CloningProblem) -> NetworkSpec:
     """Heralded perfect cloning: compress, separate to theta_N, decompress."""
-    if problem.theta == 0.0:
-        raise ValueError("identical states: theta = 0 admits no cloning problem")
     n = problem.n_copies
     theta_m = problem.theta_m
     theta_n = problem.theta_n
@@ -186,8 +184,6 @@ def exact_network(problem: CloningProblem) -> NetworkSpec:
 
 def approx_network(problem: CloningProblem) -> NetworkSpec:
     """Deterministic optimal cloning: compress, rotate qubit 0, decompress."""
-    if problem.theta == 0.0:
-        raise ValueError("identical states: theta = 0 admits no cloning problem")
     theta_m = problem.theta_m
     theta_n = problem.theta_n
     coeffs = clone_coefficients(optimal_phis(problem), theta_n)
@@ -218,8 +214,6 @@ def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
     """
     if abs(problem.eta_plus - 0.5) > 1e-12:
         raise ValueError("hybrid cloning requires equal priors")
-    if problem.theta == 0.0:
-        raise ValueError("identical states: theta = 0 admits no cloning problem")
     n = problem.n_copies
     theta_m = problem.theta_m
     theta_n = problem.theta_n

@@ -17,7 +17,6 @@ from cloneforge.bounds import (
     d_cloner_global_fidelity,
     d_cloner_local_fidelity,
     exact_clone_probability,
-    fidelity_at_angles,
     fidelity_bound,
     helstrom_bound,
     hybrid_fidelity_bound,
@@ -189,9 +188,9 @@ def test_fidelity_bound_values():
 
 def test_fidelity_at_angles_matches_bound_at_optimum():
     prob = problem(eta_plus=0.7)
-    assert fidelity_at_angles(prob, optimal_phis(prob)) == pytest.approx(
-        fidelity_bound(prob), abs=1e-14
-    )
+    angles = optimal_phis(prob)
+    at_optimum = oracles.objective(prob.theta_n, angles.phi_plus, angles.phi_minus, prob.eta_plus)
+    assert at_optimum == pytest.approx(fidelity_bound(prob), abs=1e-14)
 
 
 def test_fidelity_bound_monotone_in_prior_product():

@@ -177,6 +177,24 @@ def test_p_s_from_config_must_be_a_number(tmp_path, command):
     assert "--p-s must be a number, got 'abc'" in result.output
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_p_s_flag_outside_hybrid_mode_names_the_flag_and_mode(tmp_path, mode):
+    config = write_config(tmp_path, {"theta": 0.3, "mode": mode})
+    for source in (("--theta", "0.3", "--mode", mode), ("--config", config)):
+        for p_s in ("0.1", "nan", "0.8"):
+            result = run_cli("simulate", *source, "--p-s", p_s)
+            assert result.exit_code == 2, result.output
+            assert f"--p-s applies to --mode hybrid only, got --mode {mode}" in result.output
+    # one config may serve several commands: its p_s is read only where it applies
+    config = write_config(tmp_path, {"theta": 0.3, "mode": mode, "p_s": 0.1})
+    from_config = run_cli("simulate", "--config", config)
+    assert from_config.exit_code == 0, from_config.output
+    assert from_config.output == run_cli("simulate", "--theta", "0.3", "--mode", mode).output
+    # a --mode hybrid flag over the same file takes --p-s as before
+    hybrid = record_of(run_cli("simulate", "--config", config, "--mode", "hybrid", "--p-s", "0.8"))
+    assert hybrid["p_s"] == 0.8
+
+
 def test_theta_and_overlap_conflict():
     result = run_cli("bounds", "--theta", "0.3", "--overlap", "0.5")
     assert result.exit_code == 2
@@ -211,6 +229,85 @@ def test_config_supplies_problem_and_flags_override(tmp_path):
     assert from_config["success_probability"] == CELL(P13, abs=1e-11)
     overridden = record_of(run_cli("simulate", "--config", path, "--n", "2"))
     assert overridden["success_probability"] == CELL(P12, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "config, args, message",
+    [
+        ({"output_path": 5}, (), "--output must be a file path, got 5"),
+        ({"output_format": "xml"}, (), "--format must be one of ('json', 'csv'), got 'xml'"),
+        ({"m": 1.7, "n": 3.9}, (), "--m must be an integer, got 1.7"),
+        ({"n": True}, (), "--n must be an integer, got True"),
+        ({"n": math.inf}, (), "--n must be an integer, got inf"),
+        ({"eta_plus": True}, (), "--eta-plus must be a number, got True"),
+        ({"p_s": True}, (), "--p-s must be a number, got True"),
+        ({"theta": "abc"}, (), "--theta must be a number, got 'abc'"),
+        ({"m": "x"}, (), "--m must be an integer, got 'x'"),
+        ({"sweep": {"steps": "x"}}, (), "--steps must be an integer, got 'x'"),
+        ({"sweep": {"start": False}}, (), "--start must be a number, got False"),
+        ({}, ("-m", "2", "-n", "2"), "--n must exceed --m, got n = 2, m = 2"),
+    ],
+    ids=[
+        "output-path", "format", "fractional-m", "bool-n", "infinite-n", "bool-eta-plus", "bool-p-s",
+        "theta-string", "m-string", "steps-string", "bool-start", "n-not-above-m",
+    ],
+)
+def test_config_values_are_typed_and_name_their_flag(tmp_path, config, args, message):
+    path = write_config(tmp_path, {"theta": 0.3, **config})
+    for command in ("bounds", "simulate", "tradeoff"):
+        result = run_cli(command, "--config", path, *args)
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"Error: {message}\n" in result.output
+
+
+def test_unwritable_output_names_the_flag(tmp_path):
+    target = str(tmp_path / "missing" / "report.json")
+    config = write_config(tmp_path, {"output_path": target})
+    for source in (("--output", target), ("--config", config)):
+        result = run_cli("bounds", "--theta", "0.3", *source)
+        assert result.exit_code == 2, result.output
+        assert "Error: --output cannot be written:" in result.output
+
+
+def _flags_for(config):
+    """The command-line flags that say what ``config`` says."""
+    flags = {"m": "--m", "n": "--n", "eta_plus": "--eta-plus", "mode": "--mode", "p_s": "--p-s",
+             "output_format": "--format", "start": "--start", "stop": "--stop", "steps": "--steps"}
+    args = ["--theta", repr(config["theta"])]
+    for key, value in {**config, **config.get("sweep", {})}.items():
+        if key in flags:
+            args += [flags[key], repr(value) if isinstance(value, float) else str(value)]
+    return args
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("bounds", {"theta": 0.3, "m": 2, "n": 5, "eta_plus": 0.7}),
+        ("bounds", {"theta": 0.35, "n": 4, "p_s": 0.9, "output_format": "csv"}),
+        ("simulate", {"theta": 0.3, "n": 3, "mode": "exact"}),
+        ("simulate", {"theta": 0.2, "m": 2, "n": 4, "mode": "approx", "eta_plus": 0.7,
+                      "output_format": "csv"}),
+        ("simulate", {"theta": 0.3, "mode": "hybrid", "p_s": 0.8}),
+        ("tradeoff", {"theta": 0.3, "n": 3,
+                      "sweep": {"param": "p_s", "start": 0.6, "stop": 0.9, "steps": 4}}),
+        ("tradeoff", {"theta": 0.25, "sweep": {"steps": 3}, "output_format": "json"}),
+    ],
+    ids=["bounds", "bounds-hybrid-csv", "exact", "approx-csv", "hybrid", "tradeoff",
+         "tradeoff-json"],
+)
+def test_config_and_flags_print_the_same_bytes(tmp_path, command, config):
+    from_config = run_cli(command, "--config", write_config(tmp_path, config))
+    from_flags = run_cli(command, *_flags_for(config))
+    assert from_config.exit_code == 0, from_config.output
+    assert from_config.stdout_bytes == from_flags.stdout_bytes
+    via_config = tmp_path / "config.out"
+    via_flag = tmp_path / "flag.out"
+    path = write_config(tmp_path, {**config, "output_path": str(via_config)}, name="out.json")
+    assert run_cli(command, "--config", path).output == ""
+    assert run_cli(command, *_flags_for(config), "--output", via_flag).output == ""
+    assert via_config.read_bytes() == via_flag.read_bytes() == from_flags.stdout_bytes
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -79,10 +79,6 @@ def test_amplitudes_are_write_protected():
 # --------------------------------------------------------------------- kron
 
 
-def test_kron_identity_matrices():
-    assert np.allclose(kron(Unitary(I2), Unitary(I2)).entries, I4)
-
-
 def test_kron_basis_states_bit_convention():
     # |+> is bit 0 and the left factor is more significant, so |+-> sits at index 1
     state = kron(basis_state(1, 0), basis_state(1, 1))

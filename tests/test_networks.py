@@ -239,6 +239,15 @@ def test_hybrid_requires_rate():
         evaluate_cloner(problem(), "hybrid")
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_rejects_identical_states(mode, m):
+    """theta = 0 is refused by the separation gate or the closed forms the network uses."""
+    prob = problem(theta=0.0, m=m, n=m + 1)
+    with pytest.raises(ValueError, match=r"theta_in must lie in \(0, pi/4\]|identical states"):
+        evaluate_cloner(prob, mode, p_s=0.8 if mode == "hybrid" else None)
+
+
 # ------------------------------------------------------------ run mechanics
 
 
