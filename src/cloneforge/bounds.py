@@ -201,6 +201,10 @@ def exact_clone_probability(theta: float, m: int, n: int) -> float:
         raise ValueError("need n > m >= 1")
     s = math.cos(2.0 * theta)
     one_minus_s = 2.0 * math.sin(theta) ** 2
+    if one_minus_s == 0.0:
+        # sin(theta)**2 underflowed: the ratio is its theta -> 0 limit M/N,
+        # whose relative correction O(theta**2) is far below one ulp here
+        return m / n
     if s <= 0.0 or one_minus_s >= 1.0:
         return (1.0 - s ** m) / (1.0 - s ** n)
     log_s = math.log1p(-one_minus_s)

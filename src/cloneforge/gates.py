@@ -24,7 +24,7 @@ from .bounds import (
     CloneCoefficients,
     separation_bound,
 )
-from .linalg import _SWAPPED_PAIR, Unitary
+from .linalg import Unitary
 
 #: matrices re-multiplied from a decomposition must match the target this well
 DECOMPOSITION_TOL = 1e-10
@@ -344,7 +344,7 @@ class CircuitDecomposition:
         for p in self.placements:
             matrix = p.gate.entries
             if p.qubits == (1, 0):
-                matrix = matrix[_SWAPPED_PAIR]
+                matrix = p.gate.swapped.entries
             elif len(p.qubits) == 1:
                 matrix = np.zeros((4, 4), dtype=np.complex128)
                 # wire 0 is the more significant bit: a gate on it acts on
@@ -409,14 +409,17 @@ def decompose_transfer(theta1: float, theta2: float) -> CircuitDecomposition:
     delta1, delta2 = sector_angles(theta1, theta2)
     d2p = delta2 + math.pi / 2.0
     alpha = d2p - delta1
+    cnot_01, cnot_10 = _cnot_placement(0, 1), _cnot_placement(1, 0)
+    # both rotations are one matrix: build and check it once
+    half_turn = _local_placement(_rotation(alpha / 2.0), 0, f"rotation({alpha / 2.0:.12g})")
     placements = (
-        _cnot_placement(0, 1),
-        _local_placement(_rotation(alpha / 2.0), 0, f"rotation({alpha / 2.0:.12g})"),
-        _cnot_placement(1, 0),
-        _local_placement(_rotation(alpha / 2.0), 0, f"rotation({alpha / 2.0:.12g})"),
-        _cnot_placement(1, 0),
+        cnot_01,
+        half_turn,
+        cnot_10,
+        half_turn,
+        cnot_10,
         _local_placement(_reflection(d2p), 0, f"reflection({d2p:.12g})"),
-        _cnot_placement(0, 1),
+        cnot_01,
     )
     return CircuitDecomposition(target=target, placements=placements)
 

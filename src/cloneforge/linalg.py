@@ -21,11 +21,22 @@ Validation happens at the boundaries, not per gate application:
 live register it simulated (the herald included) to the system width.
 ``apply_gate`` checks only its qubit list; its result is valid by
 construction and is returned read-only without being copied or re-checked.
+``family_state`` checks only its angle: its amplitudes are normalized by
+construction.
 
-The gate kernel picks its BLAS call from the shape of the update.  A gate on
-one qubit, or on two adjacent ones, starting at wire ``first`` of an n-qubit
-register splits the amplitudes into an (A, k, C) view, A = 2**first batches
-of k gate rows times C = 2**(n - first) / k trailing amplitudes:
+The gate kernel first looks at the gate's entries.  A gate whose entries are
+a 0/1 permutation matrix (the CNOT; `Unitary.permutation`, found once per
+gate) on one qubit, or on two adjacent ones, is not multiplied: its rows are
+gathered with one ``np.take`` along the k axis of the (A, k, C) view below.
+Each output amplitude is then the input amplitude a multiplication by the
+0/1 matrix would give, bit for bit: the product adds only ``0 * x`` terms,
+which can at most turn a moved exact zero into -0.0.  A descending pair uses
+the gate's SWAP-conjugated form, `Unitary.swapped`, built once per gate and
+shared by both paths.  Every other gate is multiplied, with the BLAS call
+picked from the shape of the update.  A gate on one qubit, or on two
+adjacent ones, starting at wire ``first`` of an n-qubit register splits the
+amplitudes into an (A, k, C) view, A = 2**first batches of k gate rows times
+C = 2**(n - first) / k trailing amplitudes:
 
 * C = 1, or A >= 64 with 2 <= C <= 8: one ``np.dot`` of the (A, k*C) view
   against gate (x) I_C, so many small batches cost one BLAS call;
@@ -46,6 +57,7 @@ the 2**n-amplitude product state is never built.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -120,6 +132,10 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
+#: local basis order of a two-qubit gate whose two qubits are listed the other way round
+_SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+
+
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """A dense unitary on one or more qubits, verified at construction."""
@@ -140,17 +156,50 @@ class Unitary:
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "dim", dim)
 
+    @functools.cached_property
+    def swapped(self) -> "Unitary":
+        """The two-qubit gate with its qubits listed the other way round.
+
+        Its entries are ``entries`` conjugated by SWAP; built once per gate
+        and shared by every placement on a descending pair.
+        """
+        mat = self.entries[_SWAPPED_PAIR]
+        mat.flags.writeable = False
+        gate = object.__new__(Unitary)
+        object.__setattr__(gate, "entries", mat)
+        object.__setattr__(gate, "dim", 4)
+        return gate
+
+    @functools.cached_property
+    def permutation(self) -> Optional[np.ndarray]:
+        """Source index of each row when the entries are a 0/1 permutation.
+
+        ``None`` unless every entry is an exact 0 or 1.  A unitary with only
+        ``dim`` nonzero entries, all exactly 1, has one 1 in each row and
+        column, and row r of the gate reads amplitude ``permutation[r]``.
+        """
+        mat = self.entries
+        if np.count_nonzero(mat) != self.dim or not (mat[mat != 0] == 1).all():
+            return None
+        source = np.nonzero(mat)[1]
+        source.flags.writeable = False
+        return source
+
 
 def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
     """The two-state family member cos(theta)|+> +/- sin(theta)|->.
 
     With ``copies=k`` returns its k-fold tensor power.  ``sign`` selects the
-    branch ("plus" or "minus").
+    branch ("plus" or "minus").  Only ``theta`` is checked (it must be
+    finite): cos^2 + sin^2 is 1 to a few ulp, and a tensor power of a
+    normalized state is normalized, so the amplitudes are not re-checked.
     """
     if sign not in (PLUS, MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if copies < 1:
         raise ValueError("copies must be >= 1")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     s = 1.0 if sign == PLUS else -1.0
     single = np.array([np.cos(theta), s * np.sin(theta)], dtype=np.complex128)
     amps = single
@@ -160,7 +209,7 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
         np.multiply(amps, single[0], out=doubled[:, 0])
         np.multiply(amps, single[1], out=doubled[:, 1])
         amps = doubled.reshape(-1)
-    return StateVector(copies, amps)
+    return StateVector._trusted(copies, amps)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -182,10 +231,6 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
 
 
-#: local basis order of a two-qubit gate whose two qubits are listed the other way round
-_SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
-
-
 #: fewest batches (A) for which one ``np.dot`` against gate (x) I_C beats
 #: ``matmul``'s per-batch BLAS calls
 _DOT_MIN_BATCHES = 64
@@ -195,23 +240,22 @@ _DOT_MAX_TRAILING = 8
 
 
 def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """Apply ``gate`` to the listed qubits of a 2**n amplitude array.
+    """Multiply the listed qubits of a 2**n amplitude array by ``gate``.
 
     The first listed qubit is the most significant bit of the gate's local
-    basis.  The result is one new C-contiguous array.  One qubit, or two
-    adjacent ones, contract over an (A, k, C) view of the amplitudes; a
-    descending adjacent pair uses the gate conjugated by SWAP.  With C = 1,
-    or with A >= 64 batches of 2 <= C <= 8, that is one ``np.dot`` of the
-    (A, k*C) view against gate (x) I_C (built by strided assignment; every
-    added entry is an exact zero, so each sum gains only exact zero terms).
-    Any other such view goes through one ``matmul``; ``matmul`` over an
-    (A, k, 1) view would take a matrix-vector BLAS path and change the last
-    bits of the amplitudes.  Non-adjacent pairs go through ``tensordot``.
+    basis; an adjacent pair must be listed in ascending order (`apply_gate`
+    swaps a descending one first).  The result is one new C-contiguous
+    array.  One qubit, or an adjacent pair, contract over an (A, k, C) view
+    of the amplitudes.  With C = 1, or with A >= 64 batches of 2 <= C <= 8,
+    that is one ``np.dot`` of the (A, k*C) view against gate (x) I_C (built
+    by strided assignment; every added entry is an exact zero, so each sum
+    gains only exact zero terms).  Any other such view goes through one
+    ``matmul``; ``matmul`` over an (A, k, 1) view would take a matrix-vector
+    BLAS path and change the last bits of the amplitudes.  Non-adjacent
+    pairs go through ``tensordot``.
     """
     first = min(qubits)
     if len(qubits) == 1 or max(qubits) - first == 1:
-        if qubits[0] > first:
-            gate = gate[_SWAPPED_PAIR]
         k = gate.shape[0]
         batches = 2 ** first
         rest = 2 ** (n - first) // k
@@ -239,6 +283,11 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     list is checked here: ``state`` and ``gate`` were validated when they
     were built and a unitary preserves the norm, so the result is returned
     read-only without copying or re-checking its amplitudes.
+
+    A descending adjacent pair is the gate's `Unitary.swapped` form on the
+    ascending pair.  A 0/1 permutation gate (`Unitary.permutation`) on one
+    qubit or on a run of ascending wires moves amplitudes with ``np.take``;
+    every other gate is multiplied by `_apply_matrix`.
     """
     qubits = list(qubits)
     k = len(qubits)
@@ -248,13 +297,21 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
         )
     if len(set(qubits)) != k:
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
+    n = state.n_qubits
     for q in qubits:
-        if not (0 <= q < state.n_qubits):
+        if not (0 <= q < n):
             raise ValueError(
-                f"qubit index {q} out of range for {state.n_qubits}-qubit state"
+                f"qubit index {q} out of range for {n}-qubit state"
             )
-    out = _apply_matrix(state.amps, gate.entries, qubits, state.n_qubits)
-    return StateVector._trusted(state.n_qubits, out)
+    first = min(qubits)
+    if k == 2 and qubits[0] == first + 1:
+        gate, qubits = gate.swapped, [first, first + 1]
+    source = gate.permutation
+    if source is not None and qubits == list(range(first, first + k)):
+        out = np.take(state.amps.reshape(2 ** first, gate.dim, -1), source, axis=1).reshape(-1)
+    else:
+        out = _apply_matrix(state.amps, gate.entries, qubits, n)
+    return StateVector._trusted(n, out)
 
 
 def live_prefix(state: StateVector) -> StateVector:

@@ -241,18 +241,22 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     """Replace every transfer/separation gate by its CNOT circuit.
 
     Placements of other kinds (already single-qubit) are kept as-is.  The
-    resulting network simulates to the same numbers as the original.
+    resulting network simulates to the same numbers as the original.  Each
+    distinct ``(kind, params)`` is decomposed once: the compression gates
+    repeat decompression gates, and every copy of a gate gets the same
+    circuit.
     """
+    decompose = {KIND_TRANSFER: decompose_transfer, KIND_SEPARATION: decompose_separation}
+    circuits = {}
     expanded = []
     for p in spec.placements:
-        if p.kind == KIND_TRANSFER:
-            circuit = decompose_transfer(*p.params)
-        elif p.kind == KIND_SEPARATION:
-            circuit = decompose_separation(*p.params)
-        else:
+        if p.kind not in decompose:
             expanded.append(p)
             continue
-        for dp in circuit.placements:
+        key = (p.kind, p.params)
+        if key not in circuits:
+            circuits[key] = decompose[p.kind](*p.params)
+        for dp in circuits[key].placements:
             expanded.append(
                 GatePlacement(
                     gate=dp.gate,

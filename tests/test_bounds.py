@@ -313,6 +313,21 @@ def test_exact_clone_probability_values():
     assert exact_clone_probability(math.pi / 4, 1, 2) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("theta", [1e-300, 1e-200, 1e-170, 1e-163])
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 7)])
+def test_exact_clone_probability_below_sin_squared_underflow(theta, m, n):
+    """Where sin(theta)**2 underflows to 0 the ratio is its limit M/N."""
+    assert 2.0 * math.sin(theta) ** 2 == 0.0
+    assert exact_clone_probability(theta, m, n) == m / n
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 7)])
+def test_exact_clone_probability_is_continuous_at_the_underflow(m, n):
+    """Just above the underflow the expm1 ratio already reads M/N to an ulp."""
+    for theta in (1e-150, 1e-160, 1e-161):
+        assert exact_clone_probability(theta, m, n) == pytest.approx(m / n, rel=4e-16)
+
+
 @given(st.floats(min_value=1e-3, max_value=math.pi / 4 - 1e-3))
 @settings(max_examples=60, deadline=None)
 def test_single_to_double_probability_identity(theta):

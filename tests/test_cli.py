@@ -141,6 +141,18 @@ def test_overlap_edges_are_accepted():
 
 
 @pytest.mark.parametrize(
+    "extra", [(), ("--p-s", "0.9"), ("--eta-plus", "0.7"), ("-m", "2", "-n", "5")],
+    ids=["plain", "p-s", "eta-plus", "m2-n5"],
+)
+@pytest.mark.parametrize("theta", ["1e-200", "1e-170"])
+def test_bounds_below_sin_squared_underflow(theta, extra):
+    """sin(theta)**2 underflows to 0 below about 1e-162: p_exact is then M/N."""
+    record = record_of(run_cli("bounds", "--theta", theta, *extra))
+    m, n = (2, 5) if "-m" in extra else (1, 2)
+    assert record["p_exact"] == CELL(m / n, abs=1e-12)
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (("--theta", "0.3", "-m", "0"), "--m must be at least 1, got 0"),

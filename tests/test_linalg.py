@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -162,6 +163,92 @@ def test_apply_gate_matches_kron_oracle_on_network_shapes(rng, n):
         apply_gate(state, Unitary(I2), (n,))
     with pytest.raises(ValueError):
         apply_gate(state, Unitary(I4), (last, last))
+
+
+#: every 0/1 permutation matrix on one qubit (2) and on two qubits (24)
+PERMUTATIONS = [np.eye(2)[list(p)] for p in itertools.permutations(range(2))] + [
+    np.eye(4)[list(p)] for p in itertools.permutations(range(4))
+]
+
+
+def _placements(k, n):
+    """Every qubit (k = 1) or ordered pair (k = 2) of an n-qubit register."""
+    if k == 1:
+        return [(q,) for q in range(n)]
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+def _matrix_path(state, gate, qubits):
+    """`linalg._apply_matrix` on the same entries, the way `apply_gate` calls it."""
+    qubits = list(qubits)
+    if len(qubits) == 2 and qubits[0] == qubits[1] + 1:
+        return linalg._apply_matrix(state.amps, gate.swapped.entries, qubits[::-1], state.n_qubits)
+    return linalg._apply_matrix(state.amps, gate.entries, qubits, state.n_qubits)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_permutation_gates_move_the_bits_of_the_matrix_product(rng, n):
+    """A 0/1 gate moves amplitudes: the same bytes as multiplying by it.
+
+    Every one- and two-qubit permutation matrix on every wire and every
+    ordered pair (ascending adjacent, descending adjacent, non-adjacent) of
+    random states, against the matrix path on the same entries byte for byte
+    and against the Kronecker-built matrix.
+    """
+    states = []
+    for _ in range(2):
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        states.append(StateVector(n, amps / np.linalg.norm(amps)))
+    for matrix in PERMUTATIONS:
+        gate = Unitary(matrix)
+        assert gate.permutation is not None
+        for qubits in _placements(matrix.shape[0] // 2, n):
+            full = oracles.kron_embed(matrix, qubits, n)
+            for state in states:
+                out = apply_gate(state, gate, qubits).amps
+                assert out.tobytes() == _matrix_path(state, gate, qubits).tobytes(), qubits
+                assert np.array_equal(out, full @ state.amps), qubits
+
+
+def test_permutation_gates_keep_exact_zeros(rng):
+    """On amplitudes with exact zeros the two paths agree in value.
+
+    Multiplying by a 0/1 matrix adds products ``0 * x``, whose sign can turn
+    a moved zero into -0.0 on the matrix path; no other bit can differ.
+    """
+    n = 5
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps.real[rng.random(2 ** n) < 0.4] = 0.0
+    amps.imag[rng.random(2 ** n) < 0.4] = -0.0
+    amps[0] = 1.0
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    for matrix in PERMUTATIONS:
+        gate = Unitary(matrix)
+        for qubits in _placements(matrix.shape[0] // 2, n):
+            out = apply_gate(state, gate, qubits).amps
+            assert np.array_equal(out, _matrix_path(state, gate, qubits)), qubits
+            assert np.array_equal(out, oracles.kron_embed(matrix, qubits, n) @ state.amps)
+
+
+def test_only_exact_zero_one_matrices_are_permutations(rng):
+    from cloneforge.gates import cnot
+
+    assert cnot().permutation.tolist() == [1, 0, 2, 3]
+    # control on the less significant qubit: |++> <-> |-+>
+    assert cnot().swapped.permutation.tolist() == [2, 1, 0, 3]
+    assert Unitary(I4).permutation.tolist() == [0, 1, 2, 3]
+    # a sign, a phase or a rounding error is not a permutation
+    for matrix in (np.diag([1.0, -1.0]), np.diag([1.0, 1j]),
+                   np.array([[0.0, 1.0], [1.0 - 2 ** -52, 0.0]]),
+                   random_unitary(rng, 4)):
+        assert Unitary(matrix).permutation is None
+
+
+def test_swapped_is_built_once_per_gate():
+    gate = Unitary(oracles.controlled_reflection(0.3))
+    assert gate.swapped is gate.swapped
+    assert np.array_equal(gate.swapped.entries, oracles.embed(gate.entries, (1, 0), 2))
+    assert not gate.swapped.entries.flags.writeable
 
 
 def _with_blank_wires(amps, blank):
@@ -393,6 +480,22 @@ def test_branch_probabilities_sum_to_one(seed, n):
     qubit = int(rng.integers(0, n))
     total = branch_probability(state, qubit, PLUS) + branch_probability(state, qubit, MINUS)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_family_state_rejects_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        family_state(theta, PLUS)
+
+
+def test_family_state_is_normalized_without_a_check():
+    """The amplitudes are wrapped unchecked, so their norm is asserted here."""
+    for theta in (1e-300, 1e-9, 0.05, 0.3, 0.5, math.pi / 8, 0.7, math.pi / 4):
+        for sign in (PLUS, MINUS):
+            for k in range(1, 21):
+                amps = family_state(theta, sign, copies=k).amps
+                norm_sq = float(np.sum(np.abs(amps) ** 2))
+                assert abs(norm_sq - 1.0) <= linalg.NORM_TOL, (theta, sign, k)
 
 
 def test_family_state_rejects_unknown_sign():

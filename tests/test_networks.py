@@ -330,6 +330,38 @@ def test_expand_decompositions_remaps_wires():
     assert all("[from" in p.label for p in spec.placements if p.kind != KIND_CLONE)
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx", "hybrid"])
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 6)])
+def test_expand_decompositions_decomposes_each_distinct_gate_once(monkeypatch, mode, m, n):
+    """The compression gates repeat decompression gates; each is decomposed once.
+
+    The N - 1 decompression gates are all distinct and the M - 1 compression
+    gates repeat M - 1 of them, so a network makes N - 1 transfer circuits
+    and at most one separation circuit.
+    """
+    calls = {"decompose_transfer": [], "decompose_separation": []}
+
+    def spy(name):
+        original = getattr(networks, name)
+
+        def record(*params):
+            calls[name].append(params)
+            return original(*params)
+
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(networks, name, spy(name))
+    prob = problem(theta=0.3, m=m, n=n)
+    spec = _network(prob, mode)
+    expand_decompositions(spec)
+    transfers = [p.params for p in spec.placements if p.kind == KIND_TRANSFER]
+    assert len(transfers) == (m - 1) + (n - 1)
+    assert sorted(calls["decompose_transfer"]) == sorted(set(transfers))
+    assert len(calls["decompose_transfer"]) == n - 1
+    assert len(calls["decompose_separation"]) == (0 if mode == "approx" else 1)
+
+
 # ------------------------------------------------- live prefix vs full width
 
 
