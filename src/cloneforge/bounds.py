@@ -24,6 +24,8 @@ from dataclasses import dataclass
 MODES = ("exact", "approx", "hybrid")
 #: slack admitted when validating probabilities that sit exactly on a boundary
 RANGE_SLACK = 1e-12
+#: an overlap this close to 1 is a pair of identical states in double precision
+UNIT_OVERLAP_TOL = 1e-15
 
 
 def _check_theta(theta: float, allow_zero: bool = False) -> None:
@@ -220,7 +222,7 @@ def separation_bound(overlap_in: float, overlap_out: float) -> float:
             f"not a separation: output overlap {overlap_out!r} exceeds "
             f"input overlap {overlap_in!r}"
         )
-    if overlap_out >= 1.0 - 1e-15:
+    if overlap_out >= 1.0 - UNIT_OVERLAP_TOL:
         raise ValueError("identical states: separation from unit overlap is undefined")
     return min(1.0, (1.0 - overlap_in) / (1.0 - overlap_out))
 

@@ -32,7 +32,7 @@ from . import bounds
 #: largest tolerated |simulated - bound| before --strict exits with code 3
 STRICT_TOL = 1e-8
 #: most output copies ``simulate`` and ``tradeoff`` accept: the largest
-#: simulated state spans the N output qubits, 2**20 amplitudes (16 MiB) at N = 20
+#: simulated state spans the N output qubits, 2**20 float64 amplitudes (8 MiB) at N = 20
 MAX_SIMULATED_COPIES = 20
 #: most points of one ``tradeoff`` sweep
 MAX_SWEEP_STEPS = 10_001
@@ -268,6 +268,18 @@ def _check_simulated_size(problem: bounds.CloningProblem) -> None:
         )
 
 
+def _simulation_error(problem: bounds.CloningProblem, exc: ValueError) -> ConfigError:
+    """A library refusal to simulate; below double precision it names ``--theta``."""
+    tol = bounds.UNIT_OVERLAP_TOL
+    # every angle whose network cannot be built has an M-copy overlap this close to 1
+    if bounds.overlap_after_copies(problem.theta, problem.m_copies) >= 1.0 - tol:
+        return ConfigError(
+            f"--theta {problem.theta} is too small to simulate: at M = {problem.m_copies} "
+            f"the input overlap cos(2 theta)**M is within {tol:g} of 1"
+        )
+    return ConfigError(str(exc))
+
+
 def _problem_options(fn):
     decorators = [
         click.option(
@@ -415,7 +427,7 @@ def simulate_cmd(mode, p_s, decompose_gates, strict, **opts):
             problem, cfg["mode"], p_s=run_p_s, decompose_gates=decompose_gates
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _simulation_error(problem, exc) from exc
     record = {
         "mode": report.mode,
         "theta": problem.theta,
@@ -482,7 +494,7 @@ def tradeoff_cmd(start, stop, steps, **opts):
             )
             report = networks.evaluate_cloner(problem, "hybrid", p_s=p_req)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise _simulation_error(problem, exc) from exc
         rows.append(
             [
                 point.p_success,

@@ -13,6 +13,13 @@ functions, so everything here is safe to evaluate concurrently.  Every
 ``StateVector`` is normalized: `project_qubit` returns the branch
 probability beside the renormalized post-state.
 
+Entries are stored as float64 unless an imaginary part is nonzero; arrays
+built here take their dtype from their operands, so a complex gate
+promotes a real state.  The networks are all real.  The real kernels below
+give the complex ones' bits up to the sign of an exact zero (not at
+A = C = 1), and `project_qubit` multiplies by ``1.0 / sqrt(p)``, as
+numpy's complex division does, rather than dividing.
+
 Validation happens at the boundaries, not per gate application:
 ``StateVector`` and ``Unitary`` check their entries when constructed
 (finite, normalized, unitary), ``gates.GatePlacement`` and
@@ -26,11 +33,13 @@ construction.
 
 The gate kernel first looks at the gate's entries.  A gate whose entries are
 a 0/1 permutation matrix (the CNOT; `Unitary.permutation`, found once per
-gate) on one qubit, or on two adjacent ones, is not multiplied: its rows are
-gathered with one ``np.take`` along the k axis of the (A, k, C) view below.
-Each output amplitude is then the input amplitude a multiplication by the
-0/1 matrix would give, bit for bit: the product adds only ``0 * x`` terms,
-which can at most turn a moved exact zero into -0.0.  A descending pair uses
+gate) on one qubit, or on two adjacent ones, is not multiplied: the
+amplitudes are copied and each moved row of the k axis of the (A, k, C)
+view below is copied into place by slice assignment (``np.take`` is slow
+on 8-byte items at small C).  Each output amplitude is then the input
+amplitude a multiplication by the 0/1 matrix would give, bit for bit: the
+product adds only ``0 * x`` terms, which can at most turn a moved exact
+zero into -0.0.  A descending pair uses
 the gate's SWAP-conjugated form, `Unitary.swapped`, built once per gate and
 shared by both paths.  Every other gate is multiplied, with the BLAS call
 picked from the shape of the update.  A gate on one qubit, or on two
@@ -79,8 +88,11 @@ class ImpossibleBranchError(ValueError):
     """Raised when asked to post-select on an outcome with ~zero probability."""
 
 
-def _as_complex_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+def _as_array(values, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, complex128 if any imaginary part is nonzero."""
+    arr = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+    if arr.dtype == np.complex128 and not arr.imag.any():
+        arr = arr.real.copy()
     # a complex entry is finite when both its parts are
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
@@ -98,7 +110,7 @@ class StateVector:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amps = _as_complex_array(self.amps, "state vector")
+        amps = _as_array(self.amps, "state vector")
         if amps.ndim != 1 or amps.size != 2 ** self.n_qubits:
             raise ValueError(
                 f"state vector over {self.n_qubits} qubit(s) must have "
@@ -144,7 +156,7 @@ class Unitary:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        mat = _as_complex_array(self.entries, "unitary")
+        mat = _as_array(self.entries, "unitary")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
         dim = mat.shape[0]
@@ -201,11 +213,11 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     s = 1.0 if sign == PLUS else -1.0
-    single = np.array([np.cos(theta), s * np.sin(theta)], dtype=np.complex128)
+    single = np.array([np.cos(theta), s * np.sin(theta)])
     amps = single
     for _ in range(copies - 1):
         # each doubling writes amps * single[b] into the column of the new bit b
-        doubled = np.empty((amps.size, 2), dtype=np.complex128)
+        doubled = np.empty((amps.size, 2))
         np.multiply(amps, single[0], out=doubled[:, 0])
         np.multiply(amps, single[1], out=doubled[:, 1])
         amps = doubled.reshape(-1)
@@ -213,7 +225,7 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
+    amps = np.zeros(2 ** n_qubits)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)
 
@@ -261,7 +273,7 @@ def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: 
         rest = 2 ** (n - first) // k
         if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
             if rest > 1:
-                wide = np.zeros((k * rest, k * rest), dtype=np.complex128)
+                wide = np.zeros((k * rest, k * rest), dtype=gate.dtype)
                 for c in range(rest):
                     wide[c::rest, c::rest] = gate
                 gate = wide
@@ -286,8 +298,8 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
 
     A descending adjacent pair is the gate's `Unitary.swapped` form on the
     ascending pair.  A 0/1 permutation gate (`Unitary.permutation`) on one
-    qubit or on a run of ascending wires moves amplitudes with ``np.take``;
-    every other gate is multiplied by `_apply_matrix`.
+    qubit or on a run of ascending wires moves amplitudes by copying its
+    moved rows; every other gate is multiplied by `_apply_matrix`.
     """
     qubits = list(qubits)
     k = len(qubits)
@@ -308,10 +320,14 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
         gate, qubits = gate.swapped, [first, first + 1]
     source = gate.permutation
     if source is not None and qubits == list(range(first, first + k)):
-        out = np.take(state.amps.reshape(2 ** first, gate.dim, -1), source, axis=1).reshape(-1)
+        amps = state.amps.reshape(2 ** first, gate.dim, -1)
+        out = amps.copy()
+        for row, src in enumerate(source.tolist()):
+            if src != row:
+                out[:, row] = amps[:, src]
     else:
         out = _apply_matrix(state.amps, gate.entries, qubits, n)
-    return StateVector._trusted(n, out)
+    return StateVector._trusted(n, out.reshape(-1))
 
 
 def live_prefix(state: StateVector) -> StateVector:
@@ -345,7 +361,7 @@ def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> S
     if n_qubits == k:
         return state
     at = k if at is None else at
-    amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)), dtype=np.complex128)
+    amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)), dtype=state.amps.dtype)
     amps[:, 0, :] = state.amps.reshape(2 ** at, -1)
     return StateVector._trusted(n_qubits, amps.reshape(-1))
 
@@ -408,5 +424,5 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
     bit = 0 if outcome == PLUS else 1
     amps = state.amps.copy()
     _branch(amps, qubit, 1 - bit)[...] = 0.0
-    amps /= np.sqrt(prob)
+    amps *= 1.0 / np.sqrt(prob)
     return prob, StateVector(state.n_qubits, amps)

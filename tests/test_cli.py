@@ -152,6 +152,23 @@ def test_bounds_below_sin_squared_underflow(theta, extra):
     assert record["p_exact"] == CELL(m / n, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", ["1e-200", "1e-9"])
+def test_simulation_below_double_precision_names_theta(theta):
+    """Where cos(2 theta)**M rounds to 1 the networks cannot be built."""
+    for args in (("simulate", "--mode", "exact"), ("simulate", "--mode", "approx"),
+                 ("simulate", "--mode", "hybrid", "--p-s", "1"), ("tradeoff",),
+                 ("tradeoff", "-m", "2", "-n", "4")):
+        result = run_cli(*args, "--theta", theta)
+        assert result.exit_code == 2, args
+        assert f"--theta {float(theta)} is too small to simulate" in result.output, args
+
+
+def test_simulation_that_works_at_small_theta_still_runs():
+    """The refusal covers only failures: approx cloning runs at theta = 1e-8."""
+    assert run_cli("simulate", "--mode", "approx", "--theta", "1e-8").exit_code == 0
+    assert "--theta" in run_cli("simulate", "--mode", "exact", "--theta", "1e-8").output
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -742,8 +759,8 @@ def test_help_lists_all_commands():
 # frozen output of the pure-Python surface
 # ---------------------------------------------------------------------------
 
-#: stdout, stderr and exit code of ``bounds`` requests (accepted and rejected)
-#: and of every ``--help``, captured before the package imported lazily
+#: stdout, stderr and exit code of ``bounds`` requests (accepted and rejected),
+#: of every ``--help``, of ``decompose`` and of ``simulate`` refusals
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
 )

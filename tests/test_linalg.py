@@ -396,10 +396,17 @@ def test_family_copies_overlap_power_law(theta, k):
 )
 @settings(max_examples=120, deadline=None)
 def test_family_state_has_the_bits_of_the_kron_power(theta, sign, k):
-    """The tensor power is built in place with the products of ``np.kron``."""
+    """The tensor power is built in place with the products of ``np.kron``.
+
+    The power is stored real.  The complex oracle's imaginary parts are all
+    exactly zero (-0.0 where two negative factors meet), so its real parts
+    carry every bit of its values.
+    """
     got = family_state(theta, sign, copies=k).amps
     want = oracles.family_power(theta, 1 if sign == PLUS else -1, k)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.dtype == np.float64
+    assert not want.imag.any()
+    assert np.array_equal(got.view(np.uint64), want.real.copy().view(np.uint64))
 
 
 @given(
@@ -501,3 +508,130 @@ def test_family_state_is_normalized_without_a_check():
 def test_family_state_rejects_unknown_sign():
     with pytest.raises(ValueError):
         family_state(math.pi / 8, "both")
+
+
+# ------------------------------------------------------------ real storage
+
+
+def _as_complex_state(state):
+    """The same amplitudes stored as complex128, past the constructor's dtype rule."""
+    return StateVector._trusted(state.n_qubits, state.amps.astype(np.complex128))
+
+
+def _as_complex_gate(gate):
+    stored = object.__new__(Unitary)
+    object.__setattr__(stored, "entries", gate.entries.astype(np.complex128))
+    object.__setattr__(stored, "dim", gate.dim)
+    return stored
+
+
+def _assert_same_bits(real, stored):
+    """``real`` is float64 and carries every bit of the values of ``stored``.
+
+    Adding 0.0 turns -0.0 into +0.0 and changes no other bits: an exact zero
+    may come out of BLAS's real and complex kernels with either sign, as it
+    may from the permutation and matrix paths.
+    """
+    assert real.dtype == np.float64
+    assert not stored.imag.any()
+    assert np.array_equal((real + 0.0).view(np.uint64), (stored.real + 0.0).view(np.uint64))
+
+
+#: one-qubit and two-qubit placements on up to 9 wires; with the wire counts
+#: drawn below they reach the C = 1 and batched ``np.dot``, ``matmul``,
+#: ``tensordot`` and permutation paths of `apply_gate`
+_STORAGE_PLACEMENTS = st.one_of(
+    st.integers(min_value=0, max_value=8).map(lambda q: (q,)),
+    st.tuples(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8)).filter(
+        lambda qs: qs[0] != qs[1]
+    ),
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.integers(min_value=2, max_value=9),
+    _STORAGE_PLACEMENTS,
+    st.sampled_from(["orthogonal", "permutation"]),
+    st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_real_storage_keeps_the_bits_of_complex_storage(seed, n, qubits, kind, blank):
+    """A state and gate stored real give the complex path's bits, operation by operation.
+
+    Random states with exact zeros and ``blank`` trailing blank wires, under
+    a random real orthogonal or 0/1 permutation gate: `apply_gate`,
+    `pad_qubits`, `live_prefix`, `project_qubit` and `global_fidelity` on the
+    float64 state and gate against the same values stored as complex128.
+    A gate spanning the whole register takes a matrix-vector BLAS call whose
+    last bits depend on the storage, as they differ from every other shape;
+    like `networks.run_network`, the test keeps a spare wire under it.
+    """
+    qubits = tuple(dict.fromkeys(q % n for q in qubits))
+    if len(qubits) == n:
+        blank = max(blank, 1)
+    rng = np.random.default_rng(seed)
+    dim = 2 ** len(qubits)
+    if kind == "permutation":
+        matrix = np.eye(dim)[rng.permutation(dim)]
+    else:
+        matrix, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    gate = Unitary(matrix)
+    amps = rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.3] = 0.0
+    amps[0] = 1.0
+    state = pad_qubits(StateVector(n, amps / np.linalg.norm(amps)), n + blank)
+    assert gate.entries.dtype == np.float64 and state.amps.dtype == np.float64
+    stored, stored_gate = _as_complex_state(state), _as_complex_gate(gate)
+
+    out = apply_gate(state, gate, qubits)
+    out_c = apply_gate(stored, stored_gate, qubits)
+    _assert_same_bits(out.amps, out_c.amps)
+    at = int(rng.integers(0, n + blank + 1))
+    _assert_same_bits(pad_qubits(out, n + blank + 2, at).amps, pad_qubits(out_c, n + blank + 2, at).amps)
+    _assert_same_bits(live_prefix(out).amps, live_prefix(out_c).amps)
+    qubit = int(rng.integers(0, n + blank))
+    for outcome in (PLUS, MINUS):
+        if branch_probability(out, qubit, outcome) < linalg.IMPOSSIBLE_BRANCH_TOL:
+            continue
+        prob, post = project_qubit(out, qubit, outcome)
+        prob_c, post_c = project_qubit(out_c, qubit, outcome)
+        assert np.float64(prob).tobytes() == np.float64(prob_c).tobytes()
+        # the post-state is rebuilt by the constructor, which stores both real
+        _assert_same_bits(post.amps, post_c.amps)
+    theta = float(rng.uniform(1e-3, math.pi / 4))
+    single = family_state(theta, PLUS if seed % 2 else MINUS)
+    got = global_fidelity(single, out)
+    want = global_fidelity(_as_complex_state(single), out_c)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.integers(min_value=2, max_value=9),
+    _STORAGE_PLACEMENTS,
+)
+@settings(max_examples=150, deadline=None)
+def test_complex_gate_on_a_real_state_is_the_all_complex_result(seed, n, qubits):
+    """A complex gate promotes a real state: the bytes of the all-complex product."""
+    qubits = tuple(dict.fromkeys(q % n for q in qubits))
+    rng = np.random.default_rng(seed)
+    gate = Unitary(random_unitary(rng, 2 ** len(qubits)))
+    assert gate.entries.dtype == np.complex128
+    amps = rng.normal(size=2 ** n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    out = apply_gate(state, gate, qubits).amps
+    assert out.dtype == np.complex128
+    assert out.tobytes() == apply_gate(_as_complex_state(state), gate, qubits).amps.tobytes()
+    padded = pad_qubits(StateVector._trusted(n, out), n + 1, 0)
+    assert padded.amps.dtype == np.complex128
+
+
+def test_states_and_gates_are_real_unless_an_imaginary_part_is_nonzero():
+    assert StateVector(1, np.array([1.0 + 0.0j, -0.0j])).amps.dtype == np.float64
+    assert StateVector(1, [0.6, 0.8]).amps.dtype == np.float64
+    assert StateVector(1, np.array([1.0, 1.0j]) / math.sqrt(2)).amps.dtype == np.complex128
+    assert Unitary(np.eye(2, dtype=np.complex128)).entries.dtype == np.float64
+    assert Unitary(np.diag([1.0, 1j])).entries.dtype == np.complex128
+    assert basis_state(3, 5).amps.dtype == np.float64
+    assert family_state(0.3, MINUS, copies=4).amps.dtype == np.float64

@@ -518,3 +518,32 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
         assert seen["apply_gate"] and len(seen["project_qubit"]) == 2
         assert max(max(values) for values in seen.values() if values) <= n
         assert max(seen["project_qubit"]) <= m + 2
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_placement_and_output_is_stored_real(monkeypatch, mode, decomposed):
+    """The networks' gates and states are real: each is simulated as float64.
+
+    Every placement's gate, every state `apply_gate` sees and both
+    post-states of `evaluate_cloner`, at M = 1..3 and unequal priors where
+    the mode allows them.  A gate built with complex entries would still
+    simulate correctly, on the complex128 path at twice the bytes.
+    """
+    dtypes = set()
+
+    def spy(state, gate, qubits):
+        dtypes.update((state.amps.dtype, gate.entries.dtype))
+        return apply_gate(state, gate, qubits)
+
+    monkeypatch.setattr(networks, "apply_gate", spy)
+    for m, n in ((1, 2), (2, 5), (3, 7)):
+        prob = problem(theta=0.3, m=m, n=n, eta_plus=0.7 if mode == "approx" else 0.5)
+        spec = _network(prob, mode)
+        if decomposed:
+            spec = expand_decompositions(spec)
+        assert {p.gate.entries.dtype for p in spec.placements} == {np.dtype(np.float64)}
+        report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+        for result in (report.plus_result, report.minus_result):
+            assert result.post_state.amps.dtype == np.float64
+    assert dtypes == {np.dtype(np.float64)}
