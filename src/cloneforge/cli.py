@@ -260,6 +260,15 @@ def _checked_p_s(problem: bounds.CloningProblem, p_s: float) -> float:
     return p_s
 
 
+def _check_equal_priors(problem: bounds.CloningProblem) -> None:
+    """Refuse unequal priors for the hybrid trade-off before any network is built."""
+    if abs(problem.eta_plus - 0.5) > 1e-12:
+        raise ConfigError(
+            "the hybrid trade-off is defined for equal priors only: "
+            f"--eta-plus must be 0.5, got {problem.eta_plus}"
+        )
+
+
 def _check_simulated_size(problem: bounds.CloningProblem) -> None:
     """Refuse a register too large to simulate before any state is built."""
     if problem.n_copies > MAX_SIMULATED_COPIES:
@@ -357,6 +366,8 @@ def main() -> None:
 def bounds_cmd(p_s, **opts):
     """Closed-form fidelity and probability bounds for one problem."""
     cfg, problem = _request(dict(opts, p_s=p_s))
+    if cfg["p_s"] is not None:
+        _check_equal_priors(problem)
     try:
         s_m = bounds.overlap_after_copies(problem.theta, problem.m_copies)
         record = {
@@ -370,8 +381,6 @@ def bounds_cmd(p_s, **opts):
             "theta_n": problem.theta_n,
         }
         if cfg["p_s"] is not None:
-            if abs(problem.eta_plus - 0.5) > 1e-12:
-                raise ValueError("the hybrid trade-off is defined for equal priors only")
             point = bounds.hybrid_fidelity_bound(
                 problem.theta, problem.m_copies, problem.n_copies,
                 _checked_p_s(problem, cfg["p_s"]),
@@ -416,6 +425,8 @@ def simulate_cmd(mode, p_s, decompose_gates, strict, **opts):
     if cfg["mode"] is None:
         raise ConfigError("mode is required: choose exact, approx, or hybrid")
     hybrid = cfg["mode"] == "hybrid"
+    if hybrid:
+        _check_equal_priors(problem)
     # one config file may serve every command, so only a --p-s flag is refused here
     if p_s is not None and not hybrid:
         raise ConfigError(f"--p-s applies to --mode hybrid only, got --mode {cfg['mode']}")
@@ -470,8 +481,7 @@ def tradeoff_cmd(start, stop, steps, **opts):
 
     cfg, problem = _request(dict(opts, start=start, stop=stop, steps=steps))
     _check_simulated_size(problem)
-    if abs(problem.eta_plus - 0.5) > 1e-12:
-        raise ConfigError("the hybrid trade-off is defined for equal priors only")
+    _check_equal_priors(problem)
     p_lo = bounds.exact_clone_probability(problem.theta, problem.m_copies, problem.n_copies)
     start_v = p_lo if cfg["start"] is None else cfg["start"]
     stop_v, steps_v = cfg["stop"], cfg["steps"]

@@ -338,15 +338,16 @@ class CircuitDecomposition:
         The placements' 4x4 matrices are multiplied in time order.  A
         two-qubit placement's matrix is its gate, with the local basis
         reordered when its wires are listed as (1, 0); a one-qubit gate is
-        copied once for each value of the other wire.
+        copied once for each value of the other wire.  The product is real
+        when every factor is, as in every emitted decomposition.
         """
-        total = np.eye(4, dtype=np.complex128)
+        total = np.eye(4)
         for p in self.placements:
             matrix = p.gate.entries
             if p.qubits == (1, 0):
                 matrix = p.gate.swapped.entries
             elif len(p.qubits) == 1:
-                matrix = np.zeros((4, 4), dtype=np.complex128)
+                matrix = np.zeros((4, 4), dtype=matrix.dtype)
                 # wire 0 is the more significant bit: a gate on it acts on
                 # entries two apart, a gate on wire 1 on adjacent ones
                 if p.qubits == (0,):

@@ -1,21 +1,23 @@
 """Assembly and exact simulation of the cloning networks.
 
-Three strategies share one layout: ``N`` system qubits (indices 0..N-1) and,
-when a heralding stage exists, one ancilla at index ``N`` (always last, so
-system indices never shift).  A heralded run reports its success branch
-only: the probability of the herald and the post-selected output.
+Every network has one shape: compress the M input copies onto qubit 0,
+act on that qubit (separate and/or rotate it), then decompress it over the
+N system qubits (indices 0..N-1).  A separation is heralded by one ancilla
+at index N (always last, so system indices never shift), and a heralded
+run reports its success branch only: the probability of the herald and
+the post-selected output.
 
-* exact:   compress M copies onto qubit 0, separate the compressed angle all
-           the way to the N-copy angle with an ancilla-heralded gate, then
-           decompress.  Succeeds with the exact-cloning probability and
-           yields perfect clones.
-* approx:  compress, rotate qubit 0 to the optimal compressed output, and
-           decompress.  Deterministic; prior-weighted fidelity saturates the
-           closed-form optimum.
-* hybrid:  compress, separate part of the way (success probability p_s),
-           rotate to the optimal equal-prior output for the separated angle,
-           and decompress.  Interpolates between the two strategies.
+* exact:   separate the compressed angle all the way to the N-copy angle.
+           Succeeds with the exact-cloning probability and yields perfect
+           clones.
+* approx:  rotate qubit 0 to the optimal compressed output.  Deterministic;
+           prior-weighted fidelity saturates the closed-form optimum.
+* hybrid:  separate part of the way (success probability p_s), then rotate
+           to the optimal equal-prior output for the separated angle.
+           Interpolates between the two strategies.
 
+`run_network` simulates any network in one walk over its placements, on
+the live wires only, with the herald as one step of the walk.
 Probabilities are computed by exact projection -- never sampled -- so
 repeated runs are bit-identical and 1e-10 comparisons are meaningful.
 """
@@ -120,43 +122,20 @@ def _transfer_placement(theta1: float, theta2: float, qubits: Tuple[int, int]) -
     )
 
 
-def compression_sequence(problem: CloningProblem) -> NetworkSpec:
-    """Concentrate the M input copies onto qubit 0 (empty for M = 1).
+def compression_sequence(theta: float, copies: int) -> Tuple[GatePlacement, ...]:
+    """Concentrate ``copies`` copies of the family state onto qubit 0.
 
     Pair after pair is folded in: the gate at (j-1, j) combines one fresh
     copy with the angle accumulated so far, leaving the accumulated state on
-    qubit j-1 and a blank on qubit j.
+    qubit j-1 and a blank on qubit j.  Empty for one copy.  Every gate is
+    self-inverse, so the sequence for N copies, reversed, spreads a state on
+    qubit 0 over N qubits: by linearity a superposition of the two
+    compressed outputs becomes the same superposition of N-copy states.
     """
-    theta = problem.theta
-    placements = tuple(
-        _transfer_placement(
-            theta,
-            angle_for_copies(theta, problem.m_copies - j),
-            (j - 1, j),
-        )
-        for j in range(problem.m_copies - 1, 0, -1)
+    return tuple(
+        _transfer_placement(theta, angle_for_copies(theta, copies - j), (j - 1, j))
+        for j in range(copies - 1, 0, -1)
     )
-    return NetworkSpec(n_qubits=problem.n_copies, placements=placements)
-
-
-def decompression_sequence(problem: CloningProblem) -> NetworkSpec:
-    """Spread the compressed state on qubit 0 over all N qubits.
-
-    The same gates as compression for the full N, run in the opposite
-    order; each gate is self-inverse, so this is exactly the inverse of an
-    N-copy compression.  By linearity a superposition of the two compressed
-    outputs becomes the corresponding superposition of N-copy states.
-    """
-    theta = problem.theta
-    placements = tuple(
-        _transfer_placement(
-            theta,
-            angle_for_copies(theta, problem.n_copies - j),
-            (j - 1, j),
-        )
-        for j in range(1, problem.n_copies)
-    )
-    return NetworkSpec(n_qubits=problem.n_copies, placements=placements)
 
 
 def _separation_placement(theta_in: float, theta_out: float, n: int) -> GatePlacement:
@@ -169,37 +148,44 @@ def _separation_placement(theta_in: float, theta_out: float, n: int) -> GatePlac
     )
 
 
+def _clone_placement(theta_in: float, theta_n: float, phis: OptimalAngles) -> GatePlacement:
+    """Rotate qubit 0 from the angle ``theta_in`` to the output angles ``phis``."""
+    return GatePlacement(
+        gate=clone_gate(theta_in, theta_n, clone_coefficients(phis, theta_n)),
+        qubits=(0,),
+        label=f"clone({theta_in:.6g}->{theta_n:.6g})@0",
+        kind=KIND_CLONE,
+        params=(theta_in, theta_n),
+    )
+
+
+def _network(problem: CloningProblem, *middle: GatePlacement) -> NetworkSpec:
+    """Compress the M copies, apply ``middle`` to qubit 0, decompress over N.
+
+    The network is heralded when ``middle`` separates: the separation's
+    ancilla is wire N, one past the system wires.
+    """
+    heralded = any(p.kind == KIND_SEPARATION for p in middle)
+    placements = (
+        compression_sequence(problem.theta, problem.m_copies)
+        + middle
+        + compression_sequence(problem.theta, problem.n_copies)[::-1]
+    )
+    return NetworkSpec(problem.n_copies + heralded, placements, heralded)
+
+
 def exact_network(problem: CloningProblem) -> NetworkSpec:
     """Heralded perfect cloning: compress, separate to theta_N, decompress."""
-    n = problem.n_copies
-    theta_m = problem.theta_m
-    theta_n = problem.theta_n
-    placements = (
-        compression_sequence(problem).placements
-        + (_separation_placement(theta_m, theta_n, n),)
-        + decompression_sequence(problem).placements
+    return _network(
+        problem, _separation_placement(problem.theta_m, problem.theta_n, problem.n_copies)
     )
-    return NetworkSpec(n_qubits=n + 1, placements=placements, heralded=True)
 
 
 def approx_network(problem: CloningProblem) -> NetworkSpec:
     """Deterministic optimal cloning: compress, rotate qubit 0, decompress."""
-    theta_m = problem.theta_m
-    theta_n = problem.theta_n
-    coeffs = clone_coefficients(optimal_phis(problem), theta_n)
-    rotate = GatePlacement(
-        gate=clone_gate(theta_m, theta_n, coeffs),
-        qubits=(0,),
-        label=f"clone({theta_m:.6g}->{theta_n:.6g})@0",
-        kind=KIND_CLONE,
-        params=(theta_m, theta_n),
+    return _network(
+        problem, _clone_placement(problem.theta_m, problem.theta_n, optimal_phis(problem))
     )
-    placements = (
-        compression_sequence(problem).placements
-        + (rotate,)
-        + decompression_sequence(problem).placements
-    )
-    return NetworkSpec(n_qubits=problem.n_copies, placements=placements)
 
 
 def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
@@ -214,27 +200,13 @@ def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
     """
     if abs(problem.eta_plus - 0.5) > 1e-12:
         raise ValueError("hybrid cloning requires equal priors")
-    n = problem.n_copies
-    theta_m = problem.theta_m
     theta_n = problem.theta_n
-    tilde = separated_angle(theta_m, theta_n, p_s)
-    coeffs = clone_coefficients(
-        OptimalAngles(phi_plus=tilde, phi_minus=-tilde), theta_n
+    tilde = separated_angle(problem.theta_m, theta_n, p_s)
+    return _network(
+        problem,
+        _separation_placement(problem.theta_m, tilde, problem.n_copies),
+        _clone_placement(tilde, theta_n, OptimalAngles(phi_plus=tilde, phi_minus=-tilde)),
     )
-    rotate = GatePlacement(
-        gate=clone_gate(tilde, theta_n, coeffs),
-        qubits=(0,),
-        label=f"clone({tilde:.6g}->{theta_n:.6g})@0",
-        kind=KIND_CLONE,
-        params=(tilde, theta_n),
-    )
-    placements = (
-        compression_sequence(problem).placements
-        + (_separation_placement(theta_m, tilde, n),)
-        + (rotate,)
-        + decompression_sequence(problem).placements
-    )
-    return NetworkSpec(n_qubits=n + 1, placements=placements, heralded=True)
 
 
 def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
@@ -273,66 +245,6 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     )
 
 
-def _run_placements(state: StateVector, placements, n_qubits: int) -> StateVector:
-    """Apply placements to a leading-wire prefix of an ``n_qubits`` register.
-
-    The wires past ``state`` are blank |+>.  A placement that reaches one
-    first appends blank wires up to its top qubit, plus one more when it
-    touches wire 0 (a gate spanning the whole prefix from wire 0 would take
-    another BLAS path, see `cloneforge.linalg`), capped at ``n_qubits``.
-    """
-    for p in placements:
-        reach = min(n_qubits, max(p.qubits) + 1 + (0 in p.qubits))
-        if reach > state.n_qubits:
-            state = pad_qubits(state, reach)
-        state = apply_gate(state, p.gate, p.qubits)
-    return state
-
-
-def _run_to_herald(state: StateVector, placements, ancilla: int) -> Tuple[StateVector, int]:
-    """Apply the placements before a herald on the live register.
-
-    ``state`` is a leading-wire prefix of a register whose last wire,
-    ``ancilla``, is measured.  The working register holds the system wires
-    0..width-1 and, from the first placement that touches the ancilla on,
-    the ancilla as its last wire, at position ``width``.  System wires grow
-    by the reach rule of `_run_placements`, capped at ``ancilla``: blank
-    wires go in before the ancilla, and a spare wire past every system wire
-    is the ancilla itself.  Returns the register, ancilla last, and
-    ``width``.
-    """
-    width = min(state.n_qubits, ancilla)
-    joined = state.n_qubits > ancilla
-    for p in placements:
-        system = [q for q in p.qubits if q != ancilla]
-        reach = max(system, default=-1) + 1 + (0 in system)
-        grown = max(width, min(reach, ancilla))
-        joins = joined or reach > ancilla or ancilla in p.qubits
-        if grown > width or joins > joined:
-            state = pad_qubits(state, grown + joins, at=width)
-            width, joined = grown, joins
-        qubits = tuple(width if q == ancilla else q for q in p.qubits)
-        state = apply_gate(state, p.gate, qubits)
-    if not joined:
-        state = pad_qubits(state, width + 1)
-    return state, width
-
-
-def _output(state: StateVector, n_qubits: int) -> StateVector:
-    """The register's first ``n_qubits`` wires, checked once.
-
-    Missing wires are padded blank.  A wire past ``n_qubits`` can only be
-    the measured wire that `_run_placements` took as a spare after the
-    herald; it is blank and is cut off.  Rebuilding the result as a
-    ``StateVector`` checks it is finite and normalized to ``NORM_TOL``.
-    """
-    if state.n_qubits > n_qubits:
-        amps = state.amps[:: 2 ** (state.n_qubits - n_qubits)]
-    else:
-        amps = pad_qubits(state, n_qubits).amps
-    return StateVector(n_qubits, amps)
-
-
 def run_network(
     spec: NetworkSpec,
     input_state: StateVector,
@@ -353,13 +265,19 @@ def run_network(
     contracted wire by wire (`linalg.global_fidelity`), so the 2**N
     reference is never built.
 
-    Placements run on the live prefix of the register: trailing wires whose
-    amplitudes are all exactly zero are cut off (`linalg.live_prefix`), on
-    the input and again on the success branch, and appended by exact zero
-    padding when a placement first reaches them.  The herald runs on that
-    prefix too: the ancilla joins it as its last wire when a placement
-    first touches it, and is projected and dropped there, so the blank
-    system wires past the prefix are never simulated.
+    One walk over the placements simulates only the live register: the
+    leading ``width`` wires, and the last wire of the network (the ancilla
+    of a heralded one) at position ``width`` once a placement has touched
+    it.  Trailing wires whose amplitudes are all exactly zero are cut off
+    (`linalg.live_prefix`), on the input and again on the success branch.
+    A placement that reaches past the live wires first inserts blank wires
+    before the last wire, up to its top qubit plus one more when it touches
+    wire 0 (a gate spanning the whole register from wire 0 would take
+    another BLAS path, see `cloneforge.linalg`); when that spare wire would
+    be the last wire, the last wire joins instead.  The herald is one step
+    of the walk: it projects the ancilla, drops it and re-takes the live
+    prefix, after which the ancilla's slot can join again as a spare, blank
+    wire.
 
     Gates are validated when the placements are built and ``apply_gate``
     re-checks no amplitudes, so the output is padded to the system width
@@ -374,22 +292,41 @@ def run_network(
         raise ValueError(
             f"reference must be a one-qubit state, got {reference.n_qubits} qubits"
         )
-    system_width = n - 1 if spec.heralded else n
-    state = live_prefix(input_state)
-    placements = spec.placements
-    prob = 1.0
+    last = n - 1
+    steps = list(spec.placements)
     if spec.heralded:
-        ancilla = n - 1
-        last_touch = max(
-            (i for i, p in enumerate(placements) if ancilla in p.qubits), default=-1
-        )
-        state, width = _run_to_herald(state, placements[: last_touch + 1], ancilla)
-        prob, success = project_qubit(state, width, PLUS)
-        # the projection left exact zeros in the odd entries: drop the ancilla
-        system = StateVector._trusted(width, success.amps[::2].copy())
-        state = live_prefix(system)
-        placements = placements[last_touch + 1 :]
-    post = _output(_run_placements(state, placements, n), system_width)
+        # None marks the herald, after the last placement on the ancilla
+        touching = [i for i, p in enumerate(steps) if last in p.qubits]
+        steps.insert(touching[-1] + 1 if touching else 0, None)
+    state = live_prefix(input_state)
+    width, joined = min(state.n_qubits, last), state.n_qubits > last
+    prob = 1.0
+    for p in steps:
+        if p is None:
+            prob, success = project_qubit(pad_qubits(state, width + 1), width, PLUS)
+            # the projection left exact zeros in the odd entries: drop the ancilla
+            state = live_prefix(StateVector._trusted(width, success.amps[::2].copy()))
+            width, joined = state.n_qubits, False
+            continue
+        qubits = p.qubits
+        top = max(qubits)
+        on_last = top == last
+        if on_last:
+            top = max([q for q in qubits if q != last], default=-1)
+        reach = top + 1 + (0 in qubits)
+        joins = not joined and (on_last or reach > last)
+        if joins or width < reach and width < last:
+            joined = joined or joins
+            grown = max(width, min(reach, last))
+            state = pad_qubits(state, grown + joined, at=width)
+            width = grown
+        if on_last:
+            qubits = tuple(width if q == last else q for q in qubits)
+        state = apply_gate(state, p.gate, qubits)
+    out = n - spec.heralded
+    # a heralded register's last wire is the ancilla slot, blank after the herald
+    amps = state.amps[::2] if spec.heralded and joined else pad_qubits(state, out, at=width).amps
+    post = StateVector(out, amps)
     return SimulationResult(
         success_probability=prob,
         post_state=post,

@@ -760,7 +760,8 @@ def test_help_lists_all_commands():
 # ---------------------------------------------------------------------------
 
 #: stdout, stderr and exit code of ``bounds`` requests (accepted and rejected),
-#: of every ``--help``, of ``decompose`` and of ``simulate`` refusals
+#: of every ``--help``, of ``decompose``, of ``simulate`` runs and refusals and
+#: of ``tradeoff`` runs and refusals
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
 )

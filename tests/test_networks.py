@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,6 @@ from cloneforge.networks import (
     NetworkSpec,
     approx_network,
     compression_sequence,
-    decompression_sequence,
     evaluate_cloner,
     exact_network,
     expand_decompositions,
@@ -102,30 +102,31 @@ def test_prepare_input_overlap_is_copy_power():
 
 
 def test_compression_sequence_single_copy_is_empty():
-    assert compression_sequence(problem(m=1, n=2)).placements == ()
+    assert compression_sequence(math.pi / 8, 1) == ()
 
 
 def test_compression_sequence_three_copies():
     prob = problem(m=3, n=4)
-    seq = compression_sequence(prob)
-    assert [p.qubits for p in seq.placements] == [(1, 2), (0, 1)]
-    assert seq.placements[0].params == (prob.theta, prob.theta)
-    assert seq.placements[1].params == (prob.theta, angle_for_copies(prob.theta, 2))
-    assert all(p.kind == KIND_TRANSFER for p in seq.placements)
+    seq = compression_sequence(prob.theta, prob.m_copies)
+    assert [p.qubits for p in seq] == [(1, 2), (0, 1)]
+    assert seq[0].params == (prob.theta, prob.theta)
+    assert seq[1].params == (prob.theta, angle_for_copies(prob.theta, 2))
+    assert all(p.kind == KIND_TRANSFER for p in seq)
 
 
 def test_decompression_sequence_two_copies():
+    """Decompression is the N-copy compression chain, reversed."""
     prob = problem(m=1, n=2)
-    seq = decompression_sequence(prob)
-    assert [p.qubits for p in seq.placements] == [(0, 1)]
-    assert seq.placements[0].params == (prob.theta, prob.theta)
+    seq = compression_sequence(prob.theta, prob.n_copies)[::-1]
+    assert [p.qubits for p in seq] == [(0, 1)]
+    assert seq[0].params == (prob.theta, prob.theta)
 
 
 def test_compression_concentrates_distinguishability():
     prob = problem(m=3, n=4)
-    seq = compression_sequence(prob)
+    seq = compression_sequence(prob.theta, prob.m_copies)
     state = prepare_input(prob, PLUS, with_ancilla=False)
-    for p in seq.placements:
+    for p in seq:
         state = apply_gate(state, p.gate, p.qubits)
     theta3 = angle_for_copies(prob.theta, 3)
     expect = kron(family_state(theta3, PLUS), basis_state(3, 0))
@@ -135,14 +136,12 @@ def test_compression_concentrates_distinguishability():
 def test_decompression_inverts_compression():
     theta = 0.3
     compressed = kron(family_state(theta, MINUS, copies=3), basis_state(1, 0))
-    comp = compression_sequence(CloningProblem(theta=theta, m_copies=3, n_copies=4))
-    for p in comp.placements:
+    for p in compression_sequence(theta, 3):
         compressed = apply_gate(compressed, p.gate, p.qubits)
     # the 4th wire never entered the compression; spreading back out over the
     # first three wires must restore the original copies
-    decomp = decompression_sequence(CloningProblem(theta=theta, m_copies=1, n_copies=3))
     restored = compressed
-    for p in decomp.placements:
+    for p in compression_sequence(theta, 3)[::-1]:
         restored = apply_gate(restored, p.gate, p.qubits)
     expect = kron(family_state(theta, MINUS, copies=3), basis_state(1, 0))
     assert np.max(np.abs(restored.amps - expect.amps)) < 1e-12
@@ -292,7 +291,7 @@ def test_network_spec_validates_indices():
     with pytest.raises(ValueError, match="qubit"):
         NetworkSpec(
             n_qubits=1,
-            placements=compression_sequence(problem(m=3, n=4)).placements,
+            placements=compression_sequence(math.pi / 8, 3),
         )
 
 
@@ -464,19 +463,26 @@ def test_run_network_on_inputs_without_blank_trailing_wires(rng, mode):
 
 
 def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
-    """Placements reach past the live wires before, at and after the ancilla joins."""
+    """Placements reach past the live wires before, at and after the ancilla joins.
+
+    The walk treats the last wire alike in unheralded networks: it joins
+    the live register at position ``width``, and blank wires go in before it.
+    """
     local = GatePlacement(Unitary(random_unitary(rng, 2)), (5,), "local@5")
     pair = GatePlacement(Unitary(random_unitary(rng, 4)), (3, 2), "pair@(3,2)")
     far = GatePlacement(Unitary(random_unitary(rng, 4)), (4, 0), "far@(4,0)")
     herald = GatePlacement(Unitary(random_unitary(rng, 4)), (0, 5), "herald@(0,5)")
     reference = family_state(0.3, PLUS)
-    for placements in (
-        (local, pair, herald, local, pair),  # system wires go in before the ancilla
-        (pair, far, local, herald),  # the spare wire past every system wire is the ancilla
-        (pair, herald, far),  # the herald fires before the last placement
-        (pair,),  # no placement touches the ancilla
+    for heralded, placements in itertools.product(
+        (True, False),
+        (
+            (local, pair, herald, local, pair),  # system wires go in before the ancilla
+            (pair, far, local, herald),  # the spare wire past every system wire is the ancilla
+            (pair, herald, far),  # the herald fires before the last placement
+            (pair,),  # no placement touches the ancilla
+        ),
     ):
-        spec = NetworkSpec(6, placements, heralded=True)
+        spec = NetworkSpec(6, placements, heralded=heralded)
         inputs = [family_state(0.3, PLUS), StateVector(6, _random_amps(rng, 6))]
         _assert_matches_full_width_oracle(
             spec, [pad_qubits(state, 6) for state in inputs], [reference] * 2
@@ -518,6 +524,69 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
         assert seen["apply_gate"] and len(seen["project_qubit"]) == 2
         assert max(max(values) for values in seen.values() if values) <= n
         assert max(seen["project_qubit"]) <= m + 2
+
+
+#: the kernel calls of one `run_network` at theta = 0.3, in order: ``n:ab``
+#: is `apply_gate` on wires a, b of an n-qubit state and ``n!a`` is
+#: `project_qubit` on wire a of one
+_LAYOUTS = {
+    ("exact", "gates", 1, 2): "3:20 3!2 3:01",
+    ("exact", "gates", 2, 5): "3:01 4:30 4!3 3:01 3:12 4:23 5:34",
+    ("exact", "cnots", 1, 2): "2:1 3:02 3:2 3!2 3:01 3:0 3:10 3:0 3:10 3:0 3:01",
+    ("exact", "cnots", 2, 5): (
+        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 4:3 4:03 4:3 4!3 3:01 3:0 3:10 3:0 "
+        "3:10 3:0 3:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
+        "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
+    ),
+    ("approx", "gates", 1, 2): "2:0 2:01",
+    ("approx", "gates", 2, 5): "3:01 3:0 3:01 3:12 4:23 5:34",
+    ("approx", "cnots", 1, 2): "2:0 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
+    ("approx", "cnots", 2, 5): (
+        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 3:0 3:01 3:0 3:10 3:0 3:10 3:0 3:01 "
+        "3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 4:2 4:23 5:34 "
+        "5:3 5:43 5:3 5:43 5:3 5:34"
+    ),
+    ("hybrid", "gates", 1, 2): "3:20 3!2 2:0 3:01",
+    ("hybrid", "gates", 2, 5): "3:01 4:30 4!3 2:0 3:01 3:12 4:23 5:34",
+    ("hybrid", "cnots", 1, 2): "2:1 3:02 3:2 3!2 2:0 3:01 3:0 3:10 3:0 3:10 3:0 3:01",
+    ("hybrid", "cnots", 2, 5): (
+        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 4:3 4:03 4:3 4!3 2:0 3:01 3:0 3:10 3:0 "
+        "3:10 3:0 3:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
+        "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUTS), ids=lambda case: "-".join(map(str, case)))
+def test_run_network_keeps_the_live_register_layout(monkeypatch, case):
+    """Each kernel call sees the same register width and wires, for both signs.
+
+    The wire a gate lands on picks its BLAS path (`cloneforge.linalg`), and
+    so the last bits of the output.  The full-width oracle test cannot see
+    a change of layout: both of its sides run through the same walk.
+    """
+    calls = []
+
+    def spy(name, form):
+        original = getattr(networks, name)
+
+        def record(state, *args):
+            calls.append(form(state.n_qubits, *args))
+            return original(state, *args)
+
+        return record
+
+    monkeypatch.setattr(
+        networks, "apply_gate",
+        spy("apply_gate", lambda n, gate, qubits: f"{n}:{''.join(map(str, qubits))}"),
+    )
+    monkeypatch.setattr(
+        networks, "project_qubit", spy("project_qubit", lambda n, qubit, outcome: f"{n}!{qubit}")
+    )
+    mode, level, m, n = case
+    prob = problem(theta=0.3, m=m, n=n)
+    evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=level == "cnots")
+    assert " ".join(calls) == " ".join([_LAYOUTS[case]] * 2)
 
 
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
