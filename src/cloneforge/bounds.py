@@ -80,16 +80,6 @@ class OptimalAngles:
 
 
 @dataclass(frozen=True)
-class CloneCoefficients:
-    """Expansion of each optimal output onto the two exact-clone states."""
-
-    mu_plus: float
-    nu_plus: float
-    mu_minus: float
-    nu_minus: float
-
-
-@dataclass(frozen=True)
 class TradeoffPoint:
     """One (success probability, fidelity bound) point of the hybrid curve."""
 
@@ -160,25 +150,6 @@ def fidelity_bound(problem: CloningProblem) -> float:
     x = 2.0 * (problem.theta_n - problem.theta_m)
     ep, em = problem.eta_plus, problem.eta_minus
     return 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * ep * em * math.sin(x) ** 2))
-
-
-def clone_coefficients(angles: OptimalAngles, theta_n: float) -> CloneCoefficients:
-    """Expand the rotated outputs onto the (non-orthogonal) exact-clone pair.
-
-    Each output equals mu |exact_plus> + nu |exact_minus> in the
-    two-dimensional span of the exact clones, with
-    mu = sin(theta_N + phi) / sin(2 theta_N), nu = sin(theta_N - phi) /
-    sin(2 theta_N).
-    """
-    s2n = math.sin(2.0 * theta_n)
-    if s2n < 1e-12:
-        raise ValueError("degenerate subspace: sin(2 theta_N) vanishes")
-    return CloneCoefficients(
-        mu_plus=math.sin(theta_n + angles.phi_plus) / s2n,
-        nu_plus=math.sin(theta_n - angles.phi_plus) / s2n,
-        mu_minus=math.sin(theta_n + angles.phi_minus) / s2n,
-        nu_minus=math.sin(theta_n - angles.phi_minus) / s2n,
-    )
 
 
 def helstrom_bound(eta_plus: float, overlap: float) -> float:

@@ -499,16 +499,13 @@ def tradeoff_cmd(start, stop, steps, **opts):
         p_req = start_v + (stop_v - start_v) * i / (steps_v - 1)
         p_req = min(1.0, max(p_lo, p_req))
         try:
-            point = bounds.hybrid_fidelity_bound(
-                problem.theta, problem.m_copies, problem.n_copies, p_req
-            )
             report = networks.evaluate_cloner(problem, "hybrid", p_s=p_req)
         except ValueError as exc:
             raise _simulation_error(problem, exc) from exc
         rows.append(
             [
-                point.p_success,
-                point.fidelity_bound,
+                report.success_bound,
+                report.fidelity_bound,
                 report.fidelity,
                 report.success_probability,
                 max(report.fidelity_deviation, report.success_deviation),

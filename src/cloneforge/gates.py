@@ -20,18 +20,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .bounds import (
-    CloneCoefficients,
-    separation_bound,
-)
+from .bounds import separation_bound
 from .linalg import Unitary
 
 #: matrices re-multiplied from a decomposition must match the target this well
 DECOMPOSITION_TOL = 1e-10
 #: internal consistency checks on derived angles
 CONSISTENCY_TOL = 1e-12
-#: two single-qubit state maps can only share a unitary if overlaps agree
-OVERLAP_MATCH_TOL = 1e-10
 
 
 #: 2x2 blocks of the 4x4 gates: the even and odd parity sectors, the active
@@ -227,35 +222,14 @@ def separation_gate(theta_in: float, theta_out: float) -> Unitary:
     return Unitary(m)
 
 
-def clone_gate(theta_in: float, theta_out: float, coeffs: CloneCoefficients) -> Unitary:
-    """Single-qubit gate mapping each input family state to its prescribed
-    superposition of output family states.
+def clone_gate(turn: float) -> Unitary:
+    """Rotation of qubit 0 by ``turn``: the clone stage of a network.
 
-    The plus/minus inputs at theta_in are sent to mu |plus_out> +
-    nu |minus_out> built from ``coeffs`` at theta_out.  Such a unitary
-    exists only when the requested images preserve the input overlap; this
-    is checked to OVERLAP_MATCH_TOL before solving the 2x2 linear system.
+    It maps the compressed pair at angles +/- theta_M to any pair of output
+    angles phi_plus, phi_minus with phi_plus - phi_minus = 2 theta_M, taking
+    ``turn`` = phi_plus - theta_M.
     """
-    if not (0.0 < theta_in <= math.pi / 4 + 1e-15):
-        raise ValueError(f"theta_in must lie in (0, pi/4], got {theta_in!r}")
-    ci, si = math.cos(theta_in), math.sin(theta_in)
-    co, so = math.cos(theta_out), math.sin(theta_out)
-    u = np.array([[ci, ci], [si, -si]])
-    out_plus = np.array([co, so])
-    out_minus = np.array([co, -so])
-    w = np.column_stack([
-        coeffs.mu_plus * out_plus + coeffs.nu_plus * out_minus,
-        coeffs.mu_minus * out_plus + coeffs.nu_minus * out_minus,
-    ])
-    overlap_in = float(u[:, 0] @ u[:, 1])
-    overlap_out = float(w[:, 0] @ w[:, 1])
-    if abs(overlap_in - overlap_out) > OVERLAP_MATCH_TOL:
-        raise ValueError(
-            "non-unitary request: image overlap "
-            f"{overlap_out!r} differs from input overlap {overlap_in!r}"
-        )
-    t = np.linalg.solve(u.T, w.T).T
-    return Unitary(t)
+    return Unitary(_rotation(turn))
 
 
 # --------------------------------------------------------------------------

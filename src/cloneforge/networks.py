@@ -1,7 +1,7 @@
 """Assembly and exact simulation of the cloning networks.
 
 Every network has one shape: compress the M input copies onto qubit 0,
-act on that qubit (separate and/or rotate it), then decompress it over the
+act on that qubit (separate or rotate it), then decompress it over the
 N system qubits (indices 0..N-1).  A separation is heralded by one ancilla
 at index N (always last, so system indices never shift), and a heralded
 run reports its success branch only: the probability of the herald and
@@ -11,10 +11,12 @@ the post-selected output.
            Succeeds with the exact-cloning probability and yields perfect
            clones.
 * approx:  rotate qubit 0 to the optimal compressed output.  Deterministic;
-           prior-weighted fidelity saturates the closed-form optimum.
-* hybrid:  separate part of the way (success probability p_s), then rotate
-           to the optimal equal-prior output for the separated angle.
-           Interpolates between the two strategies.
+           prior-weighted fidelity saturates the closed-form optimum.  At
+           equal priors the rotation is the identity.
+* hybrid:  separate part of the way (success probability p_s), then
+           decompress.  The equal-prior rotation that would follow is the
+           identity, so there is none.  Interpolates between the two
+           strategies.
 
 `run_network` simulates any network in one walk over its placements, on
 the live wires only, with the herald as one step of the walk.
@@ -30,9 +32,7 @@ from typing import Optional, Tuple
 from .bounds import (
     MODES,
     CloningProblem,
-    OptimalAngles,
     angle_for_copies,
-    clone_coefficients,
     exact_clone_probability,
     fidelity_bound,
     hybrid_fidelity_bound,
@@ -148,17 +148,6 @@ def _separation_placement(theta_in: float, theta_out: float, n: int) -> GatePlac
     )
 
 
-def _clone_placement(theta_in: float, theta_n: float, phis: OptimalAngles) -> GatePlacement:
-    """Rotate qubit 0 from the angle ``theta_in`` to the output angles ``phis``."""
-    return GatePlacement(
-        gate=clone_gate(theta_in, theta_n, clone_coefficients(phis, theta_n)),
-        qubits=(0,),
-        label=f"clone({theta_in:.6g}->{theta_n:.6g})@0",
-        kind=KIND_CLONE,
-        params=(theta_in, theta_n),
-    )
-
-
 def _network(problem: CloningProblem, *middle: GatePlacement) -> NetworkSpec:
     """Compress the M copies, apply ``middle`` to qubit 0, decompress over N.
 
@@ -182,31 +171,39 @@ def exact_network(problem: CloningProblem) -> NetworkSpec:
 
 
 def approx_network(problem: CloningProblem) -> NetworkSpec:
-    """Deterministic optimal cloning: compress, rotate qubit 0, decompress."""
+    """Deterministic optimal cloning: compress, rotate qubit 0, decompress.
+
+    The rotation takes the compressed pair at +/- theta_M to the optimal
+    output angles (`optimal_phis`); at equal priors those are +/- theta_M
+    themselves and the rotation is the identity.
+    """
+    turn = optimal_phis(problem).phi_plus - problem.theta_m
     return _network(
-        problem, _clone_placement(problem.theta_m, problem.theta_n, optimal_phis(problem))
+        problem,
+        GatePlacement(
+            gate=clone_gate(turn),
+            qubits=(0,),
+            label=f"clone({turn:.6g})@0",
+            kind=KIND_CLONE,
+            params=(turn,),
+        ),
     )
 
 
 def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
-    """Partial separation at success probability p_s, then optimal rotation.
+    """Partial separation at success probability p_s, then decompression.
 
     Only defined for equal priors.  The separated angle theta_tilde solves
-    the separation bound at equality for p_s; the follow-up rotation uses
-    the equal-prior optimal output angles (+/- theta_tilde) for the
-    separated pair.  p_s at the exact-cloning probability reproduces the
-    exact network (the rotation collapses to the identity); p_s = 1
-    reproduces the deterministic network.
+    the separation bound at equality for p_s.  The optimal equal-prior
+    outputs for the separated pair are +/- theta_tilde themselves, so the
+    clone stage is the identity and the network is: compress, separate to
+    theta_tilde, decompress.  p_s at the exact-cloning probability
+    reproduces the exact network; p_s = 1 reproduces the deterministic one.
     """
     if abs(problem.eta_plus - 0.5) > 1e-12:
         raise ValueError("hybrid cloning requires equal priors")
-    theta_n = problem.theta_n
-    tilde = separated_angle(problem.theta_m, theta_n, p_s)
-    return _network(
-        problem,
-        _separation_placement(problem.theta_m, tilde, problem.n_copies),
-        _clone_placement(tilde, theta_n, OptimalAngles(phi_plus=tilde, phi_minus=-tilde)),
-    )
+    tilde = separated_angle(problem.theta_m, problem.theta_n, p_s)
+    return _network(problem, _separation_placement(problem.theta_m, tilde, problem.n_copies))
 
 
 def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from cloneforge import bounds
 from cloneforge.bounds import (
-    CloneCoefficients,
     CloningProblem,
     OptimalAngles,
     TradeoffPoint,
     angle_for_copies,
-    clone_coefficients,
     compose_angle,
     d_cloner_global_fidelity,
     d_cloner_local_fidelity,
@@ -38,8 +36,6 @@ F12_EQUAL = 0.9829629131445341  # 1->2 bound at pi/8, equal priors
 F12_ETA07 = 0.9857290061313675
 PHI_PLUS_07 = 0.4460851189273285
 PHI_MINUS_07 = -0.3393130444701198
-MU_EQ = 0.9160855291592669  # sin(pi/6 + pi/8) / sin(pi/3)
-NU_EQ = 0.1507186644290872  # sin(pi/6 - pi/8) / sin(pi/3)
 P12 = 0.5857864376269049  # = 2 - sqrt(2)
 P13 = 0.4530818393219728
 TILDE_COS_08 = 0.6338834764831844
@@ -230,71 +226,6 @@ def test_brute_force_trivial_prior():
     assert brute_force_fidelity(problem(eta_plus=1.0)) == pytest.approx(1.0, abs=1e-9)
 
 
-# ------------------------------------------------------- clone coefficients
-
-
-def test_clone_coefficients_exact_case():
-    # rotations aligned with the target pair reproduce it exactly
-    th_n = math.pi / 6
-    angles = OptimalAngles(phi_plus=th_n, phi_minus=-th_n)
-    coeffs = clone_coefficients(angles, th_n)
-    assert coeffs.mu_plus == pytest.approx(1.0, abs=1e-14)
-    assert coeffs.nu_plus == pytest.approx(0.0, abs=1e-14)
-
-
-def test_clone_coefficients_equal_prior_values():
-    # phi+ = pi/8 rotation expanded on the pi/6 exact-clone pair
-    prob = problem()
-    coeffs = clone_coefficients(optimal_phis(prob), prob.theta_n)
-    assert coeffs.mu_plus == pytest.approx(MU_EQ, abs=1e-14)
-    assert coeffs.nu_plus == pytest.approx(NU_EQ, abs=1e-14)
-
-
-def test_clone_coefficients_reproduce_output_overlaps():
-    """The expansion must place each output at the overlap the optimal
-    rotation dictates, whatever the priors."""
-    for eta in (0.5, 0.7, 0.9):
-        prob = problem(eta_plus=eta)
-        angles = optimal_phis(prob)
-        coeffs = clone_coefficients(angles, prob.theta_n)
-        s_n = overlap_after_copies(prob.theta, prob.n_copies)
-        got_plus = coeffs.mu_plus + coeffs.nu_plus * s_n
-        got_minus = coeffs.mu_minus * s_n + coeffs.nu_minus
-        assert got_plus == pytest.approx(
-            math.cos(prob.theta_n - angles.phi_plus), abs=1e-13
-        )
-        assert got_minus == pytest.approx(
-            math.cos(prob.theta_n + angles.phi_minus), abs=1e-13
-        )
-
-
-def test_clone_coefficients_symmetric_case_mirrors():
-    # equal priors make the minus output the mirror image of the plus output
-    prob = problem()
-    coeffs = clone_coefficients(optimal_phis(prob), prob.theta_n)
-    assert coeffs.mu_minus == pytest.approx(coeffs.nu_plus, abs=1e-14)
-    assert coeffs.nu_minus == pytest.approx(coeffs.mu_plus, abs=1e-14)
-
-
-@given(
-    st.floats(min_value=0.05, max_value=math.pi / 4 - 0.05),
-    st.floats(min_value=-1.2, max_value=1.2),
-    st.floats(min_value=-1.2, max_value=1.2),
-)
-@settings(max_examples=100, deadline=None)
-def test_clone_coefficient_norm_identity(theta_n, phi_plus, phi_minus):
-    """mu^2 + nu^2 + 2 mu nu s^1 = 1 holds for any rotation angles, not just optimal."""
-    coeffs = clone_coefficients(OptimalAngles(phi_plus, phi_minus), theta_n)
-    s = math.cos(2 * theta_n)
-    for mu, nu in [(coeffs.mu_plus, coeffs.nu_plus), (coeffs.mu_minus, coeffs.nu_minus)]:
-        assert mu * mu + nu * nu + 2 * mu * nu * s == pytest.approx(1.0, abs=1e-12)
-
-
-def test_clone_coefficients_degenerate_target_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        clone_coefficients(OptimalAngles(0.1, -0.1), 0.0)
-
-
 # ------------------------------------------------------------- other bounds
 
 
@@ -467,11 +398,6 @@ def test_optimal_angles_is_frozen():
     angles = OptimalAngles(0.1, -0.1)
     with pytest.raises(Exception):
         angles.phi_plus = 0.2
-
-
-def test_clone_coefficients_fields():
-    coeffs = CloneCoefficients(1.0, 0.0, 1.0, 0.0)
-    assert (coeffs.mu_plus, coeffs.nu_minus) == (1.0, 0.0)
 
 
 def test_tradeoff_point_fields():

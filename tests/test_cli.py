@@ -154,13 +154,28 @@ def test_bounds_below_sin_squared_underflow(theta, extra):
 
 @pytest.mark.parametrize("theta", ["1e-200", "1e-9"])
 def test_simulation_below_double_precision_names_theta(theta):
-    """Where cos(2 theta)**M rounds to 1 the networks cannot be built."""
-    for args in (("simulate", "--mode", "exact"), ("simulate", "--mode", "approx"),
+    """Where cos(2 theta)**M rounds to 1 the separating networks cannot be built.
+
+    The approximate network only rotates and spreads qubit 0, so it runs at
+    any theta: its clones are then perfect.
+    """
+    for args in (("simulate", "--mode", "exact"),
                  ("simulate", "--mode", "hybrid", "--p-s", "1"), ("tradeoff",),
                  ("tradeoff", "-m", "2", "-n", "4")):
         result = run_cli(*args, "--theta", theta)
         assert result.exit_code == 2, args
         assert f"--theta {float(theta)} is too small to simulate" in result.output, args
+    record = record_of(run_cli("simulate", "--mode", "approx", "--theta", theta, "--strict"))
+    assert record["fidelity"] == 1.0
+    assert record["fidelity_deviation"] == record["success_deviation"] == 0.0
+
+
+def test_unequal_prior_approx_runs_at_small_theta():
+    """Unequal priors at a small angle: the clone stage is one rotation, exact to ~1e-16."""
+    result = run_cli(
+        "simulate", "--mode", "approx", "--theta", "1e-5", "--eta-plus", "0.8", "--strict"
+    )
+    assert result.exit_code == 0, result.output
 
 
 def test_simulation_that_works_at_small_theta_still_runs():

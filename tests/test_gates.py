@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloneforge.bounds import CloneCoefficients, CloningProblem, clone_coefficients, compose_angle, optimal_phis
+from cloneforge.bounds import CloningProblem, compose_angle, fidelity_bound, optimal_phis
 from cloneforge.gates import (
     CircuitDecomposition,
     GatePlacement,
@@ -299,28 +299,26 @@ def test_separation_rotation_is_plain_rotation():
 # ---------------------------------------------------------------- clone gate
 
 
-def test_clone_gate_identity_case():
-    coeffs = CloneCoefficients(1.0, 0.0, 0.0, 1.0)
-    t = clone_gate(math.pi / 8, math.pi / 8, coeffs)
-    assert np.max(np.abs(t.entries - np.eye(2))) < 1e-12
+@pytest.mark.parametrize("eta_plus", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("m, n", [(1, 2), (1, 5), (2, 3), (2, 7), (3, 9)])
+def test_clone_gate_rotates_the_compressed_pair_to_the_optimal_outputs(m, n, eta_plus):
+    """One rotation by phi_plus - theta_M reaches both optimal outputs.
 
-
-def test_clone_gate_maps_family_to_prescribed_superpositions():
-    prob = CloningProblem(theta=math.pi / 8, m_copies=1, n_copies=2, eta_plus=0.7)
-    coeffs = clone_coefficients(optimal_phis(prob), prob.theta_n)
-    t = clone_gate(prob.theta_m, prob.theta_n, coeffs)
-    out_p = family_state(prob.theta_n, PLUS).amps
-    out_m = family_state(prob.theta_n, MINUS).amps
-    got_plus = t.entries @ family_state(prob.theta_m, PLUS).amps
-    got_minus = t.entries @ family_state(prob.theta_m, MINUS).amps
-    assert np.max(np.abs(got_plus - (coeffs.mu_plus * out_p + coeffs.nu_plus * out_m))) < 1e-12
-    assert np.max(np.abs(got_minus - (coeffs.mu_minus * out_p + coeffs.nu_minus * out_m))) < 1e-12
-
-
-def test_clone_gate_rejects_overlap_mismatch():
-    # sending both inputs to the same output state cannot be unitary
-    with pytest.raises(ValueError, match="non-unitary request"):
-        clone_gate(math.pi / 8, math.pi / 8, CloneCoefficients(1.0, 0.0, 1.0, 0.0))
+    phi_plus - phi_minus = 2 theta_M, so the turn that takes the plus input
+    to phi_plus takes the minus input to phi_minus; at equal priors the
+    outputs are the inputs and the gate is exactly the identity.
+    """
+    for theta in GRID:
+        prob = CloningProblem(theta, m, n, eta_plus)
+        phis = optimal_phis(prob)
+        gate = clone_gate(phis.phi_plus - prob.theta_m).entries
+        for sign, phi in ((PLUS, phis.phi_plus), (MINUS, phis.phi_minus)):
+            got = gate @ family_state(prob.theta_m, sign).amps
+            assert np.max(np.abs(got - [math.cos(phi), math.sin(phi)])) < 1e-12
+        if eta_plus == 0.5:
+            assert np.array_equal(gate, np.eye(2))
+        objective = oracles.objective(prob.theta_n, phis.phi_plus, phis.phi_minus, eta_plus)
+        assert abs(objective - fidelity_bound(prob)) < 1e-12
 
 
 # ------------------------------------------------------------ decompositions

@@ -192,6 +192,21 @@ def test_approx_network_no_measurement():
     assert spec.n_qubits == 2
 
 
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("eta_plus", [0.6, 0.8])
+def test_approx_network_saturates_the_bound_at_small_theta(rng, eta_plus, decomposed):
+    """The clone stage is one rotation, so no small angle makes it ill-posed.
+
+    Log-uniform theta in [3e-8, 1e-3], where the unequal-prior clone gate
+    used to be solved from a near-singular 2x2 system.
+    """
+    for theta in np.exp(rng.uniform(math.log(3e-8), math.log(1e-3), size=12)):
+        for m, n in ((1, 2), (2, 5), (3, 7)):
+            prob = problem(theta=float(theta), m=m, n=n, eta_plus=eta_plus)
+            report = evaluate_cloner(prob, "approx", decompose_gates=decomposed)
+            assert abs(report.fidelity - fidelity_bound(prob)) < 1e-12
+
+
 def test_approx_clone_overlap_matches_source_pair():
     # unitarity forces the cloned outputs to keep the M-copy overlap
     prob = problem(m=1, n=2)
@@ -317,7 +332,7 @@ def test_expand_decompositions_leaves_only_primitive_gates():
         assert p.kind in (KIND_CNOT, KIND_LOCAL)
     spec = expand_decompositions(hybrid_network(problem(m=1, n=2), 0.8))
     kinds = {p.kind for p in spec.placements}
-    assert kinds <= {KIND_CNOT, KIND_LOCAL, KIND_CLONE}
+    assert kinds <= {KIND_CNOT, KIND_LOCAL}
 
 
 def test_expand_decompositions_remaps_wires():
@@ -546,11 +561,11 @@ _LAYOUTS = {
         "3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 4:2 4:23 5:34 "
         "5:3 5:43 5:3 5:43 5:3 5:34"
     ),
-    ("hybrid", "gates", 1, 2): "3:20 3!2 2:0 3:01",
-    ("hybrid", "gates", 2, 5): "3:01 4:30 4!3 2:0 3:01 3:12 4:23 5:34",
-    ("hybrid", "cnots", 1, 2): "2:1 3:02 3:2 3!2 2:0 3:01 3:0 3:10 3:0 3:10 3:0 3:01",
+    ("hybrid", "gates", 1, 2): "3:20 3!2 3:01",
+    ("hybrid", "gates", 2, 5): "3:01 4:30 4!3 3:01 3:12 4:23 5:34",
+    ("hybrid", "cnots", 1, 2): "2:1 3:02 3:2 3!2 3:01 3:0 3:10 3:0 3:10 3:0 3:01",
     ("hybrid", "cnots", 2, 5): (
-        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 4:3 4:03 4:3 4!3 2:0 3:01 3:0 3:10 3:0 "
+        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 4:3 4:03 4:3 4!3 3:01 3:0 3:10 3:0 "
         "3:10 3:0 3:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
         "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
     ),
