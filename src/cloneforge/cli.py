@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Optional
 
 import click
@@ -623,4 +624,6 @@ def verify_cmd():
 
 
 if __name__ == "__main__":
+    # under `python -m`, let `verify`'s `from .cli import main` reuse this module
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     main()

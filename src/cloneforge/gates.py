@@ -9,6 +9,10 @@ CNOT convention (used consistently everywhere, including serialized
 circuits): the gate is ACTIVE WHEN THE CONTROL QUBIT IS |+>, i.e. on control
 bit 0.  This is deliberately not the textbook active-on-1 gate; it keeps the
 blank state |+> inert on the target side of every network here.
+
+A network's gates are checked in batches: a chain's transfer gates as one
+stack (`transfer_gates`), its circuits' factors as one stack and their
+products as one ``matmul`` per step (`decompositions`); a lone gate is one.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .bounds import separation_bound
-from .linalg import Unitary
+from .linalg import Unitary, unitaries
 
 #: matrices re-multiplied from a decomposition must match the target this well
 DECOMPOSITION_TOL = 1e-10
@@ -29,22 +33,15 @@ DECOMPOSITION_TOL = 1e-10
 CONSISTENCY_TOL = 1e-12
 
 
-#: 2x2 blocks of the 4x4 gates: the even and odd parity sectors, the active
-#: sector of the separation gate (ancilla first)
-_EVEN_SECTOR = np.ix_([0, 3], [0, 3])
-_ODD_SECTOR = np.ix_([1, 2], [1, 2])
-_ANCILLA_ACTIVE = np.ix_([0, 2], [0, 2])
-
-
-def _reflection(beta: float) -> np.ndarray:
-    """Real 2x2 reflection: det -1, axis at angle beta/2."""
+def _reflection(beta: float) -> Tuple[Tuple[float, float], ...]:
+    """Rows of the real 2x2 reflection: det -1, axis at angle beta/2."""
     c, s = math.cos(beta), math.sin(beta)
-    return np.array([[c, s], [s, -c]])
+    return ((c, s), (s, -c))
 
 
-def _rotation(phi: float) -> np.ndarray:
+def _rotation(phi: float) -> Tuple[Tuple[float, float], ...]:
     c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    return ((c, -s), (s, c))
 
 
 @functools.lru_cache(maxsize=1)
@@ -88,7 +85,8 @@ def sector_angles(theta1: float, theta2: float) -> Tuple[float, float]:
     """
     _check_angle_range(theta1, "theta1")
     _check_angle_range(theta2, "theta2")
-    if _odd_sector_weight(theta1, theta2) == 0.0:
+    odd_weight = _odd_sector_weight(theta1, theta2)
+    if odd_weight == 0.0:
         raise ValueError(
             "odd-sector angle is undefined at theta1 = theta2 = 0 "
             "(the transfer gate's odd sector degenerates to the identity)"
@@ -99,7 +97,7 @@ def sector_angles(theta1: float, theta2: float) -> Tuple[float, float]:
     # accurate down to arbitrarily small angles
     one_plus_c3 = 1.0 + math.cos(2.0 * theta1) * math.cos(2.0 * theta2)
     n_even = math.sqrt(2.0 / one_plus_c3)
-    n_odd = math.sqrt(2.0 / _odd_sector_weight(theta1, theta2))
+    n_odd = math.sqrt(2.0 / odd_weight)
     even = (n_even * c1 * c2, n_even * s1 * s2)
     if math.isinf(n_odd):
         # a subnormal odd-sector weight overflows the normalization; atan2
@@ -120,6 +118,31 @@ def sector_angles(theta1: float, theta2: float) -> Tuple[float, float]:
     return delta1, delta2
 
 
+@functools.lru_cache(maxsize=16)
+def transfer_gates(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[Unitary, ...]:
+    """The transfer gates of the angle pairs ``pairs``, checked as one stack.
+
+    Each gate's 16 entries are written row by row (see `transfer_gate`).
+    Memoized per tuple (the rows of a trade-off sweep rebuild the same chains);
+    the gates are immutable, and invalid angles raise on every call.
+    """
+    entries = {}  # one gate per distinct pair: far down a long chain the angles repeat
+    for theta1, theta2 in pairs:
+        if (theta1, theta2) in entries:
+            continue
+        _check_angle_range(theta1, "theta1")
+        _check_angle_range(theta2, "theta2")
+        if _odd_sector_weight(theta1, theta2) == 0.0:
+            entries[theta1, theta2] = tuple(np.diag([1.0, 1.0, 1.0, -1.0]).flat)
+            continue
+        delta1, delta2 = sector_angles(theta1, theta2)
+        (c1, s1), _ = _reflection(delta1)
+        (c2, s2), _ = _reflection(delta2 + math.pi / 2.0)
+        entries[theta1, theta2] = (c1, 0.0, 0.0, s1, 0.0, c2, s2, 0.0, 0.0, s2, -c2, 0.0, s1, 0.0, 0.0, -c1)
+    built = dict(zip(entries, unitaries(np.reshape(list(entries.values()), (-1, 4, 4)))))
+    return tuple(built[pair] for pair in pairs)
+
+
 @functools.lru_cache(maxsize=32)
 def transfer_gate(theta1: float, theta2: float) -> Unitary:
     """Two-qubit gate concentrating the pair's distinguishability.
@@ -137,22 +160,10 @@ def transfer_gate(theta1: float, theta2: float) -> Unitary:
     input.  At theta1 = theta2 = 0 the odd sector is defined as the
     identity (the physical family never populates it there).
 
-    Memoized: the rows of a trade-off sweep rebuild the same compression and
-    decompression gates.  The returned ``Unitary`` is immutable, so sharing
-    it is safe; invalid angles raise on every call (exceptions are not
-    cached).
+    The batch of one of `transfer_gates`, memoized on its own: the gate is
+    immutable, and invalid angles raise on every call.
     """
-    _check_angle_range(theta1, "theta1")
-    _check_angle_range(theta2, "theta2")
-    m = np.zeros((4, 4))
-    if _odd_sector_weight(theta1, theta2) == 0.0:
-        m[_EVEN_SECTOR] = _reflection(0.0)
-        m[1, 1] = m[2, 2] = 1.0
-        return Unitary(m)
-    delta1, delta2 = sector_angles(theta1, theta2)
-    m[_EVEN_SECTOR] = _reflection(delta1)
-    m[_ODD_SECTOR] = _reflection(delta2 + math.pi / 2.0)
-    return Unitary(m)
+    return transfer_gates.__wrapped__(((theta1, theta2),))[0]
 
 
 def conjugating_rotation(delta: float) -> Unitary:
@@ -215,11 +226,8 @@ def separation_gate(theta_in: float, theta_out: float) -> Unitary:
     ancilla heralds the separation; P is the separation success probability.
     The states |+-> and |--> are left invariant.
     """
-    gamma = separation_gamma(theta_in, theta_out)
-    m = np.zeros((4, 4))
-    m[_ANCILLA_ACTIVE] = _reflection(gamma)
-    m[1, 1] = m[3, 3] = 1.0
-    return Unitary(m)
+    (c, s), _ = _reflection(separation_gamma(theta_in, theta_out))
+    return Unitary(((c, 0.0, s, 0.0), (0.0, 1.0, 0.0, 0.0), (s, 0.0, -c, 0.0), (0.0, 0.0, 0.0, 1.0)))
 
 
 def clone_gate(turn: float) -> Unitary:
@@ -268,6 +276,12 @@ class GatePlacement:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"placement qubits must be distinct, got {self.qubits}")
 
+    def rewired(self, wires: Sequence[int], label: str) -> "GatePlacement":
+        """Moved from each qubit q to ``wires[q]``; an injective ``wires`` needs no re-check."""
+        placed = object.__new__(GatePlacement)
+        placed.__dict__.update(vars(self), qubits=tuple(map(wires.__getitem__, self.qubits)), label=label)
+        return placed
+
 
 @dataclass(frozen=True)
 class CircuitDecomposition:
@@ -275,8 +289,8 @@ class CircuitDecomposition:
 
     ``placements`` is in time order (first entry acts first) on local wires
     0 and 1.  Construction verifies the re-multiplied product against the
-    target; all factors are real, so the comparison is plain matrix
-    equality.
+    target, as a batch of one (`decompositions`); all factors are real, so
+    the comparison is plain matrix equality.
     """
 
     target: Unitary
@@ -284,11 +298,36 @@ class CircuitDecomposition:
     max_abs_error: float = field(init=False)
 
     def __post_init__(self):
-        if self.target.dim != 4:
+        (checked,) = decompositions([(self.target, self.placements)])
+        object.__setattr__(self, "max_abs_error", checked.max_abs_error)
+
+    def rebuild(self) -> np.ndarray:
+        """Re-multiply the placements into a full matrix on the two wires.
+
+        The batch of one of `_rebuild`.  The product is real when every
+        factor is, as in every emitted decomposition.
+        """
+        return _rebuild((self,))
+
+    @property
+    def cnot_count(self) -> int:
+        return sum(1 for p in self.placements if p.kind == KIND_CNOT)
+
+
+def decompositions(circuits: Sequence[tuple]) -> Tuple[CircuitDecomposition, ...]:
+    """``(target, placements)`` pairs as `CircuitDecomposition`s, checked as one batch.
+
+    Each is checked as its constructor checks it.  Circuits with the same wires
+    at every step are re-multiplied together (`_rebuild`); each keeps its own
+    ``max_abs_error``, with the bits it gets alone.
+    """
+    built, groups = [], {}
+    for target, placements in circuits:
+        if target.dim != 4:
             raise ValueError(
-                f"decomposition targets must be two-qubit gates, got dimension {self.target.dim}"
+                f"decomposition targets must be two-qubit gates, got dimension {target.dim}"
             )
-        for p in self.placements:
+        for p in placements:
             if p.kind not in (KIND_CNOT, KIND_LOCAL):
                 raise ValueError(
                     f"decompositions may contain only CNOT and single-qubit "
@@ -298,42 +337,45 @@ class CircuitDecomposition:
                 raise ValueError(
                     f"decomposition placements act on wires 0 and 1, got {p.qubits}"
                 )
-        err = float(np.abs(self.rebuild() - self.target.entries).max())
-        if err > DECOMPOSITION_TOL:
-            raise ValueError(
-                f"decomposition does not re-multiply to its target "
-                f"(max abs error {err:.3e})"
-            )
-        object.__setattr__(self, "max_abs_error", err)
+        circuit = object.__new__(CircuitDecomposition)
+        circuit.__dict__.update(target=target, placements=tuple(placements))
+        groups.setdefault(tuple(p.qubits for p in placements), []).append(circuit)
+        built.append(circuit)
+    for group in groups.values():
+        targets = np.array([c.target.entries for c in group])
+        for circuit, err in zip(group, np.abs(_rebuild(group) - targets).max(axis=(1, 2)).tolist()):
+            if err > DECOMPOSITION_TOL:
+                raise ValueError(
+                    f"decomposition does not re-multiply to its target "
+                    f"(max abs error {err:.3e})"
+                )
+            circuit.__dict__["max_abs_error"] = err
+    return tuple(built)
 
-    def rebuild(self) -> np.ndarray:
-        """Re-multiply the placements into a full matrix on the two wires.
 
-        The placements' 4x4 matrices are multiplied in time order.  A
-        two-qubit placement's matrix is its gate, with the local basis
-        reordered when its wires are listed as (1, 0); a one-qubit gate is
-        copied once for each value of the other wire.  The product is real
-        when every factor is, as in every emitted decomposition.
-        """
-        total = np.eye(4)
-        for p in self.placements:
-            matrix = p.gate.entries
-            if p.qubits == (1, 0):
-                matrix = p.gate.swapped.entries
-            elif len(p.qubits) == 1:
-                matrix = np.zeros((4, 4), dtype=matrix.dtype)
-                # wire 0 is the more significant bit: a gate on it acts on
-                # entries two apart, a gate on wire 1 on adjacent ones
-                if p.qubits == (0,):
-                    matrix[0::2, 0::2] = matrix[1::2, 1::2] = p.gate.entries
-                else:
-                    matrix[:2, :2] = matrix[2:, 2:] = p.gate.entries
-            total = matrix @ total
-        return total
-
-    @property
-    def cnot_count(self) -> int:
-        return sum(1 for p in self.placements if p.kind == KIND_CNOT)
+def _rebuild(circuits: Sequence[CircuitDecomposition]) -> np.ndarray:
+    """The products of G circuits with the same wires at every step: one
+    batched ``matmul`` per placement, from the identity, in time order.  Wires
+    (1, 0) take the gate's swapped form; a one-qubit gate is copied once for
+    each value of the other wire.  A step that is one gate in every circuit is
+    one 4x4 matrix, which broadcasts, so one circuit gives one (4, 4).
+    """
+    total = np.eye(4)
+    for step in zip(*(c.placements for c in circuits)):
+        qubits, gate = step[0].qubits, step[0].gate
+        if all(p.gate is gate for p in step):
+            matrix = (gate.swapped if qubits == (1, 0) else gate).entries
+        else:
+            matrix = np.array([(p.gate.swapped if qubits == (1, 0) else p.gate).entries for p in step])
+        if len(qubits) == 1:
+            gates, matrix = matrix, np.zeros(matrix.shape[:-2] + (4, 4), dtype=matrix.dtype)
+            # wire 0 is the more significant bit: its gate acts on entries two apart
+            if qubits == (0,):
+                matrix[..., 0::2, 0::2] = matrix[..., 1::2, 1::2] = gates
+            else:
+                matrix[..., :2, :2] = matrix[..., 2:, 2:] = gates
+        total = matrix @ total
+    return total
 
 
 def _cnot_placement(control: int, target: int) -> GatePlacement:
@@ -345,17 +387,12 @@ def _cnot_placement(control: int, target: int) -> GatePlacement:
     )
 
 
-def _local_placement(matrix: np.ndarray, qubit: int, label: str) -> GatePlacement:
-    return GatePlacement(
-        gate=Unitary(matrix),
-        qubits=(qubit,),
-        label=f"{label}@{qubit}",
-        kind=KIND_LOCAL,
-    )
+def _local_placement(gate: Unitary, qubit: int, label: str) -> GatePlacement:
+    return GatePlacement(gate=gate, qubits=(qubit,), label=f"{label}@{qubit}", kind=KIND_LOCAL)
 
 
-def decompose_transfer(theta1: float, theta2: float) -> CircuitDecomposition:
-    """CNOT + single-qubit circuit equal to the transfer gate.
+def decompose_transfers(pairs: Sequence[Tuple[float, float]]) -> Tuple[CircuitDecomposition, ...]:
+    """CNOT + single-qubit circuits equal to the transfer gates of ``pairs``.
 
     The regular construction uses four CNOTs and three single-qubit gates
     (seven placements).  Writing F(b) for the reflection by b, R(p) for the
@@ -370,33 +407,35 @@ def decompose_transfer(theta1: float, theta2: float) -> CircuitDecomposition:
 
     At theta1 = theta2 = 0 the gate is diagonal (one sign flip) and a
     shorter five-placement, three-CNOT circuit is emitted instead.
+
+    The targets (`transfer_gates`), the one-qubit factors and the
+    re-multiplications (`decompositions`) are each checked as one batch.
     """
-    target = transfer_gate(theta1, theta2)
-    if _odd_sector_weight(theta1, theta2) == 0.0:
-        placements = (
-            _cnot_placement(0, 1),
-            _local_placement(_reflection(math.pi / 4.0), 0, "reflection(pi/4)"),
-            _cnot_placement(1, 0),
-            _local_placement(_rotation(-math.pi / 4.0), 0, "rotation(-pi/4)"),
-            _cnot_placement(0, 1),
-        )
-        return CircuitDecomposition(target=target, placements=placements)
-    delta1, delta2 = sector_angles(theta1, theta2)
-    d2p = delta2 + math.pi / 2.0
-    alpha = d2p - delta1
-    cnot_01, cnot_10 = _cnot_placement(0, 1), _cnot_placement(1, 0)
-    # both rotations are one matrix: build and check it once
-    half_turn = _local_placement(_rotation(alpha / 2.0), 0, f"rotation({alpha / 2.0:.12g})")
-    placements = (
-        cnot_01,
-        half_turn,
-        cnot_10,
-        half_turn,
-        cnot_10,
-        _local_placement(_reflection(d2p), 0, f"reflection({d2p:.12g})"),
-        cnot_01,
-    )
-    return CircuitDecomposition(target=target, placements=placements)
+    pairs = tuple(pairs)
+    corners = [_odd_sector_weight(theta1, theta2) == 0.0 for theta1, theta2 in pairs]
+    factors, labels = [], []
+    for (theta1, theta2), corner in zip(pairs, corners):
+        if corner:
+            factors += [_reflection(math.pi / 4.0), _rotation(-math.pi / 4.0)]
+            labels += ["reflection(pi/4)", "rotation(-pi/4)"]
+            continue
+        delta1, delta2 = sector_angles(theta1, theta2)
+        d2p = delta2 + math.pi / 2.0
+        half = (d2p - delta1) / 2.0
+        factors += [_rotation(half), _reflection(d2p)]
+        labels += [f"rotation({half:.12g})", f"reflection({d2p:.12g})"]
+    local = [_local_placement(g, 0, label) for g, label in zip(unitaries(np.array(factors)), labels)]
+    c01, c10 = _cnot_placement(0, 1), _cnot_placement(1, 0)
+    # a regular circuit places its one rotation twice
+    return decompositions([
+        (target, (c01, a, c10, b, c01) if corner else (c01, a, c10, a, c10, b, c01))
+        for target, corner, a, b in zip(transfer_gates(pairs), corners, local[0::2], local[1::2])
+    ])
+
+
+def decompose_transfer(theta1: float, theta2: float) -> CircuitDecomposition:
+    """The batch of one of `decompose_transfers`."""
+    return decompose_transfers(((theta1, theta2),))[0]
 
 
 def decompose_separation(theta_in: float, theta_out: float) -> CircuitDecomposition:
@@ -409,9 +448,10 @@ def decompose_separation(theta_in: float, theta_out: float) -> CircuitDecomposit
     target = separation_gate(theta_in, theta_out)
     b = separation_rotation(theta_in, theta_out).entries.real
     gamma = separation_gamma(theta_in, theta_out)
+    rotation, inverse = unitaries((b, b.T))
     placements = (
-        _local_placement(b, 0, f"rotation({math.pi / 4.0 - gamma / 2.0:.12g})"),
+        _local_placement(rotation, 0, f"rotation({math.pi / 4.0 - gamma / 2.0:.12g})"),
         _cnot_placement(1, 0),
-        _local_placement(b.T, 0, f"rotation({gamma / 2.0 - math.pi / 4.0:.12g})"),
+        _local_placement(inverse, 0, f"rotation({gamma / 2.0 - math.pi / 4.0:.12g})"),
     )
     return CircuitDecomposition(target=target, placements=placements)

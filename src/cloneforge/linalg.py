@@ -20,12 +20,12 @@ give the complex ones' bits up to the sign of an exact zero (not at
 A = C = 1), and `project_qubit` multiplies by ``1.0 / sqrt(p)``, as
 numpy's complex division does, rather than dividing.
 
-Validation happens at the boundaries, not per gate application:
-``StateVector`` and ``Unitary`` check their entries when constructed
-(finite, normalized, unitary), ``gates.GatePlacement`` and
-``networks.NetworkSpec`` check qubit lists when a network is built, and
-``networks.run_network`` checks each network output once, when it pads the
-live register it simulated (the herald included) to the system width.
+Validation happens at the boundaries, once per network: ``StateVector``
+checks its entries (finite, normalized by one ``vdot``) and `unitaries`
+checks a whole (G, d, d) stack of gates in one pass (a lone ``Unitary`` is a
+stack of one), ``gates.GatePlacement`` and ``networks.NetworkSpec`` check
+qubit lists, and ``networks.run_network`` checks each network output once,
+when it pads the live register it simulated to the system width.
 ``apply_gate`` checks only its qubit list; its result is valid by
 construction and is returned read-only without being copied or re-checked.
 ``family_state`` checks only its angle: its amplitudes are normalized by
@@ -68,7 +68,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +117,8 @@ class StateVector:
                 f"length {2 ** self.n_qubits}, got shape {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        # one dot product: no register-sized temporaries
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state vector is not normalized (|amps|^2 = {norm_sq!r})")
 
@@ -148,25 +149,44 @@ def _identity(dim: int) -> np.ndarray:
 _SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
+def unitaries(matrices) -> Tuple["Unitary", ...]:
+    """One `Unitary` per matrix of a finite (G, d, d) stack, checked in one pass: d a power
+    of two >= 2, max |U^dag U - I| < ``UNITARITY_TOL`` for each matrix, and a failure
+    names the first failing matrix in the words a lone `Unitary` would use."""
+    if not len(matrices):
+        return ()
+    mats = _as_array(matrices, "unitary")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"unitary must be square, got shape {mats.shape[1:]}")
+    dim = mats.shape[1]
+    if dim < 2 or (dim & (dim - 1)) != 0:
+        raise ValueError(f"unitary dimension must be a power of two >= 2, got {dim}")
+    errors = np.abs(mats.conj().transpose(0, 2, 1) @ mats - _identity(dim))
+    if errors.max() >= UNITARITY_TOL:
+        worst = errors.reshape(len(mats), -1).max(axis=1)
+        err = worst[worst >= UNITARITY_TOL][0]
+        raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {err:.3e})")
+    return tuple(map(Unitary._trusted, mats))
+
+
 @dataclass(frozen=True, eq=False)
 class Unitary:
-    """A dense unitary on one or more qubits, verified at construction."""
+    """A dense unitary on one or more qubits, verified as a stack of one (`unitaries`)."""
 
     entries: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
-        mat = _as_array(self.entries, "unitary")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"unitary must be square, got shape {mat.shape}")
-        dim = mat.shape[0]
-        if dim < 2 or (dim & (dim - 1)) != 0:
-            raise ValueError(f"unitary dimension must be a power of two >= 2, got {dim}")
-        err = np.abs(mat.conj().T @ mat - _identity(dim)).max()
-        if err >= UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {err:.3e})")
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "dim", dim)
+        (checked,) = unitaries(np.asarray(self.entries)[np.newaxis])
+        object.__setattr__(self, "entries", checked.entries)
+        object.__setattr__(self, "dim", checked.dim)
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "Unitary":
+        """Wrap read-only entries that are already checked (a view of a checked stack)."""
+        gate = object.__new__(cls)
+        gate.__dict__.update(entries=entries, dim=entries.shape[0])
+        return gate
 
     @functools.cached_property
     def swapped(self) -> "Unitary":
@@ -177,10 +197,7 @@ class Unitary:
         """
         mat = self.entries[_SWAPPED_PAIR]
         mat.flags.writeable = False
-        gate = object.__new__(Unitary)
-        object.__setattr__(gate, "entries", mat)
-        object.__setattr__(gate, "dim", 4)
-        return gate
+        return Unitary._trusted(mat)
 
     @functools.cached_property
     def permutation(self) -> Optional[np.ndarray]:

@@ -46,9 +46,10 @@ from .gates import (
     GatePlacement,
     clone_gate,
     decompose_separation,
-    decompose_transfer,
+    decompose_transfer,  # noqa: F401  (bound here too: traced runs wrap every binding)
+    decompose_transfers,
     separation_gate,
-    transfer_gate,
+    transfer_gates,
 )
 from .linalg import (
     MINUS,
@@ -78,12 +79,12 @@ class NetworkSpec:
 
     def __post_init__(self):
         for p in self.placements:
-            for q in p.qubits:
-                if not (0 <= q < self.n_qubits):
-                    raise ValueError(
-                        f"placement {p.label!r} references qubit {q}, but the "
-                        f"network has {self.n_qubits} qubit(s)"
-                    )
+            if not (0 <= min(p.qubits) and max(p.qubits) < self.n_qubits):
+                q = next(q for q in p.qubits if not (0 <= q < self.n_qubits))
+                raise ValueError(
+                    f"placement {p.label!r} references qubit {q}, but the "
+                    f"network has {self.n_qubits} qubit(s)"
+                )
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,6 @@ class ClonerReport:
     success_deviation: float
 
 
-def _transfer_placement(theta1: float, theta2: float, qubits: Tuple[int, int]) -> GatePlacement:
-    return GatePlacement(
-        gate=transfer_gate(theta1, theta2),
-        qubits=qubits,
-        label=f"transfer({theta1:.6g},{theta2:.6g})@{qubits}",
-        kind=KIND_TRANSFER,
-        params=(theta1, theta2),
-    )
-
-
 def compression_sequence(theta: float, copies: int) -> Tuple[GatePlacement, ...]:
     """Concentrate ``copies`` copies of the family state onto qubit 0.
 
@@ -132,9 +123,17 @@ def compression_sequence(theta: float, copies: int) -> Tuple[GatePlacement, ...]
     qubit 0 over N qubits: by linearity a superposition of the two
     compressed outputs becomes the same superposition of N-copy states.
     """
+    wires = range(copies - 1, 0, -1)
+    pairs = tuple((theta, angle_for_copies(theta, copies - j)) for j in wires)
     return tuple(
-        _transfer_placement(theta, angle_for_copies(theta, copies - j), (j - 1, j))
-        for j in range(copies - 1, 0, -1)
+        GatePlacement(
+            gate=gate,
+            qubits=(j - 1, j),
+            label=f"transfer({theta1:.6g},{theta2:.6g})@{(j - 1, j)}",
+            kind=KIND_TRANSFER,
+            params=(theta1, theta2),
+        )
+        for j, gate, (theta1, theta2) in zip(wires, transfer_gates(pairs), pairs)
     )
 
 
@@ -213,28 +212,28 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     resulting network simulates to the same numbers as the original.  Each
     distinct ``(kind, params)`` is decomposed once: the compression gates
     repeat decompression gates, and every copy of a gate gets the same
-    circuit.
+    circuit.  The distinct transfer gates are decomposed as one batch, and
+    the checked circuit placements are moved without re-checking (`rewired`).
     """
-    decompose = {KIND_TRANSFER: decompose_transfer, KIND_SEPARATION: decompose_separation}
-    circuits = {}
+    keys = dict.fromkeys((p.kind, p.params) for p in spec.placements)
+    # sorted: the N-copy chain's pairs (angles grow with copies), memoized with its gates
+    transfers = tuple(sorted(params for kind, params in keys if kind == KIND_TRANSFER))
+    circuits = {
+        (KIND_TRANSFER, params): circuit
+        for params, circuit in zip(transfers, decompose_transfers(transfers))
+    }
+    circuits.update(
+        (key, decompose_separation(*key[1])) for key in keys if key[0] == KIND_SEPARATION
+    )
     expanded = []
     for p in spec.placements:
-        if p.kind not in decompose:
+        circuit = circuits.get((p.kind, p.params))
+        if circuit is None:
             expanded.append(p)
             continue
-        key = (p.kind, p.params)
-        if key not in circuits:
-            circuits[key] = decompose[p.kind](*p.params)
-        for dp in circuits[key].placements:
-            expanded.append(
-                GatePlacement(
-                    gate=dp.gate,
-                    qubits=tuple(p.qubits[q] for q in dp.qubits),
-                    label=f"{dp.label} [from {p.label}]",
-                    kind=dp.kind,
-                    params=dp.params,
-                )
-            )
+        expanded.extend(
+            dp.rewired(p.qubits, f"{dp.label} [from {p.label}]") for dp in circuit.placements
+        )
     return NetworkSpec(
         n_qubits=spec.n_qubits,
         placements=tuple(expanded),

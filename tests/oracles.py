@@ -172,6 +172,18 @@ def controlled_reflection(delta: float) -> np.ndarray:
     return m
 
 
+def transfer_matrix(delta1: float, delta2: float) -> np.ndarray:
+    """The transfer gate from its sector angles, built block by block.
+
+    A zero matrix whose even sector {|++>, |-->} is the reflection by delta1
+    and whose odd sector {|+->, |-+>} is the reflection by delta2 + pi/2.
+    """
+    m = np.zeros((4, 4))
+    m[np.ix_([0, 3], [0, 3])] = reflection(delta1)
+    m[np.ix_([1, 2], [1, 2])] = reflection(delta2 + math.pi / 2.0)
+    return m
+
+
 #: (1 (x) X) . CNOT(control = second qubit, active on |+>) . (1 (x) X): a
 #: Hermitian involution that swaps |+-> with |--> and conjugates a controlled
 #: reflection into the equal-parity reflection of the same angle

@@ -95,3 +95,23 @@ def test_unknown_attribute_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         cloneforge.no_such_name
+
+
+def test_verify_under_dash_m_compiles_the_cli_once():
+    """``python -m cloneforge.cli verify`` reuses its running module.
+
+    The determinism suite imports ``cloneforge.cli``; under ``-m`` the file
+    runs as ``__main__``, and without the binding it would be compiled and
+    executed a second time, which ``-X importtime`` lists as an import.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cloneforge.cli", "verify"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "10/10 suites passed"
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "cloneforge.verify" in imported
+    assert "cloneforge.cli" not in imported

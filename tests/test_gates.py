@@ -11,16 +11,20 @@ from cloneforge.gates import (
     GatePlacement,
     KIND_CNOT,
     KIND_LOCAL,
+    KIND_TRANSFER,
     clone_gate,
     cnot,
     conjugating_rotation,
     decompose_separation,
     decompose_transfer,
+    decompose_transfers,
+    decompositions,
     sector_angles,
     separation_gamma,
     separation_gate,
     separation_rotation,
     transfer_gate,
+    transfer_gates,
 )
 from cloneforge.linalg import (
     MINUS,
@@ -32,6 +36,7 @@ from cloneforge.linalg import (
     inner,
     kron,
 )
+from cloneforge.networks import compression_sequence, exact_network
 
 import oracles
 from conftest import random_unitary
@@ -140,6 +145,54 @@ def test_transfer_gate_memo_is_safe_to_share():
     assert cnot() is cnot()
 
 
+@given(
+    st.floats(min_value=0.01, max_value=math.pi / 4),
+    st.integers(min_value=2, max_value=16),
+)
+@settings(max_examples=60, deadline=None)
+@example(math.pi / 4, 16)
+@example(0.01, 16)
+def test_chain_gates_match_the_sector_oracle_bit_for_bit(theta, copies):
+    """Every gate of a chain has the bytes of the zero-matrix-plus-sectors build."""
+    chain = compression_sequence(theta, copies)
+    assert len(chain) == copies - 1
+    for placement in chain:
+        want = oracles.transfer_matrix(*sector_angles(*placement.params))
+        got = placement.gate.entries
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == transfer_gate(*placement.params).entries.tobytes()
+
+
+def test_chain_longer_than_the_memos_builds():
+    """A chain holds more distinct gates than either transfer memo does."""
+    chain = compression_sequence(0.05, 40)
+    assert len({p.params for p in chain}) == 39 > transfer_gate.cache_info().maxsize
+    for placement in chain:
+        want = oracles.transfer_matrix(*sector_angles(*placement.params))
+        assert placement.gate.entries.tobytes() == want.tobytes()
+    # far down a long chain the composed angle reaches pi/4 and pairs repeat:
+    # each distinct pair is built once and shared
+    gate_of = {}
+    for placement in compression_sequence(0.3, 1000):
+        assert gate_of.setdefault(placement.params, placement.gate) is placement.gate
+    assert len(gate_of) < 999
+
+
+def test_chain_gates_are_shared_by_repeated_builds():
+    """The rows of a sweep rebuild a chain and get the same gate objects."""
+    first, again = compression_sequence(0.3, 6), compression_sequence(0.3, 6)
+    assert all(a.gate is b.gate for a, b in zip(first, again))
+
+
+def test_transfer_gates_reject_any_bad_pair_on_every_call():
+    pairs = ((0.3, 0.2), (0.3, 1.0), (0.1, 0.2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"theta2 must lie in \[0, pi/4\], got 1\.0"):
+            transfer_gates(pairs)
+    assert transfer_gates(()) == ()
+
+
 def _local(matrix, qubit):
     return GatePlacement(Unitary(matrix), (qubit,), f"local@{qubit}", kind=KIND_LOCAL)
 
@@ -181,6 +234,54 @@ def _kron_product(placements):
     for p in placements:
         total = oracles.kron_embed(p.gate.entries, p.qubits, 2) @ total
     return total
+
+
+def _network_pairs(problem):
+    spec = exact_network(problem)
+    return tuple(dict.fromkeys(p.params for p in spec.placements if p.kind == KIND_TRANSFER))
+
+
+def test_decomposed_network_circuits_remultiply_like_the_kron_oracle():
+    """Each circuit of an N = 16 network keeps its own error, from its own product."""
+    pairs = _network_pairs(CloningProblem(0.3, 3, 16))
+    circuits = decompose_transfers(pairs)
+    assert len(circuits) == 15
+    for pair, circuit in zip(pairs, circuits):
+        rebuilt = circuit.rebuild()
+        assert np.array_equal(rebuilt, _kron_product(circuit.placements))
+        assert circuit.max_abs_error == float(np.max(np.abs(rebuilt - circuit.target.entries)))
+        alone = decompose_transfer(*pair)
+        assert circuit.max_abs_error == alone.max_abs_error
+        assert [p.label for p in circuit.placements] == [p.label for p in alone.placements]
+        assert circuit.target.entries.tobytes() == transfer_gate(*pair).entries.tobytes()
+
+
+def test_decomposition_batch_rejects_one_wrong_circuit():
+    good = decompose_transfers(_network_pairs(CloningProblem(0.3, 1, 8)))
+    items = [(c.target, c.placements) for c in good]
+    assert [c.max_abs_error for c in decompositions(items)] == [c.max_abs_error for c in good]
+    items[4] = (good[5].target, good[4].placements)
+    with pytest.raises(ValueError, match="does not re-multiply to its target"):
+        decompositions(items)
+
+
+def test_decomposition_batch_mixes_circuit_lengths():
+    """Circuits of different lengths, and steps on different wires, batch together."""
+    placements = (
+        _local(reflection(0.7), 1),
+        _cnot(1, 0),
+        _local(reflection(-0.2), 0),
+        _cnot(0, 1),
+        _local(np.eye(2), 1),
+    )
+    hand_built = CircuitDecomposition(Unitary(_kron_product(placements).real), placements)
+    circuits = [decompose_transfer(0.2, 0.5), decompose_transfer(0.0, 0.0),
+                decompose_separation(0.2, 0.5), decompose_transfer(0.3, 0.1), hand_built]
+    batch = decompositions([(c.target, c.placements) for c in circuits])
+    assert [c.max_abs_error for c in batch] == [c.max_abs_error for c in circuits]
+    assert [len(c.placements) for c in batch] == [7, 5, 3, 7, 5]
+    for alone, batched in zip(circuits, batch):
+        assert np.array_equal(batched.rebuild(), alone.rebuild())
 
 
 def test_circuit_decomposition_rejects_other_widths(rng):

@@ -23,6 +23,7 @@ from cloneforge.linalg import (
     live_prefix,
     pad_qubits,
     project_qubit,
+    unitaries,
 )
 
 import oracles
@@ -69,6 +70,63 @@ def test_unitary_rejects_non_unitary():
 def test_unitary_rejects_non_square_power_of_two():
     with pytest.raises(ValueError):
         Unitary(np.eye(3))
+
+
+def test_state_vector_norm_message_reports_the_dot_product():
+    with pytest.raises(ValueError, match=r"^state vector is not normalized \(\|amps\|\^2 = 2\.0\)$"):
+        StateVector(1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^state vector is not normalized \(\|amps\|\^2 = 2\.0\)$"):
+        StateVector(1, np.array([1.0j, 1.0]))
+
+
+def _one_bad_member(rng, member, position=3, size=6):
+    stack = [random_unitary(rng, 4) for _ in range(size)]
+    stack[position] = member
+    return np.array(stack)
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        np.diag([1.0, 1.0, 1.0, 1.0 + 1e-6]),
+        np.diag([1.0, 1.0, 1.0, 1.0 + 5e-13]),
+        np.full((4, 4), 0.5) + np.diag([0.0, 0.0, 0.0, 1e-9]),
+        np.diag([1.0, np.nan, 1.0, 1.0]),
+        np.diag([1.0, 1.0, np.inf, 1.0]),
+    ],
+    ids=["off-by-1e-6", "off-by-5e-13", "off-diagonal", "nan", "inf"],
+)
+def test_stack_with_one_bad_member_raises_the_lone_message(rng, member):
+    """A stack fails on its one bad matrix with the message that matrix gets alone."""
+    with pytest.raises(ValueError) as alone:
+        Unitary(member)
+    with pytest.raises(ValueError) as stacked:
+        unitaries(_one_bad_member(rng, member))
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value).startswith(("matrix is not unitary", "unitary contains non-finite"))
+
+
+def test_stack_check_keeps_the_tolerance(rng):
+    """An error just under ``UNITARITY_TOL`` passes, as it does alone."""
+    member = np.diag([1.0, 1.0, 1.0, 1.0 + 4e-13])
+    gates = unitaries(_one_bad_member(rng, member))
+    assert len(gates) == 6 and np.array_equal(gates[3].entries, member)
+    assert np.array_equal(Unitary(member).entries, member)
+
+
+def test_stack_members_are_read_only_gates(rng):
+    stack = np.array([random_unitary(rng, 2) for _ in range(3)])
+    gates = unitaries(stack)
+    assert [g.dim for g in gates] == [2, 2, 2]
+    for gate, matrix in zip(gates, stack):
+        assert np.array_equal(gate.entries, matrix)
+        with pytest.raises(ValueError):
+            gate.entries[0, 0] = 5.0
+    stack[0, 0, 0] = 5.0  # the stack was copied
+    assert gates[0].entries[0, 0] != 5.0
+    assert unitaries([]) == ()
+    with pytest.raises(ValueError, match="must be square"):
+        unitaries(np.zeros((2, 2, 4)))
 
 
 def test_amplitudes_are_write_protected():

@@ -350,10 +350,10 @@ def test_expand_decompositions_decomposes_each_distinct_gate_once(monkeypatch, m
     """The compression gates repeat decompression gates; each is decomposed once.
 
     The N - 1 decompression gates are all distinct and the M - 1 compression
-    gates repeat M - 1 of them, so a network makes N - 1 transfer circuits
-    and at most one separation circuit.
+    gates repeat M - 1 of them, so a network makes N - 1 transfer circuits,
+    in one batch, and at most one separation circuit.
     """
-    calls = {"decompose_transfer": [], "decompose_separation": []}
+    calls = {"decompose_transfers": [], "decompose_separation": []}
 
     def spy(name):
         original = getattr(networks, name)
@@ -371,9 +371,31 @@ def test_expand_decompositions_decomposes_each_distinct_gate_once(monkeypatch, m
     expand_decompositions(spec)
     transfers = [p.params for p in spec.placements if p.kind == KIND_TRANSFER]
     assert len(transfers) == (m - 1) + (n - 1)
-    assert sorted(calls["decompose_transfer"]) == sorted(set(transfers))
-    assert len(calls["decompose_transfer"]) == n - 1
+    ((batch,),) = calls["decompose_transfers"]
+    assert sorted(batch) == sorted(set(transfers))
+    assert len(batch) == n - 1
     assert len(calls["decompose_separation"]) == (0 if mode == "approx" else 1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx", "hybrid"])
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 16)])
+def test_expanded_circuits_target_the_network_gates(monkeypatch, mode, m, n):
+    """The batch of transfer circuits is the N-copy chain's pairs in order, so
+    its targets are the gates the network already built, not rebuilt ones."""
+    batches, original = [], networks.decompose_transfers
+
+    def record(pairs):
+        batches.append(original(pairs))
+        return batches[-1]
+
+    monkeypatch.setattr(networks, "decompose_transfers", record)
+    spec = _network(problem(theta=0.3, m=m, n=n), mode)
+    expanded = expand_decompositions(spec)
+    gate_of = {p.params: p.gate for p in spec.placements if p.kind == KIND_TRANSFER}
+    (circuits,) = batches
+    assert len(circuits) == n - 1
+    assert all(gate_of[params] is c.target for params, c in zip(sorted(gate_of), circuits))
+    assert len(expanded.placements) > len(spec.placements)
 
 
 # ------------------------------------------------- live prefix vs full width
