@@ -163,11 +163,12 @@ def helstrom_bound(eta_plus: float, overlap: float) -> float:
 
 
 def exact_clone_probability(theta: float, m: int, n: int) -> float:
-    """Best success probability for producing N exact copies from M.
+    """Success probability for producing N exact copies from M, the same for both states.
 
-    Equals (1 - s**M) / (1 - s**N) with s the single-copy overlap.  The
-    ratio is evaluated through 1 - s = 2 sin(theta)^2 and expm1/log1p so it
-    keeps full relative accuracy as s -> 1, where both sides vanish.
+    Equals (1 - s**M) / (1 - s**N) with s the single-copy overlap: the best
+    for strategies that succeed equally often on both states, so optimal at
+    equal priors only.  The ratio is evaluated through 1 - s = 2 sin(theta)^2
+    and expm1/log1p, keeping full relative accuracy as s -> 1.
     """
     _check_theta(theta)
     if m < 1 or n <= m:

@@ -586,6 +586,11 @@ def decompose_cmd(gate_name, theta1, theta2, degrees, output_path):
             f"--theta1 must not exceed --theta2: the separation gate widens the pair, "
             f"got {theta1} > {theta2}"
         )
+    if separation and math.cos(2.0 * theta2) >= 1.0 - bounds.UNIT_OVERLAP_TOL:
+        raise ConfigError(
+            f"--theta2 {theta2} is too small to separate to: the output overlap "
+            f"cos(2 theta2) is within {bounds.UNIT_OVERLAP_TOL:g} of 1"
+        )
     decompose = gates.decompose_separation if separation else gates.decompose_transfer
     try:
         circuit = decompose(theta1, theta2)

@@ -143,7 +143,6 @@ def transfer_gates(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[Unitary, ...
     return tuple(built[pair] for pair in pairs)
 
 
-@functools.lru_cache(maxsize=32)
 def transfer_gate(theta1: float, theta2: float) -> Unitary:
     """Two-qubit gate concentrating the pair's distinguishability.
 
@@ -160,25 +159,26 @@ def transfer_gate(theta1: float, theta2: float) -> Unitary:
     input.  At theta1 = theta2 = 0 the odd sector is defined as the
     identity (the physical family never populates it there).
 
-    The batch of one of `transfer_gates`, memoized on its own: the gate is
-    immutable, and invalid angles raise on every call.
+    The batch of one of `transfer_gates`, and memoized by it.
     """
-    return transfer_gates.__wrapped__(((theta1, theta2),))[0]
+    return transfer_gates(((theta1, theta2),))[0]
+
+
+def _conjugating(delta: float) -> np.ndarray:
+    """Entries of `conjugating_rotation`, unchecked."""
+    c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    return np.array(((c + s, s - c), (c - s, c + s))) * (1.0 / math.sqrt(2.0))
 
 
 def conjugating_rotation(delta: float) -> Unitary:
     """Rotation A(delta) with A^dag X A = reflection by delta.
 
     Defined as ((1 - i sigma_y) cos(delta/2) + (1 + i sigma_y)
-    sin(delta/2)) / sqrt(2); the combination is real orthogonal.
+    sin(delta/2)) / sqrt(2), which is real: with c, s = cos, sin(delta/2),
+    A = ((c + s, s - c), (c - s, c + s)) / sqrt(2), each entry times
+    1/sqrt(2) as numpy's complex division by sqrt(2) computes it.
     """
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    i2 = np.eye(2)
-    a = ((i2 - 1.0j * sy) * math.cos(delta / 2.0)
-         + (i2 + 1.0j * sy) * math.sin(delta / 2.0)) / math.sqrt(2.0)
-    if np.max(np.abs(a.imag)) > CONSISTENCY_TOL:
-        raise ValueError("internal consistency failure: rotation is not real")
-    return Unitary(a.real)
+    return Unitary(_conjugating(delta))
 
 
 def separation_gamma(theta_in: float, theta_out: float) -> float:
@@ -212,11 +212,6 @@ def _check_separation_angles(theta_in: float, theta_out: float) -> None:
         )
 
 
-def separation_rotation(theta_in: float, theta_out: float) -> Unitary:
-    """Single-qubit rotation conjugating a CNOT into the separation gate."""
-    return conjugating_rotation(separation_gamma(theta_in, theta_out))
-
-
 def separation_gate(theta_in: float, theta_out: float) -> Unitary:
     """Probabilistic overlap-reducing gate on (ancilla, system) qubits.
 
@@ -226,7 +221,12 @@ def separation_gate(theta_in: float, theta_out: float) -> Unitary:
     ancilla heralds the separation; P is the separation success probability.
     The states |+-> and |--> are left invariant.
     """
-    (c, s), _ = _reflection(separation_gamma(theta_in, theta_out))
+    return _separation_gate(separation_gamma(theta_in, theta_out))
+
+
+def _separation_gate(gamma: float) -> Unitary:
+    """The separation gate of mixing angle ``gamma`` (`separation_gamma`)."""
+    (c, s), _ = _reflection(gamma)
     return Unitary(((c, 0.0, s, 0.0), (0.0, 1.0, 0.0, 0.0), (s, 0.0, -c, 0.0), (0.0, 0.0, 0.0, 1.0)))
 
 
@@ -442,16 +442,17 @@ def decompose_separation(theta_in: float, theta_out: float) -> CircuitDecomposit
     """Single-CNOT circuit equal to the separation gate.
 
     The CNOT targets the ancilla (wire 0) controlled by the system
-    (wire 1), conjugated by the separation rotation on the ancilla:
-    B^dag_0 . C(1->0) . B_0, rightmost factor first.  Three placements.
+    (wire 1), conjugated by a rotation B = `conjugating_rotation` (gamma)
+    on the ancilla: B^dag_0 . C(1->0) . B_0, rightmost factor first.  Three
+    placements.  gamma (`separation_gamma`) is solved once, for the target
+    and for B, and B and B^dag are checked as one stack.
     """
-    target = separation_gate(theta_in, theta_out)
-    b = separation_rotation(theta_in, theta_out).entries.real
     gamma = separation_gamma(theta_in, theta_out)
+    b = _conjugating(gamma)
     rotation, inverse = unitaries((b, b.T))
     placements = (
         _local_placement(rotation, 0, f"rotation({math.pi / 4.0 - gamma / 2.0:.12g})"),
         _cnot_placement(1, 0),
         _local_placement(inverse, 0, f"rotation({gamma / 2.0 - math.pi / 4.0:.12g})"),
     )
-    return CircuitDecomposition(target=target, placements=placements)
+    return CircuitDecomposition(target=_separation_gate(gamma), placements=placements)

@@ -16,9 +16,9 @@ probability beside the renormalized post-state.
 Entries are stored as float64 unless an imaginary part is nonzero; arrays
 built here take their dtype from their operands, so a complex gate
 promotes a real state.  The networks are all real.  The real kernels below
-give the complex ones' bits up to the sign of an exact zero (not at
-A = C = 1), and `project_qubit` multiplies by ``1.0 / sqrt(p)``, as
-numpy's complex division does, rather than dividing.
+give the complex ones' bits up to the sign of an exact zero, and
+`project_qubit` multiplies by ``1.0 / sqrt(p)``, as numpy's complex
+division does, rather than dividing.
 
 Validation happens at the boundaries, once per network: ``StateVector``
 checks its entries (finite, normalized by one ``vdot``) and `unitaries`
@@ -47,15 +47,16 @@ adjacent ones, starting at wire ``first`` of an n-qubit register splits the
 amplitudes into an (A, k, C) view, A = 2**first batches of k gate rows times
 C = 2**(n - first) / k trailing amplitudes:
 
+* A = C = 1 (the gate spans the whole register from wire 0): one ``matmul``
+  against the amplitudes plus one zero column, the bits of the same gate on
+  the register padded with one blank trailing wire;
 * C = 1, or A >= 64 with 2 <= C <= 8: one ``np.dot`` of the (A, k*C) view
   against gate (x) I_C, so many small batches cost one BLAS call;
 * otherwise one ``matmul`` over the view, which calls BLAS once per batch.
 
-A = C = 1 (a gate spanning the whole register from wire 0) goes through the
-C = 1 ``np.dot``, which numpy hands to a matrix-vector product whose last bits
-differ from the matrix-matrix products of every other shape; callers that
-simulate a prefix of a larger register (``networks.run_network``) keep one
-spare wire under such a gate.  Non-adjacent pairs go through ``tensordot``.
+No gate takes numpy's matrix-vector BLAS path, so ``networks.run_network``
+needs no spare wire under a gate that spans its live prefix.  Non-adjacent
+pairs go through ``tensordot``.
 
 `global_fidelity` makes no BLAS call: it contracts an n-qubit state with n
 copies of a one-qubit state wire by wire, with element-wise ufuncs in a
@@ -275,10 +276,12 @@ def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: 
     basis; an adjacent pair must be listed in ascending order (`apply_gate`
     swaps a descending one first).  The result is one new C-contiguous
     array.  One qubit, or an adjacent pair, contract over an (A, k, C) view
-    of the amplitudes.  With C = 1, or with A >= 64 batches of 2 <= C <= 8,
-    that is one ``np.dot`` of the (A, k*C) view against gate (x) I_C (built
-    by strided assignment; every added entry is an exact zero, so each sum
-    gains only exact zero terms).  Any other such view goes through one
+    of the amplitudes.  At A = C = 1 (the gate spans the register) it is
+    column 0 of one (1, k, 2) ``matmul`` against the amplitudes plus a zero
+    column, the product the gate gets on one more blank wire.  With C = 1,
+    or with A >= 64 batches of 2 <= C <= 8, it is one ``np.dot`` of the
+    (A, k*C) view against gate (x) I_C (built by strided assignment; every
+    added entry is an exact zero, so each sum gains only exact zero terms).  Any other such view goes through one
     ``matmul``; ``matmul`` over an (A, k, 1) view would take a matrix-vector
     BLAS path and change the last bits of the amplitudes.  Non-adjacent
     pairs go through ``tensordot``.
@@ -288,6 +291,10 @@ def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: 
         k = gate.shape[0]
         batches = 2 ** first
         rest = 2 ** (n - first) // k
+        if batches == rest == 1:
+            padded = np.zeros((1, k, 2), dtype=amps.dtype)
+            padded[0, :, 0] = amps
+            return np.matmul(gate, padded)[0, :, 0].copy()
         if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
             if rest > 1:
                 wide = np.zeros((k * rest, k * rest), dtype=gate.dtype)

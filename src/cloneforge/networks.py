@@ -267,13 +267,9 @@ def run_network(
     it.  Trailing wires whose amplitudes are all exactly zero are cut off
     (`linalg.live_prefix`), on the input and again on the success branch.
     A placement that reaches past the live wires first inserts blank wires
-    before the last wire, up to its top qubit plus one more when it touches
-    wire 0 (a gate spanning the whole register from wire 0 would take
-    another BLAS path, see `cloneforge.linalg`); when that spare wire would
-    be the last wire, the last wire joins instead.  The herald is one step
-    of the walk: it projects the ancilla, drops it and re-takes the live
-    prefix, after which the ancilla's slot can join again as a spare, blank
-    wire.
+    before the last wire, up to its top qubit; the last wire joins when a
+    placement touches it.  The herald is one step of the walk: it projects
+    the ancilla, drops it and re-takes the live prefix.
 
     Gates are validated when the placements are built and ``apply_gate``
     re-checks no amplitudes, so the output is padded to the system width
@@ -281,13 +277,9 @@ def run_network(
     """
     n = spec.n_qubits
     if input_state.n_qubits > n:
-        raise ValueError(
-            f"input has {input_state.n_qubits} qubit(s), network expects {n}"
-        )
+        raise ValueError(f"input has {input_state.n_qubits} qubit(s), network expects {n}")
     if reference.n_qubits != 1:
-        raise ValueError(
-            f"reference must be a one-qubit state, got {reference.n_qubits} qubits"
-        )
+        raise ValueError(f"reference must be a one-qubit state, got {reference.n_qubits} qubits")
     last = n - 1
     steps = list(spec.placements)
     if spec.heralded:
@@ -309,20 +301,14 @@ def run_network(
         on_last = top == last
         if on_last:
             top = max([q for q in qubits if q != last], default=-1)
-        reach = top + 1 + (0 in qubits)
-        joins = not joined and (on_last or reach > last)
-        if joins or width < reach and width < last:
-            joined = joined or joins
-            grown = max(width, min(reach, last))
-            state = pad_qubits(state, grown + joined, at=width)
-            width = grown
+        if top >= width or on_last and not joined:
+            joined, grown = joined or on_last, max(width, top + 1)
+            state, width = pad_qubits(state, grown + joined, at=width), grown
         if on_last:
             qubits = tuple(width if q == last else q for q in qubits)
         state = apply_gate(state, p.gate, qubits)
     out = n - spec.heralded
-    # a heralded register's last wire is the ancilla slot, blank after the herald
-    amps = state.amps[::2] if spec.heralded and joined else pad_qubits(state, out, at=width).amps
-    post = StateVector(out, amps)
+    post = StateVector(out, pad_qubits(state, out, at=width).amps)
     return SimulationResult(
         success_probability=prob,
         post_state=post,

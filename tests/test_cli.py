@@ -732,6 +732,26 @@ def test_decompose_separation_from_zero_names_the_flag():
     assert "--theta1 must lie in (0, pi/4] for the separation gate, got 0.0" in result.output
 
 
+@pytest.mark.parametrize("theta1", ["1e-9", "2e-8", "1e-300"])
+def test_decompose_separation_to_a_tiny_angle_names_theta2(theta1):
+    """Where cos(2 theta2) is within UNIT_OVERLAP_TOL of 1 the gate is undefined.
+
+    Both angles lie in (0, pi/4] with theta1 <= theta2, so the refusal names
+    --theta2 rather than the library's unit-overlap message.  At 3e-8 the
+    output overlap is far enough from 1 and the circuit is emitted.
+    """
+    result = run_cli("decompose", "--gate", "separation", "--theta1", theta1, "--theta2", "2e-8")
+    assert result.exit_code == 2
+    assert result.output == (
+        "Error: --theta2 2e-08 is too small to separate to: "
+        "the output overlap cos(2 theta2) is within 1e-15 of 1\n"
+    )
+    record = record_of(
+        run_cli("decompose", "--gate", "separation", "--theta1", theta1, "--theta2", "3e-8")
+    )
+    assert record["cnot_count"] == 1 and record["max_abs_error"] < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # verify and plumbing
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from cloneforge.gates import (
     sector_angles,
     separation_gamma,
     separation_gate,
-    separation_rotation,
     transfer_gate,
     transfer_gates,
 )
@@ -141,7 +140,7 @@ def test_transfer_gate_memo_is_safe_to_share():
     for _ in range(2):
         with pytest.raises(ValueError):
             transfer_gate(1.0, 0.1)
-    assert transfer_gate.cache_info().maxsize is not None
+    assert transfer_gates.cache_info().maxsize is not None
     assert cnot() is cnot()
 
 
@@ -167,7 +166,7 @@ def test_chain_gates_match_the_sector_oracle_bit_for_bit(theta, copies):
 def test_chain_longer_than_the_memos_builds():
     """A chain holds more distinct gates than either transfer memo does."""
     chain = compression_sequence(0.05, 40)
-    assert len({p.params for p in chain}) == 39 > transfer_gate.cache_info().maxsize
+    assert len({p.params for p in chain}) == 39 > transfer_gates.cache_info().maxsize
     for placement in chain:
         want = oracles.transfer_matrix(*sector_angles(*placement.params))
         assert placement.gate.entries.tobytes() == want.tobytes()
@@ -391,7 +390,7 @@ def test_separation_gate_rejects_widening():
 
 def test_separation_rotation_is_plain_rotation():
     gamma = separation_gamma(math.pi / 8, math.pi / 6)
-    b = separation_rotation(math.pi / 8, math.pi / 6).entries
+    b = decompose_separation(math.pi / 8, math.pi / 6).placements[0].gate.entries
     phi = math.pi / 4 - gamma / 2
     expect = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     assert np.max(np.abs(b - expect)) < 1e-12

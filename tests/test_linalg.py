@@ -309,6 +309,32 @@ def test_swapped_is_built_once_per_gate():
     assert not gate.swapped.entries.flags.writeable
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_whole_register_gate_has_the_bits_of_one_more_blank_wire(seed):
+    """A gate spanning a one- or two-qubit register: the bytes of that register padded.
+
+    Random real and complex states and gates.  Such a gate is A = C = 1 in
+    `linalg._apply_matrix`, where a matrix-vector product would give other
+    last bits than the padded register's matrix-matrix product.
+    """
+    rng = np.random.default_rng(seed)
+    for n, qubits in ((1, (0,)), (2, (0, 1)), (2, (1, 0))):
+        dim = 2 ** len(qubits)
+        orthogonal, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        amps = rng.normal(size=2 ** n)
+        for gate, state in (
+            (Unitary(orthogonal), amps),
+            (Unitary(random_unitary(rng, dim)), amps),
+            (Unitary(random_unitary(rng, dim)), amps + 1j * rng.normal(size=2 ** n)),
+        ):
+            state = StateVector(n, state / np.linalg.norm(state))
+            got = apply_gate(state, gate, qubits).amps
+            padded = apply_gate(pad_qubits(state, n + 1), gate, qubits).amps
+            assert got.dtype == padded.dtype
+            assert got.tobytes() == padded[::2].tobytes()
+            assert not padded[1::2].any()
+
+
 def _with_blank_wires(amps, blank):
     padded = np.zeros((amps.size, 2 ** blank), dtype=np.complex128)
     padded[:, 0] = amps

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,28 +570,28 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
 #: is `apply_gate` on wires a, b of an n-qubit state and ``n!a`` is
 #: `project_qubit` on wire a of one
 _LAYOUTS = {
-    ("exact", "gates", 1, 2): "3:20 3!2 3:01",
-    ("exact", "gates", 2, 5): "3:01 4:30 4!3 3:01 3:12 4:23 5:34",
-    ("exact", "cnots", 1, 2): "2:1 3:02 3:2 3!2 3:01 3:0 3:10 3:0 3:10 3:0 3:01",
+    ("exact", "gates", 1, 2): "2:10 2!1 2:01",
+    ("exact", "gates", 2, 5): "2:01 3:20 3!2 2:01 3:12 4:23 5:34",
+    ("exact", "cnots", 1, 2): "2:1 2:01 2:1 2!1 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
     ("exact", "cnots", 2, 5): (
-        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 4:3 4:03 4:3 4!3 3:01 3:0 3:10 3:0 "
-        "3:10 3:0 3:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
+        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 3:2 3:02 3:2 3!2 2:01 2:0 2:10 2:0 "
+        "2:10 2:0 2:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
         "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
     ),
-    ("approx", "gates", 1, 2): "2:0 2:01",
-    ("approx", "gates", 2, 5): "3:01 3:0 3:01 3:12 4:23 5:34",
-    ("approx", "cnots", 1, 2): "2:0 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
+    ("approx", "gates", 1, 2): "1:0 2:01",
+    ("approx", "gates", 2, 5): "2:01 2:0 2:01 3:12 4:23 5:34",
+    ("approx", "cnots", 1, 2): "1:0 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
     ("approx", "cnots", 2, 5): (
-        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 3:0 3:01 3:0 3:10 3:0 3:10 3:0 3:01 "
+        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 2:0 2:01 2:0 2:10 2:0 2:10 2:0 2:01 "
         "3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 4:2 4:23 5:34 "
         "5:3 5:43 5:3 5:43 5:3 5:34"
     ),
-    ("hybrid", "gates", 1, 2): "3:20 3!2 3:01",
-    ("hybrid", "gates", 2, 5): "3:01 4:30 4!3 3:01 3:12 4:23 5:34",
-    ("hybrid", "cnots", 1, 2): "2:1 3:02 3:2 3!2 3:01 3:0 3:10 3:0 3:10 3:0 3:01",
+    ("hybrid", "gates", 1, 2): "2:10 2!1 2:01",
+    ("hybrid", "gates", 2, 5): "2:01 3:20 3!2 2:01 3:12 4:23 5:34",
+    ("hybrid", "cnots", 1, 2): "2:1 2:01 2:1 2!1 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
     ("hybrid", "cnots", 2, 5): (
-        "3:01 3:0 3:10 3:0 3:10 3:0 3:01 4:3 4:03 4:3 4!3 3:01 3:0 3:10 3:0 "
-        "3:10 3:0 3:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
+        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 3:2 3:02 3:2 3!2 2:01 2:0 2:10 2:0 "
+        "2:10 2:0 2:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
         "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
     ),
 }
@@ -624,6 +627,55 @@ def test_run_network_keeps_the_live_register_layout(monkeypatch, case):
     prob = problem(theta=0.3, m=m, n=n)
     evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=level == "cnots")
     assert " ".join(calls) == " ".join([_LAYOUTS[case]] * 2)
+
+
+#: sha256 of each network's output bits (`_output_digest`), keyed
+#: "mode-level-M-N-theta-eta_plus"; frozen before the live register's last
+#: layout change, so a layout that moves any output bit shows here
+_NETWORK_BITS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "network_bits.json").read_text(encoding="utf-8")
+)
+
+
+def _output_digest(report):
+    """sha256 over both signs' post-state bytes and float.hex of every reported probability."""
+    digest = hashlib.sha256()
+    for result in (report.plus_result, report.minus_result):
+        digest.update(result.post_state.amps.tobytes())
+        digest.update(float.hex(result.global_fidelity_vs_exact).encode())
+        digest.update(float.hex(result.success_probability).encode())
+    digest.update(float.hex(report.fidelity).encode())
+    digest.update(float.hex(report.success_probability).encode())
+    return digest.hexdigest()
+
+
+def _bits_cases():
+    thetas = {"0.3": 0.3, "pi/4": math.pi / 4}
+    for mode, level, theta in itertools.product(MODES, ("gates", "cnots"), thetas):
+        for n in range(2, 9):
+            for m in range(1, n):
+                for eta_plus in (0.5, 0.7) if mode == "approx" else (0.5,):
+                    key = f"{mode}-{level}-{m}-{n}-{theta}-{eta_plus}"
+                    yield key, (mode, level == "cnots", problem(thetas[theta], m, n, eta_plus))
+
+
+_BITS_CASES = dict(_bits_cases())
+
+
+def test_network_bits_cover_every_case():
+    assert sorted(_BITS_CASES) == sorted(_NETWORK_BITS)
+
+
+@pytest.mark.parametrize("key", sorted(_BITS_CASES))
+def test_network_output_bits_are_frozen(key):
+    """Every mode, gate and CNOT level, 1 <= M < N <= 8: the same output bits.
+
+    The layout pin above fixes the kernel calls of a few cases; this fixes
+    what they compute, for every case the full-width oracle test runs and more.
+    """
+    mode, decomposed, prob = _BITS_CASES[key]
+    report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+    assert _output_digest(report) == _NETWORK_BITS[key]
 
 
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
