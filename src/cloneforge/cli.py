@@ -487,13 +487,13 @@ def tradeoff_cmd(start, stop, steps, **opts):
     start_v = p_lo if cfg["start"] is None else cfg["start"]
     stop_v, steps_v = cfg["stop"], cfg["steps"]
     if steps_v < 2:
-        raise ConfigError("sweep needs at least 2 steps")
+        raise ConfigError(f"--steps must be at least 2, got {steps_v}")
     if steps_v > MAX_SWEEP_STEPS:
         raise ConfigError(f"--steps must be at most {MAX_SWEEP_STEPS}, got {steps_v}")
     if not (p_lo - 1e-9 <= start_v <= stop_v <= 1.0 + 1e-12):
         raise ConfigError(
-            f"sweep bounds must satisfy {_fmt(p_lo)} <= start <= stop <= 1, "
-            f"got [{start_v}, {stop_v}]"
+            f"--start and --stop must satisfy {_fmt(p_lo)} <= --start <= --stop <= 1, "
+            f"got --start {start_v}, --stop {stop_v}"
         )
     rows = []
     for i in range(steps_v):

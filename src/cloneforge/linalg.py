@@ -21,15 +21,24 @@ give the complex ones' bits up to the sign of an exact zero, and
 division does, rather than dividing.
 
 Validation happens at the boundaries, once per network: ``StateVector``
-checks its entries (finite, normalized by one ``vdot``) and `unitaries`
-checks a whole (G, d, d) stack of gates in one pass (a lone ``Unitary`` is a
-stack of one), ``gates.GatePlacement`` and ``networks.NetworkSpec`` check
-qubit lists, and ``networks.run_network`` checks each network output once,
-when it pads the live register it simulated to the system width.
+checks its entries (`check_normalized`: finite, normalized by one
+``vdot``) and `unitaries` checks a whole (G, d, d) stack of gates in one
+pass (a lone ``Unitary`` is a stack of one), ``gates.GatePlacement`` and
+``networks.NetworkSpec`` check qubit lists, and ``networks.run_network``
+checks each network output once, in place, with `check_normalized`.
 ``apply_gate`` checks only its qubit list; its result is valid by
 construction and is returned read-only without being copied or re-checked.
 ``family_state`` checks only its angle: its amplitudes are normalized by
 construction.
+
+A gate may join a blank wire: index n of an n-qubit state names a |+>
+wire appended to it, and the result has n + 1 wires.  The join gives the
+bytes of the gate on the state padded with that wire (`pad_qubits`), without
+building the padding: a permutation moves its rows into zeros, and any
+other gate multiplies only its columns where the new wire reads |+>, in the
+same BLAS shapes as the padded register.  For complex storage only the
+sign of an exact zero may differ, where a complex product sums nothing but
+zeros.
 
 The gate kernel first looks at the gate's entries.  A gate whose entries are
 a 0/1 permutation matrix (the CNOT; `Unitary.permutation`, found once per
@@ -56,7 +65,12 @@ C = 2**(n - first) / k trailing amplitudes:
 
 No gate takes numpy's matrix-vector BLAS path, so ``networks.run_network``
 needs no spare wire under a gate that spans its live prefix.  Non-adjacent
-pairs go through ``tensordot``.
+pairs go through ``tensordot``.  Only two claims tie the bits to a wider
+register: a gate spanning the register has the bits it gets with one more
+blank wire, and a join has the bytes of pad-then-apply.  Bits do not in
+general survive a change of register width: for complex storage, a
+one-qubit gate on a two-qubit register hands BLAS another product shape
+than the same register padded with one blank wire, and the last bits differ.
 
 `global_fidelity` makes no BLAS call: it contracts an n-qubit state with n
 copies of a one-qubit state wire by wire, with element-wise ufuncs in a
@@ -89,16 +103,34 @@ class ImpossibleBranchError(ValueError):
     """Raised when asked to post-select on an outcome with ~zero probability."""
 
 
-def _as_array(values, what: str) -> np.ndarray:
+def _as_array(values) -> np.ndarray:
     """A read-only float64 copy of ``values``, complex128 if any imaginary part is nonzero."""
     arr = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if arr.dtype == np.complex128 and not arr.imag.any():
         arr = arr.real.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     # a complex entry is finite when both its parts are
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
-    arr.flags.writeable = False
     return arr
+
+
+def check_normalized(amps: np.ndarray) -> None:
+    """Raise unless ``amps`` are finite and normalized to ``NORM_TOL``; copies nothing.
+
+    The test of the ``StateVector`` constructor, with its messages.  One
+    ``vdot``: a non-finite entry makes the norm non-finite, so the entries
+    are scanned for one only when the norm is not finite.
+    """
+    norm_sq = float(np.vdot(amps, amps).real)
+    if not math.isfinite(norm_sq):
+        _require_finite(amps, "state vector")
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state vector is not normalized (|amps|^2 = {norm_sq!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +143,14 @@ class StateVector:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amps = _as_array(self.amps, "state vector")
+        amps = _as_array(self.amps)
         if amps.ndim != 1 or amps.size != 2 ** self.n_qubits:
             raise ValueError(
                 f"state vector over {self.n_qubits} qubit(s) must have "
                 f"length {2 ** self.n_qubits}, got shape {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
-        # one dot product: no register-sized temporaries
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector is not normalized (|amps|^2 = {norm_sq!r})")
+        check_normalized(amps)
 
     @classmethod
     def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
@@ -156,7 +185,7 @@ def unitaries(matrices) -> Tuple["Unitary", ...]:
     names the first failing matrix in the words a lone `Unitary` would use."""
     if not len(matrices):
         return ()
-    mats = _as_array(matrices, "unitary")
+    mats = _require_finite(_as_array(matrices), "unitary")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"unitary must be square, got shape {mats.shape[1:]}")
     dim = mats.shape[1]
@@ -275,24 +304,28 @@ def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: 
     The first listed qubit is the most significant bit of the gate's local
     basis; an adjacent pair must be listed in ascending order (`apply_gate`
     swaps a descending one first).  The result is one new C-contiguous
-    array.  One qubit, or an adjacent pair, contract over an (A, k, C) view
-    of the amplitudes.  At A = C = 1 (the gate spans the register) it is
-    column 0 of one (1, k, 2) ``matmul`` against the amplitudes plus a zero
-    column, the product the gate gets on one more blank wire.  With C = 1,
-    or with A >= 64 batches of 2 <= C <= 8, it is one ``np.dot`` of the
-    (A, k*C) view against gate (x) I_C (built by strided assignment; every
-    added entry is an exact zero, so each sum gains only exact zero terms).  Any other such view goes through one
-    ``matmul``; ``matmul`` over an (A, k, 1) view would take a matrix-vector
-    BLAS path and change the last bits of the amplitudes.  Non-adjacent
-    pairs go through ``tensordot``.
+    array.  ``gate`` is (k, k), or (k, k/2) for a join: then ``amps`` covers
+    wires 0..n-2, the listed wire n - 1 is a blank |+> wire, and ``gate``
+    holds only its columns where that wire reads |+>, the others would
+    multiply exact zeros.  One qubit, or an adjacent pair, contract over an
+    (A, k, C) view of the amplitudes (C = 1 for a join).  At A = C = 1 (the
+    gate spans the register) it is column 0 of one ``matmul`` against the
+    amplitudes plus a zero column, the product the gate gets on one more
+    blank wire.  With C = 1, or with A >= 64 batches of
+    2 <= C <= 8, it is one ``np.dot`` of the (A, k*C) view against
+    gate (x) I_C (built by strided assignment; every added entry is an
+    exact zero, so each sum gains only exact zero terms).  Any other such
+    view goes through one ``matmul``; ``matmul`` over an (A, k, 1) view
+    would take a matrix-vector BLAS path and change the last bits of the
+    amplitudes.  Non-adjacent pairs go through ``tensordot``.
     """
     first = min(qubits)
+    k, k_in = gate.shape
     if len(qubits) == 1 or max(qubits) - first == 1:
-        k = gate.shape[0]
         batches = 2 ** first
         rest = 2 ** (n - first) // k
         if batches == rest == 1:
-            padded = np.zeros((1, k, 2), dtype=amps.dtype)
+            padded = np.zeros((1, k_in, 2), dtype=amps.dtype)
             padded[0, :, 0] = amps
             return np.matmul(gate, padded)[0, :, 0].copy()
         if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
@@ -303,19 +336,23 @@ def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: 
                 gate = wide
             return np.dot(amps.reshape(batches, -1), gate.T).reshape(-1)
         return np.matmul(gate, amps.reshape(batches, k, rest)).reshape(-1)
-    k = len(qubits)
+    inputs = list(qubits) if k_in == k else [q for q in qubits if q != n - 1]
+    outs, ins = len(qubits), len(inputs)
     out = np.tensordot(
-        gate.reshape((2,) * (2 * k)), amps.reshape((2,) * n),
-        axes=(list(range(k, 2 * k)), qubits),
+        gate.reshape((2,) * (outs + ins)), amps.reshape((2,) * (n - outs + ins)),
+        axes=(list(range(outs, outs + ins)), inputs),
     )
-    return np.moveaxis(out, list(range(k)), qubits).reshape(-1)
+    return np.moveaxis(out, list(range(outs)), qubits).reshape(-1)
 
 
 def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     """Apply ``gate`` to the named qubits of ``state``, identity elsewhere.
 
     ``qubits`` is an ordered list of distinct indices; the first listed qubit
-    is the more significant bit of the gate's local basis.  Only the qubit
+    is the more significant bit of the gate's local basis.  Index
+    ``state.n_qubits`` names a blank |+> wire that the gate joins: the
+    result has one more wire, the bytes of the gate on ``state`` padded
+    with that wire (`pad_qubits`), without the padding.  Only the qubit
     list is checked here: ``state`` and ``gate`` were validated when they
     were built and a unitary preserves the norm, so the result is returned
     read-only without copying or re-checking its amplitudes.
@@ -323,7 +360,9 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     A descending adjacent pair is the gate's `Unitary.swapped` form on the
     ascending pair.  A 0/1 permutation gate (`Unitary.permutation`) on one
     qubit or on a run of ascending wires moves amplitudes by copying its
-    moved rows; every other gate is multiplied by `_apply_matrix`.
+    moved rows; on a join, rows that read the joined wire's |-> half stay
+    exact zeros.  Every other gate is multiplied by `_apply_matrix`, on a
+    join by the gate's columns where the joined wire reads |+>.
     """
     qubits = list(qubits)
     k = len(qubits)
@@ -335,23 +374,36 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
     n = state.n_qubits
     for q in qubits:
-        if not (0 <= q < n):
+        if not (0 <= q <= n):
             raise ValueError(
                 f"qubit index {q} out of range for {n}-qubit state"
             )
+    joins = n in qubits
     first = min(qubits)
     if k == 2 and qubits[0] == first + 1:
         gate, qubits = gate.swapped, [first, first + 1]
     source = gate.permutation
     if source is not None and qubits == list(range(first, first + k)):
-        amps = state.amps.reshape(2 ** first, gate.dim, -1)
-        out = amps.copy()
-        for row, src in enumerate(source.tolist()):
-            if src != row:
-                out[:, row] = amps[:, src]
+        amps = state.amps.reshape(2 ** first, gate.dim >> joins, -1)
+        if joins:
+            # the joined wire is the last local bit: rows reading its |-> half stay 0
+            out = np.zeros((amps.shape[0], gate.dim, amps.shape[2]), dtype=amps.dtype)
+            for row, src in enumerate(source.tolist()):
+                if src % 2 == 0:
+                    out[:, row] = amps[:, src // 2]
+        else:
+            out = amps.copy()
+            for row, src in enumerate(source.tolist()):
+                if src != row:
+                    out[:, row] = amps[:, src]
     else:
-        out = _apply_matrix(state.amps, gate.entries, qubits, n)
-    return StateVector._trusted(n, out.reshape(-1))
+        entries = gate.entries
+        if joins:
+            # local bit j of a column index: keep the columns where it reads |+>
+            j = qubits.index(n)
+            entries = entries.reshape(gate.dim, 2 ** j, 2, -1)[:, :, 0].reshape(gate.dim, -1)
+        out = _apply_matrix(state.amps, entries, qubits, n + joins)
+    return StateVector._trusted(n + joins, out.reshape(-1))
 
 
 def live_prefix(state: StateVector) -> StateVector:

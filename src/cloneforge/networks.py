@@ -56,6 +56,7 @@ from .linalg import (
     PLUS,
     StateVector,
     apply_gate,
+    check_normalized,
     family_state,
     global_fidelity,
     live_prefix,
@@ -266,14 +267,22 @@ def run_network(
     of a heralded one) at position ``width`` once a placement has touched
     it.  Trailing wires whose amplitudes are all exactly zero are cut off
     (`linalg.live_prefix`), on the input and again on the success branch.
-    A placement that reaches past the live wires first inserts blank wires
-    before the last wire, up to its top qubit; the last wire joins when a
-    placement touches it.  The herald is one step of the walk: it projects
-    the ancilla, drops it and re-takes the live prefix.
+    The first placement that touches a wire past the live register brings
+    it in.  When that is one wire at the end of the live register (the
+    next system wire, or the last wire before it has joined), the
+    placement names it by index ``state.n_qubits`` and ``apply_gate`` joins
+    it, with no padded copy; in the paper's networks every growth is of
+    this kind.  Otherwise (several wires at once, or a system wire before
+    a last wire that has joined) blank wires are first inserted before
+    the last wire, up to the placement's top qubit (`linalg.pad_qubits`).
+    The herald is one step of the walk: it projects the ancilla, drops it
+    and re-takes the live prefix.
 
     Gates are validated when the placements are built and ``apply_gate``
-    re-checks no amplitudes, so the output is padded to the system width
-    and checked once (finite and normalized to ``NORM_TOL``).
+    re-checks no amplitudes, so the output, padded to the system width if a
+    system wire was never touched, is checked once and in place, by the
+    ``StateVector`` constructor's own test (`linalg.check_normalized`:
+    finite and normalized to ``NORM_TOL``).
     """
     n = spec.n_qubits
     if input_state.n_qubits > n:
@@ -301,14 +310,17 @@ def run_network(
         on_last = top == last
         if on_last:
             top = max([q for q in qubits if q != last], default=-1)
-        if top >= width or on_last and not joined:
-            joined, grown = joined or on_last, max(width, top + 1)
-            state, width = pad_qubits(state, grown + joined, at=width), grown
+        grown, with_last = max(width, top + 1), joined or on_last
+        if grown + with_last > state.n_qubits + 1 or joined and grown > width:
+            # several wires at once, or a system wire before the joined last wire
+            state = pad_qubits(state, grown + with_last, at=width)
+        width, joined = grown, with_last
         if on_last:
             qubits = tuple(width if q == last else q for q in qubits)
+        # index state.n_qubits joins one blank wire (`apply_gate`)
         state = apply_gate(state, p.gate, qubits)
-    out = n - spec.heralded
-    post = StateVector(out, pad_qubits(state, out, at=width).amps)
+    post = pad_qubits(state, n - spec.heralded, at=width)
+    check_normalized(post.amps)
     return SimulationResult(
         success_probability=prob,
         post_state=post,

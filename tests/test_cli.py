@@ -565,9 +565,9 @@ def test_tradeoff_sweep_config_and_flag_override(tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("--steps", "1"), "at least 2 steps"),
-        (("--start", "0.1"), "sweep bounds"),
-        (("--start", "0.9", "--stop", "0.8"), "sweep bounds"),
+        (("--steps", "1"), "--steps must be at least 2, got 1"),
+        (("--start", "0.1"), "--start and --stop must satisfy"),
+        (("--start", "0.9", "--stop", "0.8"), "got --start 0.9, --stop 0.8"),
         (("--eta-plus", "0.7"), "equal priors"),
     ],
 )

@@ -217,8 +217,9 @@ def test_apply_gate_matches_kron_oracle_on_network_shapes(rng, n):
             assert not out.amps.flags.writeable
             with pytest.raises(ValueError):
                 out.amps[0] = 0.0
+    # index n joins a blank wire (see the join tests); n + 1 is out of range
     with pytest.raises(ValueError):
-        apply_gate(state, Unitary(I2), (n,))
+        apply_gate(state, Unitary(I2), (n + 1,))
     with pytest.raises(ValueError):
         apply_gate(state, Unitary(I4), (last, last))
 
@@ -408,8 +409,78 @@ def test_apply_gate_duplicate_qubits():
 
 
 def test_apply_gate_index_out_of_range():
-    with pytest.raises(ValueError):
-        apply_gate(basis_state(2, 0), Unitary(I4), (0, 2))
+    """Index n of an n-qubit state joins a blank wire; n + 1 and negative indices raise."""
+    state = basis_state(2, 1)
+    joined = apply_gate(state, Unitary(I4), (0, 2))
+    assert joined.n_qubits == 3
+    assert np.array_equal(joined.amps, pad_qubits(state, 3).amps)
+    for qubits in ((0, 3), (3,), (-1,), (2, -1)):
+        with pytest.raises(ValueError, match="out of range for 2-qubit state"):
+            apply_gate(state, Unitary(np.eye(2 ** len(qubits))), qubits)
+
+
+#: the local gate shapes of a join onto wire n: one qubit, or a pair with
+#: another wire, adjacent (wire n - 1) or not, listed either way round
+_JOIN_SHAPES = st.tuples(st.integers(min_value=0, max_value=8), st.booleans(), st.booleans())
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.integers(min_value=1, max_value=9),
+    _JOIN_SHAPES,
+    st.sampled_from(["orthogonal", "unitary", "permutation"]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_join_has_the_bytes_of_pad_then_apply(seed, n, shape, kind, stored_complex, zeros):
+    """A gate naming wire n of an n-qubit state: the bytes of `pad_qubits` then `apply_gate`.
+
+    Real and complex storage, real orthogonal, complex unitary and 0/1
+    permutation gates, on the new wire alone or paired with any other wire
+    in either order.  States may hold exact zeros of either sign; a
+    permutation always moves a -0.0 amplitude.  A permutation on the new
+    wire, alone or with wire n - 1, is moved, not multiplied, and keeps every
+    byte.  Real storage keeps every byte on every path.  Where a complex
+    product sums only exact zeros, the sign of that zero may differ, so a
+    complex output holding an exact zero is compared with -0.0 and +0.0
+    equated.
+    """
+    other, paired, descending = shape
+    rng = np.random.default_rng(seed)
+    other %= n
+    qubits = ((n, other) if descending else (other, n)) if paired else (n,)
+    dim = 2 ** len(qubits)
+    if kind == "permutation":
+        matrix = np.eye(dim)[rng.permutation(dim)]
+    elif kind == "orthogonal":
+        matrix, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    else:
+        matrix = random_unitary(rng, dim)
+    gate = Unitary(matrix)
+    amps = rng.normal(size=2 ** n) + (1j * rng.normal(size=2 ** n) if stored_complex else 0.0)
+    if zeros:
+        amps[rng.random(2 ** n) < 0.3] = 0.0
+        amps[0] = 1.0
+    amps /= np.linalg.norm(amps)
+    if kind == "permutation" or zeros:
+        amps[int(rng.integers(1, 2 ** n)) if n > 1 else 1] = -0.0
+        amps /= np.linalg.norm(amps)
+    state = StateVector._trusted(n, amps)
+    if stored_complex:
+        gate = _as_complex_gate(gate)
+    assert state.amps.dtype == (np.complex128 if stored_complex else np.float64)
+
+    got = apply_gate(state, gate, qubits)
+    want = apply_gate(pad_qubits(state, n + 1), gate, qubits)
+    assert got.n_qubits == n + 1 and not got.amps.flags.writeable
+    assert got.amps.dtype == want.amps.dtype
+    moved = kind == "permutation" and (not paired or other == n - 1)
+    zero_part = np.iscomplexobj(want.amps) and not (want.amps.real.all() and want.amps.imag.all())
+    if zero_part and not moved:
+        assert np.array_equal((got.amps + 0.0).view(np.uint64), (want.amps + 0.0).view(np.uint64))
+    else:
+        assert got.amps.tobytes() == want.amps.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=4))
@@ -644,16 +715,13 @@ def test_real_storage_keeps_the_bits_of_complex_storage(seed, n, qubits, kind, b
     """A state and gate stored real give the complex path's bits, operation by operation.
 
     Random states with exact zeros and ``blank`` trailing blank wires, under
-    a random real orthogonal or 0/1 permutation gate: `apply_gate`,
+    a random real orthogonal or 0/1 permutation gate, which may span the
+    whole register or join a blank wire (index ``n + blank``): `apply_gate`,
     `pad_qubits`, `live_prefix`, `project_qubit` and `global_fidelity` on the
     float64 state and gate against the same values stored as complex128.
-    A gate spanning the whole register takes a matrix-vector BLAS call whose
-    last bits depend on the storage, as they differ from every other shape;
-    like `networks.run_network`, the test keeps a spare wire under it.
     """
-    qubits = tuple(dict.fromkeys(q % n for q in qubits))
-    if len(qubits) == n:
-        blank = max(blank, 1)
+    width = n + blank
+    qubits = tuple(dict.fromkeys(q % (width + 1) for q in qubits))
     rng = np.random.default_rng(seed)
     dim = 2 ** len(qubits)
     if kind == "permutation":
@@ -664,17 +732,18 @@ def test_real_storage_keeps_the_bits_of_complex_storage(seed, n, qubits, kind, b
     amps = rng.normal(size=2 ** n)
     amps[rng.random(2 ** n) < 0.3] = 0.0
     amps[0] = 1.0
-    state = pad_qubits(StateVector(n, amps / np.linalg.norm(amps)), n + blank)
+    state = pad_qubits(StateVector(n, amps / np.linalg.norm(amps)), width)
     assert gate.entries.dtype == np.float64 and state.amps.dtype == np.float64
     stored, stored_gate = _as_complex_state(state), _as_complex_gate(gate)
 
     out = apply_gate(state, gate, qubits)
     out_c = apply_gate(stored, stored_gate, qubits)
     _assert_same_bits(out.amps, out_c.amps)
-    at = int(rng.integers(0, n + blank + 1))
-    _assert_same_bits(pad_qubits(out, n + blank + 2, at).amps, pad_qubits(out_c, n + blank + 2, at).amps)
+    width = out.n_qubits
+    at = int(rng.integers(0, width + 1))
+    _assert_same_bits(pad_qubits(out, width + 2, at).amps, pad_qubits(out_c, width + 2, at).amps)
     _assert_same_bits(live_prefix(out).amps, live_prefix(out_c).amps)
-    qubit = int(rng.integers(0, n + blank))
+    qubit = int(rng.integers(0, width))
     for outcome in (PLUS, MINUS):
         if branch_probability(out, qubit, outcome) < linalg.IMPOSSIBLE_BRANCH_TOL:
             continue

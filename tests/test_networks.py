@@ -566,33 +566,65 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
         assert max(seen["project_qubit"]) <= m + 2
 
 
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", MODES)
+def test_networks_grow_the_register_without_padding(monkeypatch, mode, decomposed):
+    """Each wire joins the live register inside `apply_gate`: no `pad_qubits` call grows a state.
+
+    Every mode at M <= 3, N <= 8, both signs: in the paper's networks each
+    growth is one wire at the end of the live register, the ancilla too.
+    """
+    grown, joins = [], []
+
+    def pad_spy(state, n_qubits, at=None):
+        if n_qubits > state.n_qubits:
+            grown.append((state.n_qubits, n_qubits, at))
+        return pad_qubits(state, n_qubits, at)
+
+    def apply_spy(state, gate, qubits):
+        joins.append(state.n_qubits in qubits)
+        return apply_gate(state, gate, qubits)
+
+    monkeypatch.setattr(networks, "pad_qubits", pad_spy)
+    monkeypatch.setattr(networks, "apply_gate", apply_spy)
+    for m in (1, 2, 3):
+        for n in range(m + 1, 9):
+            joins.clear()
+            prob = problem(theta=0.3, m=m, n=n, eta_plus=0.7 if mode == "approx" else 0.5)
+            evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+            # per sign: the N - M system wires past the input, and the ancilla
+            assert sum(joins) == 2 * (n - m + (mode != "approx")), (m, n)
+    assert grown == []
+
+
 #: the kernel calls of one `run_network` at theta = 0.3, in order: ``n:ab``
-#: is `apply_gate` on wires a, b of an n-qubit state and ``n!a`` is
+#: is `apply_gate` on wires a, b of an n-qubit state (a listed wire n joins a
+#: blank wire, and the call returns n + 1 wires) and ``n!a`` is
 #: `project_qubit` on wire a of one
 _LAYOUTS = {
-    ("exact", "gates", 1, 2): "2:10 2!1 2:01",
-    ("exact", "gates", 2, 5): "2:01 3:20 3!2 2:01 3:12 4:23 5:34",
-    ("exact", "cnots", 1, 2): "2:1 2:01 2:1 2!1 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
+    ("exact", "gates", 1, 2): "1:10 2!1 1:01",
+    ("exact", "gates", 2, 5): "2:01 2:20 3!2 2:01 2:12 3:23 4:34",
+    ("exact", "cnots", 1, 2): "1:1 2:01 2:1 2!1 1:01 2:0 2:10 2:0 2:10 2:0 2:01",
     ("exact", "cnots", 2, 5): (
-        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 3:2 3:02 3:2 3!2 2:01 2:0 2:10 2:0 "
-        "2:10 2:0 2:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
-        "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
+        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 2:2 3:02 3:2 3!2 2:01 2:0 2:10 2:0 "
+        "2:10 2:0 2:01 2:12 3:1 3:21 3:1 3:21 3:1 3:12 3:23 4:2 4:32 4:2 4:32 "
+        "4:2 4:23 4:34 5:3 5:43 5:3 5:43 5:3 5:34"
     ),
-    ("approx", "gates", 1, 2): "1:0 2:01",
-    ("approx", "gates", 2, 5): "2:01 2:0 2:01 3:12 4:23 5:34",
-    ("approx", "cnots", 1, 2): "1:0 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
+    ("approx", "gates", 1, 2): "1:0 1:01",
+    ("approx", "gates", 2, 5): "2:01 2:0 2:01 2:12 3:23 4:34",
+    ("approx", "cnots", 1, 2): "1:0 1:01 2:0 2:10 2:0 2:10 2:0 2:01",
     ("approx", "cnots", 2, 5): (
         "2:01 2:0 2:10 2:0 2:10 2:0 2:01 2:0 2:01 2:0 2:10 2:0 2:10 2:0 2:01 "
-        "3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 4:2 4:23 5:34 "
+        "2:12 3:1 3:21 3:1 3:21 3:1 3:12 3:23 4:2 4:32 4:2 4:32 4:2 4:23 4:34 "
         "5:3 5:43 5:3 5:43 5:3 5:34"
     ),
-    ("hybrid", "gates", 1, 2): "2:10 2!1 2:01",
-    ("hybrid", "gates", 2, 5): "2:01 3:20 3!2 2:01 3:12 4:23 5:34",
-    ("hybrid", "cnots", 1, 2): "2:1 2:01 2:1 2!1 2:01 2:0 2:10 2:0 2:10 2:0 2:01",
+    ("hybrid", "gates", 1, 2): "1:10 2!1 1:01",
+    ("hybrid", "gates", 2, 5): "2:01 2:20 3!2 2:01 2:12 3:23 4:34",
+    ("hybrid", "cnots", 1, 2): "1:1 2:01 2:1 2!1 1:01 2:0 2:10 2:0 2:10 2:0 2:01",
     ("hybrid", "cnots", 2, 5): (
-        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 3:2 3:02 3:2 3!2 2:01 2:0 2:10 2:0 "
-        "2:10 2:0 2:01 3:12 3:1 3:21 3:1 3:21 3:1 3:12 4:23 4:2 4:32 4:2 4:32 "
-        "4:2 4:23 5:34 5:3 5:43 5:3 5:43 5:3 5:34"
+        "2:01 2:0 2:10 2:0 2:10 2:0 2:01 2:2 3:02 3:2 3!2 2:01 2:0 2:10 2:0 "
+        "2:10 2:0 2:01 2:12 3:1 3:21 3:1 3:21 3:1 3:12 3:23 4:2 4:32 4:2 4:32 "
+        "4:2 4:23 4:34 5:3 5:43 5:3 5:43 5:3 5:34"
     ),
 }
 
