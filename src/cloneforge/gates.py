@@ -13,6 +13,9 @@ blank state |+> inert on the target side of every network here.
 A network's gates are checked in batches: a chain's transfer gates as one
 stack (`transfer_gates`), its circuits' factors as one stack and their
 products as one ``matmul`` per step (`decompositions`); a lone gate is one.
+The rows of a trade-off sweep share them: `transfer_gates` and
+`decompose_transfers` are memoized per tuple of angle pairs, and every
+circuit holds the same two CNOT placements, built at import.
 """
 
 from __future__ import annotations
@@ -387,6 +390,11 @@ def _cnot_placement(control: int, target: int) -> GatePlacement:
     )
 
 
+#: the two CNOT placements of every circuit, built once: a memoized circuit
+#: then calls no gate builder that a fresh one would
+_C01, _C10 = _cnot_placement(0, 1), _cnot_placement(1, 0)
+
+
 def _local_placement(gate: Unitary, qubit: int, label: str) -> GatePlacement:
     return GatePlacement(gate=gate, qubits=(qubit,), label=f"{label}@{qubit}", kind=KIND_LOCAL)
 
@@ -410,8 +418,16 @@ def decompose_transfers(pairs: Sequence[Tuple[float, float]]) -> Tuple[CircuitDe
 
     The targets (`transfer_gates`), the one-qubit factors and the
     re-multiplications (`decompositions`) are each checked as one batch.
+    Memoized per tuple of pairs (a list is taken as its tuple): the rows of
+    a trade-off sweep expand the same chain.  The circuits are immutable,
+    and invalid angles raise on every call.
     """
-    pairs = tuple(pairs)
+    return _decompose_transfers(tuple(pairs))
+
+
+@functools.lru_cache(maxsize=16)
+def _decompose_transfers(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[CircuitDecomposition, ...]:
+    """The memoized body of `decompose_transfers`."""
     corners = [_odd_sector_weight(theta1, theta2) == 0.0 for theta1, theta2 in pairs]
     factors, labels = [], []
     for (theta1, theta2), corner in zip(pairs, corners):
@@ -425,10 +441,9 @@ def decompose_transfers(pairs: Sequence[Tuple[float, float]]) -> Tuple[CircuitDe
         factors += [_rotation(half), _reflection(d2p)]
         labels += [f"rotation({half:.12g})", f"reflection({d2p:.12g})"]
     local = [_local_placement(g, 0, label) for g, label in zip(unitaries(np.array(factors)), labels)]
-    c01, c10 = _cnot_placement(0, 1), _cnot_placement(1, 0)
     # a regular circuit places its one rotation twice
     return decompositions([
-        (target, (c01, a, c10, b, c01) if corner else (c01, a, c10, a, c10, b, c01))
+        (target, (_C01, a, _C10, b, _C01) if corner else (_C01, a, _C10, a, _C10, b, _C01))
         for target, corner, a, b in zip(transfer_gates(pairs), corners, local[0::2], local[1::2])
     ])
 
@@ -452,7 +467,7 @@ def decompose_separation(theta_in: float, theta_out: float) -> CircuitDecomposit
     rotation, inverse = unitaries((b, b.T))
     placements = (
         _local_placement(rotation, 0, f"rotation({math.pi / 4.0 - gamma / 2.0:.12g})"),
-        _cnot_placement(1, 0),
+        _C10,
         _local_placement(inverse, 0, f"rotation({gamma / 2.0 - math.pi / 4.0:.12g})"),
     )
     return CircuitDecomposition(target=_separation_gate(gamma), placements=placements)

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * Measurement outcomes are the strings ``"plus"`` and ``"minus"``.
 
 All values are immutable after construction and all operations are pure
-functions, so everything here is safe to evaluate concurrently.  Every
+functions, and the memos below hold only read-only arrays, so everything
+here is safe to evaluate concurrently.  Every
 ``StateVector`` is normalized: `project_qubit` returns the branch
 probability beside the renormalized post-state.
 
@@ -26,7 +27,9 @@ checks its entries (`check_normalized`: finite, normalized by one
 pass (a lone ``Unitary`` is a stack of one), ``gates.GatePlacement`` and
 ``networks.NetworkSpec`` check qubit lists, and ``networks.run_network``
 checks each network output once, in place, with `check_normalized`.
-``apply_gate`` checks only its qubit list; its result is valid by
+``apply_gate`` checks only its qubit list, once per (gate, qubits, width):
+the checked update is memoized (`_kernel`, 128 entries, keyed by the gate's
+identity), and a bad list raises on every call.  Its result is valid by
 construction and is returned read-only without being copied or re-checked.
 ``family_state`` checks only its angle: its amplitudes are normalized by
 construction.
@@ -40,7 +43,8 @@ same BLAS shapes as the padded register.  For complex storage only the
 sign of an exact zero may differ, where a complex product sums nothing but
 zeros.
 
-The gate kernel first looks at the gate's entries.  A gate whose entries are
+The gate kernel is chosen once per (gate, qubits, width), when the update
+is memoized, and first looks at the gate's entries.  A gate whose entries are
 a 0/1 permutation matrix (the CNOT; `Unitary.permutation`, found once per
 gate) on one qubit, or on two adjacent ones, is not multiplied: the
 amplitudes are copied and each moved row of the k axis of the (A, k, C)
@@ -83,7 +87,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -298,26 +302,29 @@ _DOT_MIN_BATCHES = 64
 _DOT_MAX_TRAILING = 8
 
 
-def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """Multiply the listed qubits of a 2**n amplitude array by ``gate``.
+def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Choose how to multiply the listed qubits of a 2**n amplitude array by ``gate``.
 
-    The first listed qubit is the most significant bit of the gate's local
-    basis; an adjacent pair must be listed in ascending order (`apply_gate`
-    swaps a descending one first).  The result is one new C-contiguous
-    array.  ``gate`` is (k, k), or (k, k/2) for a join: then ``amps`` covers
-    wires 0..n-2, the listed wire n - 1 is a blank |+> wire, and ``gate``
-    holds only its columns where that wire reads |+>, the others would
-    multiply exact zeros.  One qubit, or an adjacent pair, contract over an
-    (A, k, C) view of the amplitudes (C = 1 for a join).  At A = C = 1 (the
-    gate spans the register) it is column 0 of one ``matmul`` against the
-    amplitudes plus a zero column, the product the gate gets on one more
-    blank wire.  With C = 1, or with A >= 64 batches of
-    2 <= C <= 8, it is one ``np.dot`` of the (A, k*C) view against
-    gate (x) I_C (built by strided assignment; every added entry is an
-    exact zero, so each sum gains only exact zero terms).  Any other such
-    view goes through one ``matmul``; ``matmul`` over an (A, k, 1) view
-    would take a matrix-vector BLAS path and change the last bits of the
-    amplitudes.  Non-adjacent pairs go through ``tensordot``.
+    Returns the multiplication, ``amps -> out``; everything that depends
+    only on the gate, the qubits and ``n`` (the BLAS shape, gate (x) I_C,
+    the ``tensordot`` axes) is worked out here, once.  The first listed
+    qubit is the most significant bit of the gate's local basis; an
+    adjacent pair must be listed in ascending order (`apply_gate` swaps a
+    descending one first).  The result is one new C-contiguous array.
+    ``gate`` is (k, k), or (k, k/2) for a join: then ``amps`` covers wires
+    0..n-2, the listed wire n - 1 is a blank |+> wire, and ``gate`` holds
+    only its columns where that wire reads |+>, the others would multiply
+    exact zeros.  One qubit, or an adjacent pair, contract over an (A, k, C)
+    view of the amplitudes (C = 1 for a join).  At A = C = 1 (the gate spans
+    the register) it is column 0 of one ``matmul`` against the amplitudes
+    plus a zero column, the product the gate gets on one more blank wire.
+    With C = 1, or with A >= 64 batches of 2 <= C <= 8, it is one ``np.dot``
+    of the (A, k*C) view against gate (x) I_C (built by strided assignment;
+    every added entry is an exact zero, so each sum gains only exact zero
+    terms).  Any other such view goes through one ``matmul``; ``matmul``
+    over an (A, k, 1) view would take a matrix-vector BLAS path and change
+    the last bits of the amplitudes.  Non-adjacent pairs go through
+    ``tensordot``.
     """
     first = min(qubits)
     k, k_in = gate.shape
@@ -325,24 +332,99 @@ def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: 
         batches = 2 ** first
         rest = 2 ** (n - first) // k
         if batches == rest == 1:
-            padded = np.zeros((1, k_in, 2), dtype=amps.dtype)
-            padded[0, :, 0] = amps
-            return np.matmul(gate, padded)[0, :, 0].copy()
+            def spanning(amps):
+                padded = np.zeros((1, k_in, 2), dtype=amps.dtype)
+                padded[0, :, 0] = amps
+                return np.matmul(gate, padded)[0, :, 0].copy()
+            return spanning
         if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
             if rest > 1:
                 wide = np.zeros((k * rest, k * rest), dtype=gate.dtype)
                 for c in range(rest):
                     wide[c::rest, c::rest] = gate
+                wide.flags.writeable = False
                 gate = wide
-            return np.dot(amps.reshape(batches, -1), gate.T).reshape(-1)
-        return np.matmul(gate, amps.reshape(batches, k, rest)).reshape(-1)
-    inputs = list(qubits) if k_in == k else [q for q in qubits if q != n - 1]
+            gate_t = gate.T
+            return lambda amps: np.dot(amps.reshape(batches, -1), gate_t).reshape(-1)
+        view = (batches, k, rest)
+        return lambda amps: np.matmul(gate, amps.reshape(view)).reshape(-1)
+    qubits = tuple(qubits)
+    inputs = qubits if k_in == k else tuple(q for q in qubits if q != n - 1)
     outs, ins = len(qubits), len(inputs)
-    out = np.tensordot(
-        gate.reshape((2,) * (outs + ins)), amps.reshape((2,) * (n - outs + ins)),
-        axes=(list(range(outs, outs + ins)), inputs),
-    )
-    return np.moveaxis(out, list(range(outs)), qubits).reshape(-1)
+    tensor = gate.reshape((2,) * (outs + ins))
+    shape = (2,) * (n - outs + ins)
+    axes = (tuple(range(outs, outs + ins)), inputs)
+    moved = tuple(range(outs))
+    return lambda amps: np.moveaxis(
+        np.tensordot(tensor, amps.reshape(shape), axes=axes), moved, qubits
+    ).reshape(-1)
+
+
+def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
+    """Multiply the listed qubits of a 2**n amplitude array by ``gate``, in the
+    shape `_matrix_kernel` chooses."""
+    return _matrix_kernel(gate, qubits, n)(amps)
+
+
+def _permutation_kernel(gate: Unitary, first: int, n: int, joins: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Move the amplitudes of a 0/1 permutation gate on wires ``first``.. of a
+    2**n register by copying its moved rows of the (A, k, C) view; on a join
+    (n counts the joined wire) rows that read the joined wire's |-> half stay
+    exact zeros."""
+    dim = gate.dim
+    batches, rest = 2 ** first, 2 ** (n - first) // dim
+    view = (batches, dim >> joins, rest)
+    source = gate.permutation.tolist()
+    if joins:
+        # the joined wire is the last local bit
+        moves = tuple((row, src // 2) for row, src in enumerate(source) if src % 2 == 0)
+    else:
+        moves = tuple((row, src) for row, src in enumerate(source) if src != row)
+
+    def move(amps):
+        amps = amps.reshape(view)
+        out = np.zeros((batches, dim, rest), dtype=amps.dtype) if joins else amps.copy()
+        for row, src in moves:
+            out[:, row] = amps[:, src]
+        return out.reshape(-1)
+    return move
+
+
+@functools.lru_cache(maxsize=128)
+def _kernel(gate: Unitary, qubits: Tuple[int, ...], n: int) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """The update of `apply_gate` for ``gate`` on ``qubits`` of an n-qubit
+    state, and the width of its result.
+
+    Memoized per (gate, qubits, n), by the gate's identity: the rows of a
+    trade-off sweep place the same gates on the same wires.  The qubit list
+    is checked here, so a bad one raises on every call (exceptions are not
+    memoized).  A kernel holds only read-only arrays.
+    """
+    k = len(qubits)
+    if gate.dim != 2 ** k:
+        raise ValueError(
+            f"gate of dimension {gate.dim} cannot act on {k} qubit(s)"
+        )
+    if len(set(qubits)) != k:
+        raise ValueError(f"qubit indices must be distinct, got {list(qubits)}")
+    for q in qubits:
+        if not (0 <= q <= n):
+            raise ValueError(
+                f"qubit index {q} out of range for {n}-qubit state"
+            )
+    joins = n in qubits
+    first = min(qubits)
+    if k == 2 and qubits[0] == first + 1:
+        gate, qubits = gate.swapped, (first, first + 1)
+    if gate.permutation is not None and qubits == tuple(range(first, first + k)):
+        return _permutation_kernel(gate, first, n + joins, joins), n + joins
+    entries = gate.entries
+    if joins:
+        # local bit j of a column index: keep the columns where it reads |+>
+        j = qubits.index(n)
+        entries = entries.reshape(gate.dim, 2 ** j, 2, -1)[:, :, 0].reshape(gate.dim, -1)
+        entries.flags.writeable = False
+    return _matrix_kernel(entries, qubits, n + joins), n + joins
 
 
 def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
@@ -353,57 +435,21 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     ``state.n_qubits`` names a blank |+> wire that the gate joins: the
     result has one more wire, the bytes of the gate on ``state`` padded
     with that wire (`pad_qubits`), without the padding.  Only the qubit
-    list is checked here: ``state`` and ``gate`` were validated when they
-    were built and a unitary preserves the norm, so the result is returned
-    read-only without copying or re-checking its amplitudes.
+    list is checked here, once per (gate, qubits, width) (`_kernel`):
+    ``state`` and ``gate`` were validated when they were built and a
+    unitary preserves the norm, so the result is returned read-only without
+    copying or re-checking its amplitudes.
 
     A descending adjacent pair is the gate's `Unitary.swapped` form on the
     ascending pair.  A 0/1 permutation gate (`Unitary.permutation`) on one
     qubit or on a run of ascending wires moves amplitudes by copying its
-    moved rows; on a join, rows that read the joined wire's |-> half stay
-    exact zeros.  Every other gate is multiplied by `_apply_matrix`, on a
-    join by the gate's columns where the joined wire reads |+>.
+    moved rows (`_permutation_kernel`); on a join, rows that read the joined
+    wire's |-> half stay exact zeros.  Every other gate is multiplied in the
+    shape `_matrix_kernel` chooses, on a join by the gate's columns where
+    the joined wire reads |+>.
     """
-    qubits = list(qubits)
-    k = len(qubits)
-    if gate.dim != 2 ** k:
-        raise ValueError(
-            f"gate of dimension {gate.dim} cannot act on {k} qubit(s)"
-        )
-    if len(set(qubits)) != k:
-        raise ValueError(f"qubit indices must be distinct, got {qubits}")
-    n = state.n_qubits
-    for q in qubits:
-        if not (0 <= q <= n):
-            raise ValueError(
-                f"qubit index {q} out of range for {n}-qubit state"
-            )
-    joins = n in qubits
-    first = min(qubits)
-    if k == 2 and qubits[0] == first + 1:
-        gate, qubits = gate.swapped, [first, first + 1]
-    source = gate.permutation
-    if source is not None and qubits == list(range(first, first + k)):
-        amps = state.amps.reshape(2 ** first, gate.dim >> joins, -1)
-        if joins:
-            # the joined wire is the last local bit: rows reading its |-> half stay 0
-            out = np.zeros((amps.shape[0], gate.dim, amps.shape[2]), dtype=amps.dtype)
-            for row, src in enumerate(source.tolist()):
-                if src % 2 == 0:
-                    out[:, row] = amps[:, src // 2]
-        else:
-            out = amps.copy()
-            for row, src in enumerate(source.tolist()):
-                if src != row:
-                    out[:, row] = amps[:, src]
-    else:
-        entries = gate.entries
-        if joins:
-            # local bit j of a column index: keep the columns where it reads |+>
-            j = qubits.index(n)
-            entries = entries.reshape(gate.dim, 2 ** j, 2, -1)[:, :, 0].reshape(gate.dim, -1)
-        out = _apply_matrix(state.amps, entries, qubits, n + joins)
-    return StateVector._trusted(n + joins, out.reshape(-1))
+    update, width = _kernel(gate, tuple(qubits), state.n_qubits)
+    return StateVector._trusted(width, update(state.amps))
 
 
 def live_prefix(state: StateVector) -> StateVector:

@@ -26,6 +26,7 @@ repeated runs are bit-identical and 1e-10 comparisons are meaningful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -123,9 +124,18 @@ def compression_sequence(theta: float, copies: int) -> Tuple[GatePlacement, ...]
     self-inverse, so the sequence for N copies, reversed, spreads a state on
     qubit 0 over N qubits: by linearity a superposition of the two
     compressed outputs becomes the same superposition of N-copy states.
+
+    The angles are solved on every call; the placements of a tuple of
+    angle pairs are memoized (`_chain`), so the rows of a trade-off sweep
+    share one chain.
     """
-    wires = range(copies - 1, 0, -1)
-    pairs = tuple((theta, angle_for_copies(theta, copies - j)) for j in wires)
+    return _chain(tuple((theta, angle_for_copies(theta, j)) for j in range(1, copies)))
+
+
+@functools.lru_cache(maxsize=16)
+def _chain(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[GatePlacement, ...]:
+    """The placements of `compression_sequence`: pair i of L on wires (L-1-i, L-i)."""
+    wires = range(len(pairs), 0, -1)
     return tuple(
         GatePlacement(
             gate=gate,

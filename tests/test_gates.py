@@ -164,7 +164,12 @@ def test_chain_gates_match_the_sector_oracle_bit_for_bit(theta, copies):
 
 
 def test_chain_longer_than_the_memos_builds():
-    """A chain holds more distinct gates than either transfer memo does."""
+    """A chain holds more distinct gates than `transfer_gates` holds entries.
+
+    The transfer memos (`transfer_gates`, `networks._chain` and
+    `decompose_transfers`) each hold whole chains, one entry per tuple of
+    angle pairs, so a long chain is built and checked gate by gate all the same.
+    """
     chain = compression_sequence(0.05, 40)
     assert len({p.params for p in chain}) == 39 > transfer_gates.cache_info().maxsize
     for placement in chain:

@@ -419,6 +419,65 @@ def test_apply_gate_index_out_of_range():
             apply_gate(state, Unitary(np.eye(2 ** len(qubits))), qubits)
 
 
+def test_a_bad_qubit_list_raises_on_every_call():
+    """The kernel memo holds no exception: a bad qubit list raises its message every time."""
+    state, pair = basis_state(2, 0), Unitary(I4)
+    for gate, qubits, message in (
+        (pair, (0,), "gate of dimension 4 cannot act on 1 qubit(s)"),
+        (pair, (1, 1), "qubit indices must be distinct, got [1, 1]"),
+        (pair, [0, 3], "qubit index 3 out of range for 2-qubit state"),
+        (Unitary(I2), (-1,), "qubit index -1 out of range for 2-qubit state"),
+    ):
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                apply_gate(state, gate, qubits)
+            assert str(err.value) == message
+    assert np.array_equal(apply_gate(state, pair, (0, 1)).amps, state.amps)
+
+
+def _orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diagonal(r))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("stored_complex", [False, True])
+def test_memoized_kernels_keep_the_bytes_of_a_fresh_one(rng, n, stored_complex):
+    """A kernel from the memo gives the bytes of one built afresh.
+
+    Real and complex gates and 0/1 permutations, on one qubit, ascending,
+    descending and non-adjacent pairs, and joins of wire n, each applied to
+    two new states, so the second call is a memo hit; the fresh kernel is
+    the unmemoized `linalg._kernel`.  A memoized kernel holds only
+    read-only arrays.
+    """
+    from cloneforge.gates import cnot
+
+    gates = {
+        1: [Unitary(_orthogonal(rng, 2)), Unitary(random_unitary(rng, 2)), Unitary(I2[::-1])],
+        2: [Unitary(_orthogonal(rng, 4)), Unitary(random_unitary(rng, 4)), cnot(),
+            Unitary(I4[rng.permutation(4)])],
+    }
+    wires = sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
+    placements = [(q,) for q in wires] + [(a, b) for a in wires for b in wires if a != b]
+    for qubits in placements:
+        for gate in gates[len(qubits)]:
+            hits = linalg._kernel.cache_info().hits
+            for _ in range(2):
+                amps = rng.normal(size=2 ** n) + (1j * rng.normal(size=2 ** n) if stored_complex else 0)
+                state = StateVector(n, amps / np.linalg.norm(amps))
+                update, width = linalg._kernel.__wrapped__(gate, qubits, n)
+                want = update(state.amps)
+                out = apply_gate(state, gate, qubits)
+                assert out.n_qubits == width == n + (n in qubits)
+                assert out.amps.dtype == want.dtype and out.amps.tobytes() == want.tobytes(), qubits
+            assert linalg._kernel.cache_info().hits > hits
+            update, _ = linalg._kernel(gate, qubits, n)
+            for cell in update.__closure__ or ():
+                if isinstance(cell.cell_contents, np.ndarray):
+                    assert not cell.cell_contents.flags.writeable
+
+
 #: the local gate shapes of a join onto wire n: one qubit, or a pair with
 #: another wire, adjacent (wire n - 1) or not, listed either way round
 _JOIN_SHAPES = st.tuples(st.integers(min_value=0, max_value=8), st.booleans(), st.booleans())

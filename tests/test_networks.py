@@ -517,7 +517,7 @@ def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
         (True, False),
         (
             (local, pair, herald, local, pair),  # system wires go in before the ancilla
-            (pair, far, local, herald),  # the spare wire past every system wire is the ancilla
+            (pair, far, local, herald),  # the ancilla joins once every system wire is live
             (pair, herald, far),  # the herald fires before the last placement
             (pair,),  # no placement touches the ancilla
         ),
