@@ -31,8 +31,11 @@ checks each network output once, in place, with `check_normalized`.
 the checked update is memoized (`_kernel`, 128 entries, keyed by the gate's
 identity), and a bad list raises on every call.  Its result is valid by
 construction and is returned read-only without being copied or re-checked.
-``family_state`` checks only its angle: its amplitudes are normalized by
-construction.
+``family_state`` checks its arguments on every call but not its amplitudes,
+which are normalized by construction; its states are memoized
+(`_family_state`, 32 entries).  `project_qubit` checks its post-state with
+`check_normalized` and stores it with the constructor's dtype rule, without
+the constructor's second copy.
 
 A gate may join a blank wire: index n of an n-qubit state names a |+>
 wire appended to it, and the result has n + 1 wires.  The join gives the
@@ -68,8 +71,11 @@ C = 2**(n - first) / k trailing amplitudes:
 * otherwise one ``matmul`` over the view, which calls BLAS once per batch.
 
 No gate takes numpy's matrix-vector BLAS path, so ``networks.run_network``
-needs no spare wire under a gate that spans its live prefix.  Non-adjacent
-pairs go through ``tensordot``.  Only two claims tie the bits to a wider
+needs no spare wire under a gate that spans its live prefix.  A non-adjacent
+pair is one ``np.dot`` of the gate against the amplitudes with its input
+wires transposed to the front, then its output axes transposed onto its
+wires: the steps of ``np.tensordot`` then ``np.moveaxis``, worked out once
+per kernel, so the bytes are theirs.  Only two claims tie the bits to a wider
 register: a gate spanning the register has the bits it gets with one more
 blank wire, and a join has the bytes of pad-then-apply.  Bits do not in
 general survive a change of register width: for complex storage, a
@@ -166,8 +172,7 @@ class StateVector:
         """
         amps.flags.writeable = False
         state = object.__new__(cls)
-        object.__setattr__(state, "n_qubits", n_qubits)
-        object.__setattr__(state, "amps", amps)
+        state.__dict__.update(n_qubits=n_qubits, amps=amps)
         return state
 
 
@@ -256,6 +261,9 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
     branch ("plus" or "minus").  Only ``theta`` is checked (it must be
     finite): cos^2 + sin^2 is 1 to a few ulp, and a tensor power of a
     normalized state is normalized, so the amplitudes are not re-checked.
+    The arguments are checked on every call; the read-only states are
+    memoized (`_family_state`, 32 entries), so the rows of a trade-off sweep
+    share their inputs and references.
     """
     if sign not in (PLUS, MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -263,6 +271,13 @@ def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
         raise ValueError("copies must be >= 1")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    # 0.0 == -0.0 as a key, but -sin(-0.0) is +0.0: the sign of theta is keyed too
+    return _family_state(theta, math.copysign(1.0, theta), sign, copies)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _family_state(theta: float, theta_sign: float, sign: str, copies: int) -> StateVector:
+    """The memoized body of `family_state`, keyed by the type and sign of ``theta``."""
     s = 1.0 if sign == PLUS else -1.0
     single = np.array([np.cos(theta), s * np.sin(theta)])
     amps = single
@@ -307,7 +322,7 @@ def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[
 
     Returns the multiplication, ``amps -> out``; everything that depends
     only on the gate, the qubits and ``n`` (the BLAS shape, gate (x) I_C,
-    the ``tensordot`` axes) is worked out here, once.  The first listed
+    the transposes of a non-adjacent pair) is worked out here, once.  The first listed
     qubit is the most significant bit of the gate's local basis; an
     adjacent pair must be listed in ascending order (`apply_gate` swaps a
     descending one first).  The result is one new C-contiguous array.
@@ -323,8 +338,11 @@ def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[
     every added entry is an exact zero, so each sum gains only exact zero
     terms).  Any other such view goes through one ``matmul``; ``matmul``
     over an (A, k, 1) view would take a matrix-vector BLAS path and change
-    the last bits of the amplitudes.  Non-adjacent pairs go through
-    ``tensordot``.
+    the last bits of the amplitudes.  A non-adjacent pair is the ``np.dot``
+    that ``np.tensordot`` makes, between the gate and the amplitudes with its
+    input wires transposed to the front, followed by the transpose that
+    ``np.moveaxis`` makes onto its wires; both are worked out here instead of
+    on every call, and the bytes are the same.
     """
     first = min(qubits)
     k, k_in = gate.shape
@@ -348,16 +366,17 @@ def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[
             return lambda amps: np.dot(amps.reshape(batches, -1), gate_t).reshape(-1)
         view = (batches, k, rest)
         return lambda amps: np.matmul(gate, amps.reshape(view)).reshape(-1)
-    qubits = tuple(qubits)
-    inputs = qubits if k_in == k else tuple(q for q in qubits if q != n - 1)
-    outs, ins = len(qubits), len(inputs)
-    tensor = gate.reshape((2,) * (outs + ins))
-    shape = (2,) * (n - outs + ins)
-    axes = (tuple(range(outs, outs + ins)), inputs)
-    moved = tuple(range(outs))
-    return lambda amps: np.moveaxis(
-        np.tensordot(tensor, amps.reshape(shape), axes=axes), moved, qubits
-    ).reshape(-1)
+    # tensordot's transpose of the input wires to the front, and moveaxis' order
+    inputs = qubits if k_in == k else [q for q in qubits if q != n - 1]
+    shape = (2,) * (n - len(qubits) + len(inputs))
+    to_front = list(inputs) + [a for a in range(len(shape)) if a not in inputs]
+    out_shape = (2,) * n
+    order = list(range(len(qubits), n))
+    for wire, axis in sorted(zip(qubits, range(len(qubits)))):
+        order.insert(wire, axis)
+    return lambda amps: np.dot(
+        gate, amps.reshape(shape).transpose(to_front).reshape(k_in, -1)
+    ).reshape(out_shape).transpose(order).reshape(-1)
 
 
 def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
@@ -416,7 +435,7 @@ def _kernel(gate: Unitary, qubits: Tuple[int, ...], n: int) -> Tuple[Callable[[n
     first = min(qubits)
     if k == 2 and qubits[0] == first + 1:
         gate, qubits = gate.swapped, (first, first + 1)
-    if gate.permutation is not None and qubits == tuple(range(first, first + k)):
+    if qubits == tuple(range(first, first + k)) and gate.permutation is not None:
         return _permutation_kernel(gate, first, n + joins, joins), n + joins
     entries = gate.entries
     if joins:
@@ -527,7 +546,7 @@ def branch_probability(state: StateVector, qubit: int, outcome: str) -> float:
     if not (0 <= qubit < state.n_qubits):
         raise ValueError(f"qubit index {qubit} out of range")
     bit = 0 if outcome == PLUS else 1
-    return float(np.sum(np.abs(_branch(state.amps, qubit, bit)) ** 2))
+    return float((np.abs(_branch(state.amps, qubit, bit)) ** 2).sum())
 
 
 def project_qubit(state: StateVector, qubit: int, outcome: str):
@@ -535,7 +554,10 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
 
     Returns ``(probability, post_state)`` with the post-state renormalized.
     Raises ImpossibleBranchError when the branch probability is below
-    ``IMPOSSIBLE_BRANCH_TOL``.
+    ``IMPOSSIBLE_BRANCH_TOL``.  The post-state is the one copy made here: it
+    is checked by the constructor's own test (`check_normalized`) and stored
+    as the constructor stores it (float64 unless an imaginary part is
+    nonzero), without being copied again.
     """
     prob = branch_probability(state, qubit, outcome)
     if prob < IMPOSSIBLE_BRANCH_TOL:
@@ -547,4 +569,7 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
     amps = state.amps.copy()
     _branch(amps, qubit, 1 - bit)[...] = 0.0
     amps *= 1.0 / np.sqrt(prob)
-    return prob, StateVector(state.n_qubits, amps)
+    if amps.dtype != np.float64:
+        amps = _as_array(amps)  # the constructor's dtype rule, copied only off the float64 path
+    check_normalized(amps)
+    return prob, StateVector._trusted(state.n_qubits, amps)

@@ -44,6 +44,7 @@ from .gates import (
     KIND_CLONE,
     KIND_SEPARATION,
     KIND_TRANSFER,
+    CircuitDecomposition,
     GatePlacement,
     clone_gate,
     decompose_separation,
@@ -56,6 +57,7 @@ from .linalg import (
     MINUS,
     PLUS,
     StateVector,
+    Unitary,
     apply_gate,
     check_normalized,
     family_state,
@@ -87,6 +89,29 @@ class NetworkSpec:
                     f"placement {p.label!r} references qubit {q}, but the "
                     f"network has {self.n_qubits} qubit(s)"
                 )
+
+    @functools.cached_property
+    def _walk(self) -> Tuple[Optional[Tuple[Unitary, Tuple[int, ...], int, bool]], ...]:
+        """The steps of `run_network`, worked out once per network and shared by its runs.
+
+        One ``(gate, qubits, top, on_last)`` per placement: ``top`` is its
+        highest wire other than the last (-1 if none) and ``on_last`` tells
+        whether it touches the last wire.  A heralded network has one more
+        step, ``None``, after the last placement on the ancilla (first if
+        none touches it).
+        """
+        last = self.n_qubits - 1
+        steps = []
+        for p in self.placements:
+            qubits = p.qubits
+            if last in qubits:
+                steps.append((p.gate, qubits, max([q for q in qubits if q != last], default=-1), True))
+            else:
+                steps.append((p.gate, qubits, max(qubits), False))
+        if self.heralded:
+            touching = [i for i, step in enumerate(steps) if step[3]]
+            steps.insert(touching[-1] + 1 if touching else 0, None)
+        return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -220,11 +245,14 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     """Replace every transfer/separation gate by its CNOT circuit.
 
     Placements of other kinds (already single-qubit) are kept as-is.  The
-    resulting network simulates to the same numbers as the original.  Each
-    distinct ``(kind, params)`` is decomposed once: the compression gates
-    repeat decompression gates, and every copy of a gate gets the same
-    circuit.  The distinct transfer gates are decomposed as one batch, and
-    the checked circuit placements are moved without re-checking (`rewired`).
+    resulting network simulates to the same numbers as the original, and
+    is validated as any ``NetworkSpec`` is.  Each distinct ``(kind, params)``
+    is decomposed once: the compression gates repeat decompression gates,
+    and every copy of a gate gets the same circuit.  The distinct transfer
+    gates are decomposed as one batch, and the checked circuit placements
+    are moved without re-checking (`rewired`).  A circuit's moved and
+    labelled run on a wire pair is memoized (`_placed_run`), so the rows of a
+    trade-off sweep share their transfer circuits' runs.
     """
     keys = dict.fromkeys((p.kind, p.params) for p in spec.placements)
     # sorted: the N-copy chain's pairs (angles grow with copies), memoized with its gates
@@ -241,15 +269,25 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
         circuit = circuits.get((p.kind, p.params))
         if circuit is None:
             expanded.append(p)
-            continue
-        expanded.extend(
-            dp.rewired(p.qubits, f"{dp.label} [from {p.label}]") for dp in circuit.placements
-        )
+        else:
+            expanded.extend(_placed_run(circuit, p.qubits, p.label))
     return NetworkSpec(
         n_qubits=spec.n_qubits,
         placements=tuple(expanded),
         heralded=spec.heralded,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _placed_run(circuit: CircuitDecomposition, wires: Tuple[int, ...], label: str) -> Tuple[GatePlacement, ...]:
+    """``circuit``'s placements moved from local wires 0, 1 to ``wires``, each labelled
+    with the placement ``label`` it comes from.
+
+    Memoized: the rows of a sweep place the same transfer circuits (at most 7 runs
+    a row, at M = 3, N = 6).  A separation circuit, and any circuit of fresh
+    angles, is never placed again, so the bound keeps such runs few.
+    """
+    return tuple(dp.rewired(wires, f"{dp.label} [from {label}]") for dp in circuit.placements)
 
 
 def run_network(
@@ -286,7 +324,12 @@ def run_network(
     a last wire that has joined) blank wires are first inserted before
     the last wire, up to the placement's top qubit (`linalg.pad_qubits`).
     The herald is one step of the walk: it projects the ancilla, drops it
-    and re-takes the live prefix.
+    and re-takes the live prefix.  What the walk needs of each placement
+    (its gate, its wires, its top system wire, whether it touches the last
+    wire) and where the herald goes are worked out once per network
+    (``NetworkSpec._walk``) and shared by its runs, so both signs of
+    `evaluate_cloner` share them; the dynamic part (the live width, the
+    joins, the padding) is still decided per run.
 
     Gates are validated when the placements are built and ``apply_gate``
     re-checks no amplitudes, so the output, padded to the system width if a
@@ -300,27 +343,20 @@ def run_network(
     if reference.n_qubits != 1:
         raise ValueError(f"reference must be a one-qubit state, got {reference.n_qubits} qubits")
     last = n - 1
-    steps = list(spec.placements)
-    if spec.heralded:
-        # None marks the herald, after the last placement on the ancilla
-        touching = [i for i, p in enumerate(steps) if last in p.qubits]
-        steps.insert(touching[-1] + 1 if touching else 0, None)
     state = live_prefix(input_state)
     width, joined = min(state.n_qubits, last), state.n_qubits > last
     prob = 1.0
-    for p in steps:
-        if p is None:
+    for step in spec._walk:
+        if step is None:
+            # the herald
             prob, success = project_qubit(pad_qubits(state, width + 1), width, PLUS)
             # the projection left exact zeros in the odd entries: drop the ancilla
             state = live_prefix(StateVector._trusted(width, success.amps[::2].copy()))
             width, joined = state.n_qubits, False
             continue
-        qubits = p.qubits
-        top = max(qubits)
-        on_last = top == last
-        if on_last:
-            top = max([q for q in qubits if q != last], default=-1)
-        grown, with_last = max(width, top + 1), joined or on_last
+        gate, qubits, top, on_last = step
+        grown = top + 1 if top >= width else width
+        with_last = joined or on_last
         if grown + with_last > state.n_qubits + 1 or joined and grown > width:
             # several wires at once, or a system wire before the joined last wire
             state = pad_qubits(state, grown + with_last, at=width)
@@ -328,7 +364,7 @@ def run_network(
         if on_last:
             qubits = tuple(width if q == last else q for q in qubits)
         # index state.n_qubits joins one blank wire (`apply_gate`)
-        state = apply_gate(state, p.gate, qubits)
+        state = apply_gate(state, gate, qubits)
     post = pad_qubits(state, n - spec.heralded, at=width)
     check_normalized(post.amps)
     return SimulationResult(

@@ -542,6 +542,58 @@ def test_join_has_the_bytes_of_pad_then_apply(seed, n, shape, kind, stored_compl
         assert got.amps.tobytes() == want.amps.tobytes()
 
 
+def _tensordot_kernel(entries, qubits, n):
+    """The non-adjacent kernel in its ``np.tensordot`` + ``np.moveaxis`` form: the oracle
+    of the direct form, which works out tensordot's transpose and moveaxis' order once."""
+    k, k_in = entries.shape
+    inputs = qubits if k_in == k else tuple(q for q in qubits if q != n - 1)
+    outs, ins = len(qubits), len(inputs)
+    tensor = entries.reshape((2,) * (outs + ins))
+    shape = (2,) * (n - outs + ins)
+    axes = (tuple(range(outs, outs + ins)), inputs)
+    return lambda amps: np.moveaxis(
+        np.tensordot(tensor, amps.reshape(shape), axes=axes), tuple(range(outs)), qubits
+    ).reshape(-1)
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.integers(min_value=3, max_value=9),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["orthogonal", "unitary"]),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_non_adjacent_pairs_keep_the_bytes_of_tensordot(seed, n, joins, descending, kind, stored_complex):
+    """A gate on two non-adjacent wires: the bytes and dtype of ``np.tensordot`` then ``np.moveaxis``.
+
+    Real orthogonal and complex unitary gates, real and complex storage,
+    ascending and descending pairs, and joins (one wire is index n, a blank
+    wire the gate brings in), on 3..9 wires.
+    """
+    rng = np.random.default_rng(seed)
+    # two wires at least two apart; wire n is the joined one
+    a = int(rng.integers(0, n - 1 if joins else n - 2))
+    b = n if joins else int(rng.integers(a + 2, n))
+    qubits = (b, a) if descending else (a, b)
+    matrix = _orthogonal(rng, 4) if kind == "orthogonal" else random_unitary(rng, 4)
+    gate = Unitary(matrix)
+    amps = rng.normal(size=2 ** n) + (1j * rng.normal(size=2 ** n) if stored_complex else 0.0)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    entries = gate.entries
+    if joins:
+        # the columns where the joined wire reads |+>
+        j = qubits.index(n)
+        entries = entries.reshape(4, 2 ** j, 2, -1)[:, :, 0].reshape(4, -1)
+    want = _tensordot_kernel(entries, qubits, n + joins)(state.amps)
+    direct = linalg._matrix_kernel(entries, qubits, n + joins)(state.amps)
+    got = apply_gate(state, gate, qubits)
+    assert got.n_qubits == n + joins
+    for out in (direct, got.amps):
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_apply_gate_preserves_norm(seed, n):
@@ -686,6 +738,29 @@ def test_project_impossible_branch():
         project_qubit(basis_state(1, 0), 0, MINUS)
 
 
+@pytest.mark.parametrize("stored_complex", [False, True])
+def test_project_qubit_keeps_the_constructor_dtype_rule(stored_complex):
+    """The post-state is checked and wrapped without a second copy, yet stored as the
+    constructor stores it: float64 unless an imaginary part is nonzero."""
+    amps = np.array([0.6, 0.0, 0.0, 0.8])
+    state = StateVector._trusted(2, amps.astype(np.complex128) if stored_complex else amps)
+    prob, post = project_qubit(state, 0, MINUS)
+    want = StateVector(2, np.array([0.0, 0.0, 0.0, 0.8]) / 0.8)
+    assert prob == pytest.approx(0.64)
+    assert post.amps.dtype == np.float64 and post.amps.tobytes() == want.amps.tobytes()
+    assert not post.amps.flags.writeable
+    phase = StateVector(2, np.array([0.6, 0.0, 0.0, 0.8j]))
+    prob, post = project_qubit(phase, 1, MINUS)
+    assert post.amps.dtype == np.complex128 and np.array_equal(post.amps, [0, 0, 0, 1j])
+    blank = StateVector._trusted(2, state.amps[[0, 3, 1, 2]])  # qubit 0 reads |+>
+    with pytest.raises(ImpossibleBranchError, match="impossible branch"):
+        project_qubit(blank, 0, MINUS)
+    # the post-state is still checked: an unchecked NaN reaches it and raises
+    broken = StateVector._trusted(2, np.array([0.6, np.nan, 0.0, 0.8]).astype(state.amps.dtype))
+    with pytest.raises(ValueError, match="non-finite"):
+        project_qubit(broken, 0, PLUS)
+
+
 def test_project_rejects_unknown_outcome():
     with pytest.raises(ValueError):
         branch_probability(basis_state(1, 0), 0, "up")
@@ -753,7 +828,7 @@ def _assert_same_bits(real, stored):
 
 #: one-qubit and two-qubit placements on up to 9 wires; with the wire counts
 #: drawn below they reach the C = 1 and batched ``np.dot``, ``matmul``,
-#: ``tensordot`` and permutation paths of `apply_gate`
+#: non-adjacent and permutation paths of `apply_gate`
 _STORAGE_PLACEMENTS = st.one_of(
     st.integers(min_value=0, max_value=8).map(lambda q: (q,)),
     st.tuples(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8)).filter(

@@ -3,8 +3,10 @@ holding an exception.
 
 The rows of a trade-off sweep at one (theta, M, N) differ only in their
 separation stage, so they share their chain placements (`networks._chain`),
-their transfer gates (`gates.transfer_gates`) and their CNOT circuits
-(`gates.decompose_transfers`).
+their transfer gates (`gates.transfer_gates`), their CNOT circuits
+(`gates.decompose_transfers`) and those circuits' runs placed on the network's
+wires (`networks._placed_run`), and their input and reference states
+(`linalg._family_state`).
 """
 
 import ast
@@ -13,13 +15,15 @@ import pkgutil
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cloneforge
-from cloneforge import gates, networks
+from cloneforge import gates, linalg, networks
 from cloneforge.bounds import CloningProblem, exact_clone_probability
 from cloneforge.gates import KIND_TRANSFER, decompose_transfers
-from cloneforge.networks import compression_sequence, exact_network, hybrid_network
+from cloneforge.linalg import MINUS, PLUS, family_state
+from cloneforge.networks import compression_sequence, exact_network, expand_decompositions, hybrid_network
 
 SRC = Path(cloneforge.__file__).resolve().parent
 
@@ -57,7 +61,8 @@ def test_every_lru_cache_is_bounded():
     )
     assert sorted(cached) == declared
     assert {"cloneforge.networks._chain", "cloneforge.gates._decompose_transfers",
-            "cloneforge.linalg._kernel"} <= set(cached)
+            "cloneforge.linalg._kernel", "cloneforge.linalg._family_state",
+            "cloneforge.networks._placed_run"} <= set(cached)
     for name, memo in cached.items():
         maxsize = memo.cache_parameters()["maxsize"]
         assert maxsize is not None, name
@@ -120,3 +125,69 @@ def test_memoized_results_are_read_only():
             placement.gate.entries[0, 0] = 5.0
         with pytest.raises(FrozenInstanceError):
             placement.qubits = (0, 1)
+
+
+def test_a_signed_zero_angle_keeps_its_bytes_in_either_order():
+    """0.0 and -0.0 are one key to ``lru_cache``, but -sin(0.0) is -0.0 and -sin(-0.0)
+    is +0.0: the memo keys the sign of theta too, whichever call comes first."""
+    # a list, not a dict: 0.0 and -0.0 would be one dict key as well
+    want = [(theta, linalg._family_state.__wrapped__(theta, 0.0, MINUS, 2).amps.tobytes())
+            for theta in (0.0, -0.0)]
+    assert want[0][1] != want[1][1]
+    for order in (want, want[::-1]):
+        linalg._family_state.cache_clear()
+        for _ in range(2):
+            for theta, amps in order:
+                assert family_state(theta, MINUS, copies=2).amps.tobytes() == amps
+
+
+def test_memoized_family_states_are_shared_and_read_only():
+    """A repeated call returns the same state object, so nothing it holds can be written."""
+    state = family_state(0.3, PLUS, copies=3)
+    assert family_state(0.3, PLUS, 3) is state
+    assert family_state(0.3, PLUS, copies=1) is family_state(0.3, PLUS)
+    with pytest.raises(ValueError):
+        state.amps[0] = 5.0
+    with pytest.raises(FrozenInstanceError):
+        state.amps = np.zeros(8)
+
+
+def test_family_state_checks_its_arguments_on_every_call():
+    size = linalg._family_state.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sign must be"):
+            family_state(0.3, "both")
+        with pytest.raises(ValueError, match="copies must be"):
+            family_state(0.3, PLUS, copies=0)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            family_state(float("nan"), PLUS)
+    assert linalg._family_state.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 6)])
+def test_rows_of_a_sweep_share_their_placed_runs(m, n):
+    """Two rows at one (theta, M, N), expanded to CNOTs, hold the same placed runs
+    of their transfer circuits: the second row misses only its new separation."""
+    prob = CloningProblem(0.41, m, n)
+    p_exact = exact_clone_probability(0.41, m, n)
+    first = expand_decompositions(hybrid_network(prob, p_exact + 0.3 * (1 - p_exact)))
+    before = networks._placed_run.cache_info()
+    second = expand_decompositions(exact_network(prob))
+    after = networks._placed_run.cache_info()
+    transfers = (m - 1) + (n - 1)
+    assert (after.hits - before.hits, after.misses - before.misses) == (transfers, 1)
+
+    def placed(spec):
+        return [p for p in spec.placements if "[from transfer" in p.label]
+
+    assert len(placed(first)) == len(placed(second)) > transfers
+    assert all(a is b for a, b in zip(placed(first), placed(second)))
+
+
+def test_the_placed_run_memo_is_bounded():
+    """A wide chain of fresh angles fills the memo up to its bound and no further."""
+    maxsize = networks._placed_run.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize <= 64
+    for theta in (0.2, 0.3, 0.4):
+        expand_decompositions(exact_network(CloningProblem(theta, 3, 16)))
+    assert networks._placed_run.cache_info().currsize == maxsize

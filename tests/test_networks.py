@@ -401,6 +401,49 @@ def test_expanded_circuits_target_the_network_gates(monkeypatch, mode, m, n):
     assert len(expanded.placements) > len(spec.placements)
 
 
+def test_both_signs_share_one_walk(monkeypatch):
+    """`evaluate_cloner` works out the walk of its network once, for both signs."""
+    walk, runs = NetworkSpec.__dict__["_walk"], []
+    built, build = [], walk.func
+    original_run = networks.run_network
+
+    def count(spec):
+        built.append(spec)
+        return build(spec)
+
+    def record(spec, *args, **kwargs):
+        runs.append(spec)
+        return original_run(spec, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "func", count)
+    monkeypatch.setattr(networks, "run_network", record)
+    for mode, decomposed in itertools.product(MODES, (False, True)):
+        built.clear()
+        runs.clear()
+        prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
+        evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+        assert len(runs) == 2 and runs[0] is runs[1]
+        assert len(built) == 1 and built[0] is runs[0]
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", MODES)
+def test_a_network_equals_one_built_afresh_from_its_placements(mode, decomposed):
+    """A spec built from another's placements is equal to it, walks the same steps
+    and runs to the same bytes: the walk depends on nothing but the placements."""
+    prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
+    spec = _network(prob, mode)
+    if decomposed:
+        spec = expand_decompositions(spec)
+    fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
+    assert fresh == spec and fresh._walk == spec._walk
+    for sign in (PLUS, MINUS):
+        state, reference = family_state(0.3, sign, copies=2), family_state(0.3, sign)
+        got, want = (run_network(s, state, reference=reference) for s in (fresh, spec))
+        _assert_same_bits(got, want)
+        assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+
+
 # ------------------------------------------------- live prefix vs full width
 
 
