@@ -24,7 +24,9 @@ division does, rather than dividing.
 Validation happens at the boundaries, once per network: ``StateVector``
 checks its entries (`check_normalized`: finite, normalized by one
 ``vdot``) and `unitaries` checks a whole (G, d, d) stack of gates in one
-pass (a lone ``Unitary`` is a stack of one), ``gates.GatePlacement`` and
+pass (a lone ``Unitary`` is a stack of one), and notes in the same pass
+which entries are exactly zero (`Unitary.nonzero_pattern`, read by the
+Z frame of ``networks``), ``gates.GatePlacement`` and
 ``networks.NetworkSpec`` check qubit lists, and ``networks.run_network``
 checks each network output once, in place, with `check_normalized`.
 ``apply_gate`` checks only its qubit list, once per (gate, qubits, width):
@@ -205,26 +207,33 @@ def unitaries(matrices) -> Tuple["Unitary", ...]:
         worst = errors.reshape(len(mats), -1).max(axis=1)
         err = worst[worst >= UNITARITY_TOL][0]
         raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {err:.3e})")
-    return tuple(map(Unitary._trusted, mats))
+    patterns = [row.tobytes() for row in (mats != 0).reshape(len(mats), -1)]
+    return tuple(map(Unitary._trusted, mats, patterns))
 
 
 @dataclass(frozen=True, eq=False)
 class Unitary:
-    """A dense unitary on one or more qubits, verified as a stack of one (`unitaries`)."""
+    """A dense unitary on one or more qubits, verified as a stack of one (`unitaries`).
+
+    ``nonzero_pattern`` tells which entries are not exactly zero, one byte
+    per entry, row by row; `unitaries` finds it for a whole stack at once.
+    It is all that the Z-frame rule of ``networks`` (`networks._z_images`)
+    reads of a gate.
+    """
 
     entries: np.ndarray
     dim: int = field(init=False)
+    nonzero_pattern: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         (checked,) = unitaries(np.asarray(self.entries)[np.newaxis])
-        object.__setattr__(self, "entries", checked.entries)
-        object.__setattr__(self, "dim", checked.dim)
+        self.__dict__.update(vars(checked))
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray) -> "Unitary":
+    def _trusted(cls, entries: np.ndarray, nonzero_pattern: bytes) -> "Unitary":
         """Wrap read-only entries that are already checked (a view of a checked stack)."""
         gate = object.__new__(cls)
-        gate.__dict__.update(entries=entries, dim=entries.shape[0])
+        gate.__dict__.update(entries=entries, dim=entries.shape[0], nonzero_pattern=nonzero_pattern)
         return gate
 
     @functools.cached_property
@@ -236,7 +245,7 @@ class Unitary:
         """
         mat = self.entries[_SWAPPED_PAIR]
         mat.flags.writeable = False
-        return Unitary._trusted(mat)
+        return Unitary._trusted(mat, (mat != 0).tobytes())
 
     @functools.cached_property
     def permutation(self) -> Optional[np.ndarray]:

@@ -22,6 +22,19 @@ the post-selected output.
 the live wires only, with the herald as one step of the walk.
 Probabilities are computed by exact projection -- never sampled -- so
 repeated runs are bit-identical and 1e-10 comparisons are meaningful.
+
+`evaluate_cloner` runs one sign where it can.  Z on every wire swaps the
+two M-copy inputs, bit for bit, and every network built here keeps that
+symmetry at equal priors, at gate and at CNOT level: the minus output is Z
+on every system wire times the plus output.  A Z frame, a Z string with a
+global sign tracked over the placements once per network
+(`NetworkSpec._z_sign`), shows that the two runs are sign flips of each
+other term by term.  IEEE rounding treats signs alike, fl(-a*b) =
+-fl(a*b) and fl(-x - y) = -fl(x + y), so the minus run is then the plus
+run with its signs turned, bit for bit, up to the sign of an exact zero.
+The minus result is taken from the plus result (`_z_flipped`) when the
+plus output has no exact zero; any other network, the approx one at
+unequal priors among them, runs both signs.
 """
 
 from __future__ import annotations
@@ -29,6 +42,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .bounds import (
     MODES,
@@ -82,13 +97,16 @@ class NetworkSpec:
     heralded: bool = False
 
     def __post_init__(self):
-        for p in self.placements:
-            if not (0 <= min(p.qubits) and max(p.qubits) < self.n_qubits):
-                q = next(q for q in p.qubits if not (0 <= q < self.n_qubits))
-                raise ValueError(
-                    f"placement {p.label!r} references qubit {q}, but the "
-                    f"network has {self.n_qubits} qubit(s)"
-                )
+        # every wire at once: the first placement off the register is looked up only to name it
+        wires = set().union(*[p.qubits for p in self.placements])
+        if wires and not (0 <= min(wires) and max(wires) < self.n_qubits):
+            p, q = next(
+                (p, q) for p in self.placements for q in p.qubits if not (0 <= q < self.n_qubits)
+            )
+            raise ValueError(
+                f"placement {p.label!r} references qubit {q}, but the "
+                f"network has {self.n_qubits} qubit(s)"
+            )
 
     @functools.cached_property
     def _walk(self) -> Tuple[Optional[Tuple[Unitary, Tuple[int, ...], int, bool]], ...]:
@@ -113,10 +131,101 @@ class NetworkSpec:
             steps.insert(touching[-1] + 1 if touching else 0, None)
         return tuple(steps)
 
+    def _z_sign(self, width: int) -> Optional[float]:
+        """The sign g with which the run of Z^(x)width |in> is g Z^(x)N times the
+        run of |in>, for any input |in> on ``width`` wires; None where no Z frame
+        shows it.
+
+        N counts the system wires.  A Z frame is a Z string (a mask: wire q is
+        bit q) with a global sign.  It claims that each amplitude of the second
+        run is the first run's at the same index times
+        sign * (-1)^|index & mask|, or that both are zero; then the two runs
+        agree bit for bit, up to the sign of an exact zero.  The frame starts
+        as Z on the input wires and follows the steps of the walk: each
+        placement maps it by the rule of its gate's nonzero pattern
+        (`_z_images`), where a wire that is not yet live is blank, so its bit
+        is free; the herald keeps the ancilla's |+> branch and drops its bit.
+        Every frame that holds is kept; with none left, or more than
+        ``_MAX_FRAMES``, there is no answer.  The networks here hold at most
+        two: after a CNOT onto a blank target, Z on the control and -Z on the
+        target both hold, and a rotation of the control keeps the second.
+        The frames are worked out from the placements alone, so an amplitude
+        that is zero in a run still constrains them: a frame found holds,
+        though one may be missed.
+        """
+        live = (1 << width) - 1
+        frames = {(live, 1.0)}
+        for step in self._walk:
+            if step is None:
+                keep = ~(1 << (self.n_qubits - 1))
+                frames = {(mask & keep, sign) for mask, sign in frames}
+                live &= keep
+                continue
+            gate, qubits = step[0], step[1]
+            wires = 0
+            for q in qubits:
+                wires |= 1 << q
+            pattern, blank = gate.nonzero_pattern, wires & ~live
+            frames = {
+                (mask & ~wires | bits, -sign if flip else sign)
+                for mask, sign in frames
+                for bits, flip in _z_images(pattern, qubits, mask & wires, blank)
+            }
+            if not frames or len(frames) > _MAX_FRAMES:
+                return None
+            live |= wires
+        # a system wire that never went live is blank: its bit is free
+        system = (1 << (self.n_qubits - self.heralded)) - 1
+        return next((sign for mask, sign in frames if (mask | ~live) & system == system), None)
+
+
+#: most Z frames `NetworkSpec._z_sign` follows at once
+_MAX_FRAMES = 4
+
+
+@functools.lru_cache(maxsize=1024)
+def _z_images(pattern: bytes, qubits: Tuple[int, ...], z: int, blank: int) -> Tuple[Tuple[int, bool], ...]:
+    """Each image ``(bits, flip)`` of a Z string under a gate: its new bits on
+    the gate's wires and whether its global sign turns.
+
+    ``pattern`` is the gate's `Unitary.nonzero_pattern` and ``qubits`` its
+    wires; ``z`` and ``blank`` are the string's bits on them and those of them
+    not yet live, as network masks (wire q is bit q).  An image holds when
+    every nonzero entry G[i][j], in a column j where no blank wire reads |->,
+    has (-1)^(|i & bits| + flip) = (-1)^|j & z|: then each term of each output
+    amplitude's sum turns sign with it.  A row with no such entry is zero and
+    a blank wire reads |+>, so neither constrains the string.  Memoized:
+    a few gate patterns recur on every wire of every network.
+    """
+    k = len(qubits)
+    shifts = range(k - 1, -1, -1)  # the first listed qubit is the most significant local bit
+
+    def local(mask):
+        return sum((mask >> q & 1) << s for q, s in zip(qubits, shifts))
+
+    z, blank, dim = local(z), local(blank), 1 << k
+    entries = [
+        (i, (j & z).bit_count() & 1)
+        for i in range(dim)
+        for j in range(dim)
+        if pattern[i * dim + j] and not j & blank
+    ]
+    images = []
+    for out in range(dim):
+        flips = {((i & out).bit_count() ^ sign_in) & 1 for i, sign_in in entries}
+        if len(flips) == 1:
+            images.append((sum((out >> s & 1) << q for q, s in zip(qubits, shifts)), flips.pop() == 1))
+    return tuple(images)
+
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of one network run on one input: its success branch."""
+    """Outcome of one network run on one input: its success branch.
+
+    `evaluate_cloner` may take the minus input's result from the plus run
+    (`_z_flipped`) instead of running it; it holds the bytes its own run
+    would give.
+    """
 
     success_probability: float
     post_state: StateVector
@@ -327,9 +436,9 @@ def run_network(
     and re-takes the live prefix.  What the walk needs of each placement
     (its gate, its wires, its top system wire, whether it touches the last
     wire) and where the herald goes are worked out once per network
-    (``NetworkSpec._walk``) and shared by its runs, so both signs of
-    `evaluate_cloner` share them; the dynamic part (the live width, the
-    joins, the padding) is still decided per run.
+    (``NetworkSpec._walk``) and shared by its runs, and by the Z frame that
+    lets `evaluate_cloner` skip the minus run; the dynamic part (the live
+    width, the joins, the padding) is still decided per run.
 
     Gates are validated when the placements are built and ``apply_gate``
     re-checks no amplitudes, so the output, padded to the system width if a
@@ -383,8 +492,13 @@ def evaluate_cloner(
 ) -> ClonerReport:
     """Simulate both input signs and compare against the analytic bounds.
 
-    ``decompose_gates=True`` swaps every two-qubit gate for its CNOT
-    decomposition before running (the reported numbers must not move).
+    The plus input is run.  When a Z frame shows that the network maps the
+    minus input to Z on every system wire times the plus output (at equal
+    priors, every network here), the minus result is taken from the plus
+    one, with the bytes its own run would give (`_run_signs`); otherwise
+    the minus input is run too.  ``decompose_gates=True`` swaps every
+    two-qubit gate for its CNOT decomposition before running (the reported
+    numbers must not move).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -408,27 +522,21 @@ def evaluate_cloner(
         p_bound = 1.0
     if decompose_gates:
         spec = expand_decompositions(spec)
-    results = {}
-    for sign in (PLUS, MINUS):
-        results[sign] = run_network(
-            spec,
-            family_state(problem.theta, sign, copies=problem.m_copies),
-            reference=family_state(problem.theta, sign),
-        )
+    plus, minus = _run_signs(spec, problem.theta, problem.m_copies)
     fidelity = (
-        problem.eta_plus * results[PLUS].global_fidelity_vs_exact
-        + problem.eta_minus * results[MINUS].global_fidelity_vs_exact
+        problem.eta_plus * plus.global_fidelity_vs_exact
+        + problem.eta_minus * minus.global_fidelity_vs_exact
     )
     success = (
-        problem.eta_plus * results[PLUS].success_probability
-        + problem.eta_minus * results[MINUS].success_probability
+        problem.eta_plus * plus.success_probability
+        + problem.eta_minus * minus.success_probability
     )
     return ClonerReport(
         problem=problem,
         mode=mode,
         p_s=p_s,
-        plus_result=results[PLUS],
-        minus_result=results[MINUS],
+        plus_result=plus,
+        minus_result=minus,
         fidelity=fidelity,
         success_probability=success,
         fidelity_bound=f_bound,
@@ -436,3 +544,59 @@ def evaluate_cloner(
         fidelity_deviation=abs(fidelity - f_bound),
         success_deviation=abs(success - p_bound),
     )
+
+
+def _run_signs(spec: NetworkSpec, theta: float, copies: int) -> Tuple[SimulationResult, SimulationResult]:
+    """The results of ``spec`` on ``copies`` copies of each family state.
+
+    The plus input is run.  The minus input is Z^(x)copies times it, bit for
+    bit, so when a Z frame shows that the minus run is g Z^(x)N times the plus
+    run (`NetworkSpec._z_sign`), its result is taken from the plus result
+    (`_z_flipped`); otherwise, or if the plus output has an exact zero, it is
+    run too.
+    """
+    plus = run_network(
+        spec, family_state(theta, PLUS, copies=copies), reference=family_state(theta, PLUS)
+    )
+    sign = spec._z_sign(copies)
+    minus = None if sign is None else _z_flipped(plus, sign)
+    if minus is None:
+        minus = run_network(
+            spec, family_state(theta, MINUS, copies=copies), reference=family_state(theta, MINUS)
+        )
+    return plus, minus
+
+
+def _z_flipped(result: SimulationResult, sign: float) -> Optional[SimulationResult]:
+    """``result`` with ``sign`` Z^(x)N applied to its post-state: the other sign's result.
+
+    None when the post-state has an exact zero, whose sign the frame does not
+    fix.  Otherwise each amplitude of the other run is this one's times
+    +/-1, the probability and the fidelity are its bits, and the post-state
+    is signed in two broadcast passes, by the parities of the high and the
+    low half of the wires (`_parities`).
+    """
+    post = result.post_state
+    if not post.amps.all():
+        return None
+    low = post.n_qubits // 2
+    amps = post.amps.reshape(-1, 2 ** low) * _parities(post.n_qubits - low, sign)[:, None]
+    amps *= _parities(low, 1.0)
+    return SimulationResult(
+        success_probability=result.success_probability,
+        post_state=StateVector._trusted(post.n_qubits, amps.reshape(-1)),
+        global_fidelity_vs_exact=result.global_fidelity_vs_exact,
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _parities(k: int, sign: float) -> np.ndarray:
+    """``sign`` times the diagonal of Z^(x)k, read-only: sign * (-1)^|i| for i < 2**k.
+
+    Memoized per half register (k <= 10 for N <= 20), never per full one.
+    """
+    signs = np.array([sign])
+    for _ in range(k):
+        signs = np.concatenate((signs, -signs))
+    signs.flags.writeable = False
+    return signs

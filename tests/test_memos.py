@@ -62,7 +62,8 @@ def test_every_lru_cache_is_bounded():
     assert sorted(cached) == declared
     assert {"cloneforge.networks._chain", "cloneforge.gates._decompose_transfers",
             "cloneforge.linalg._kernel", "cloneforge.linalg._family_state",
-            "cloneforge.networks._placed_run"} <= set(cached)
+            "cloneforge.networks._placed_run", "cloneforge.networks._z_images",
+            "cloneforge.networks._parities"} <= set(cached)
     for name, memo in cached.items():
         maxsize = memo.cache_parameters()["maxsize"]
         assert maxsize is not None, name
@@ -191,3 +192,21 @@ def test_the_placed_run_memo_is_bounded():
     for theta in (0.2, 0.3, 0.4):
         expand_decompositions(exact_network(CloningProblem(theta, 3, 16)))
     assert networks._placed_run.cache_info().currsize == maxsize
+
+
+def test_the_sign_flip_memoizes_half_registers_only(monkeypatch):
+    """The minus post-state taken from the plus one is signed by the parities of the
+    high and the low half of its wires: no memoized sign vector spans the register."""
+    sizes, original = [], networks._parities
+
+    def record(k, sign):
+        sizes.append(original(k, sign).size)
+        return original(k, sign)
+
+    monkeypatch.setattr(networks, "_parities", record)
+    report = networks.evaluate_cloner(CloningProblem(0.3, 2, 13), "exact")
+    assert sorted(sizes) == [2 ** 6, 2 ** 7]
+    assert report.minus_result.post_state.n_qubits == 13
+    for k in (6, 7):
+        with pytest.raises(ValueError):
+            original(k, 1.0)[0] = 5.0

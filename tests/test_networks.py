@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cloneforge import networks
 from cloneforge.bounds import (
@@ -22,6 +24,9 @@ from cloneforge.gates import (
     KIND_SEPARATION,
     KIND_TRANSFER,
     GatePlacement,
+    clone_gate,
+    cnot,
+    transfer_gate,
 )
 from cloneforge.linalg import (
     MINUS,
@@ -48,7 +53,7 @@ from cloneforge.networks import (
 )
 
 import oracles
-from conftest import random_unitary
+from conftest import random_orthogonal, random_unitary
 
 P12 = 0.5857864376269049
 P13 = 0.4530818393219728
@@ -313,6 +318,21 @@ def test_network_spec_validates_indices():
         )
 
 
+def test_network_spec_names_the_first_placement_off_the_register():
+    """All wires are checked at once; the message names the first placement
+    that reaches past the register, and its first such wire."""
+    chain = compression_sequence(math.pi / 8, 3)  # on wires (1, 2), then (0, 1)
+    assert NetworkSpec(3, chain).placements == chain
+    with pytest.raises(ValueError) as info:
+        NetworkSpec(2, chain[::-1] + chain)
+    assert str(info.value) == (
+        f"placement {chain[0].label!r} references qubit 2, but the network has 2 qubit(s)"
+    )
+    flip = GatePlacement(Unitary(np.diag([1.0, -1.0])), (-1,), "flip@-1")
+    with pytest.raises(ValueError, match=r"^placement 'flip@-1' references qubit -1, but the network has 3"):
+        NetworkSpec(3, chain + (flip,))
+
+
 def test_evaluate_cloner_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         evaluate_cloner(problem(), "teleport")
@@ -402,7 +422,12 @@ def test_expanded_circuits_target_the_network_gates(monkeypatch, mode, m, n):
 
 
 def test_both_signs_share_one_walk(monkeypatch):
-    """`evaluate_cloner` works out the walk of its network once, for both signs."""
+    """`evaluate_cloner` works out the walk of its network once, for both signs.
+
+    A network that keeps the Z symmetry of the two inputs (every one at equal
+    priors) is walked once, for the plus sign: the minus result is taken from
+    it.  The approx network at unequal priors is walked for each sign.
+    """
     walk, runs = NetworkSpec.__dict__["_walk"], []
     built, build = [], walk.func
     original_run = networks.run_network
@@ -417,12 +442,13 @@ def test_both_signs_share_one_walk(monkeypatch):
 
     monkeypatch.setattr(walk, "func", count)
     monkeypatch.setattr(networks, "run_network", record)
-    for mode, decomposed in itertools.product(MODES, (False, True)):
+    cases = [(mode, 0.5) for mode in MODES] + [("approx", 0.7)]
+    for (mode, eta_plus), decomposed in itertools.product(cases, (False, True)):
         built.clear()
         runs.clear()
-        prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
+        prob = problem(theta=0.3, m=2, n=5, eta_plus=eta_plus)
         evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
-        assert len(runs) == 2 and runs[0] is runs[1]
+        assert len(runs) == (2 if eta_plus != 0.5 else 1) and runs[0] is runs[-1]
         assert len(built) == 1 and built[0] is runs[0]
 
 
@@ -442,6 +468,184 @@ def test_a_network_equals_one_built_afresh_from_its_placements(mode, decomposed)
         got, want = (run_network(s, state, reference=reference) for s in (fresh, spec))
         _assert_same_bits(got, want)
         assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+
+
+# ------------------------------------------------------------ the Z frame
+
+
+def _minus_run(spec, theta, m):
+    """The minus sign's result by the walk itself, as `evaluate_cloner` once got it."""
+    return run_network(
+        spec, family_state(theta, MINUS, copies=m), reference=family_state(theta, MINUS)
+    )
+
+
+def _assert_same_bytes(got, want):
+    assert got.post_state.n_qubits == want.post_state.n_qubits
+    assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+    assert float.hex(got.global_fidelity_vs_exact) == float.hex(want.global_fidelity_vs_exact)
+    assert float.hex(got.success_probability) == float.hex(want.success_probability)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    decomposed=st.booleans(),
+    m=st.integers(1, 3),
+    extra=st.integers(1, 9),
+    log_theta=st.floats(math.log(1e-6), math.log(math.pi / 4)),
+    frac=st.floats(0.0, 1.0),
+)
+def test_a_minus_result_taken_from_the_plus_run_has_the_bytes_of_its_own_run(
+    mode, decomposed, m, extra, log_theta, frac
+):
+    """`evaluate_cloner`'s minus result against `run_network` on the minus input.
+
+    Every mode at equal priors, gate and CNOT level, M <= 3, N <= 10,
+    log-uniform theta in [1e-6, pi/4] and p_s in [p_exact, 1]: the post-state
+    bytes and the float.hex of the fidelity and of the probability are those
+    of the walk itself, whether the result was taken from the plus run or
+    (for an output with an exact zero) the minus input was run.
+    """
+    n = min(m + extra, 10)
+    theta = min(math.exp(log_theta), math.pi / 4)
+    prob = problem(theta=theta, m=m, n=n)
+    p_s = None
+    if mode == "hybrid":
+        p_exact = exact_clone_probability(theta, m, n)
+        p_s = min(1.0, p_exact + frac * (1.0 - p_exact))
+    try:
+        report = evaluate_cloner(prob, mode, p_s, decompose_gates=decomposed)
+    except ValueError:
+        # the closed forms' small-angle limits (a p_s rounded below p_idp)
+        assume(False)
+    spec = hybrid_network(prob, p_s) if mode == "hybrid" else _network(prob, mode)
+    if decomposed:
+        spec = expand_decompositions(spec)
+    assert spec._z_sign(m) == 1.0
+    _assert_same_bytes(report.minus_result, _minus_run(spec, theta, m))
+
+
+def _count_runs(monkeypatch):
+    runs, original = [], networks.run_network
+
+    def record(spec, *args, **kwargs):
+        runs.append(spec)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(networks, "run_network", record)
+    return runs
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+def test_an_approx_network_at_unequal_priors_runs_both_signs(monkeypatch, decomposed):
+    """Its clone stage, a generic rotation of qubit 0, breaks every Z frame."""
+    runs = _count_runs(monkeypatch)
+    for m, n in ((1, 2), (2, 5), (3, 7)):
+        prob = problem(theta=0.3, m=m, n=n, eta_plus=0.7)
+        spec = approx_network(prob)
+        if decomposed:
+            spec = expand_decompositions(spec)
+        assert spec._z_sign(m) is None
+        runs.clear()
+        report = evaluate_cloner(prob, "approx", decompose_gates=decomposed)
+        assert len(runs) == 2
+        runs.clear()
+        _assert_same_bytes(report.minus_result, _minus_run(spec, 0.3, m))
+
+
+def test_a_random_orthogonal_network_runs_both_signs(monkeypatch, rng):
+    """Dense gates keep no Z string but the identity: the minus input is run."""
+    placements = tuple(
+        GatePlacement(Unitary(random_orthogonal(rng, 4)), wires, f"random@{wires}")
+        for wires in ((0, 1), (1, 2), (2, 0), (2, 3))
+    )
+    runs = _count_runs(monkeypatch)
+    for heralded in (False, True):
+        spec = NetworkSpec(4, placements, heralded=heralded)
+        assert spec._z_sign(2) is None
+        runs.clear()
+        plus, minus = networks._run_signs(spec, 0.3, 2)
+        assert len(runs) == 2
+        runs.clear()
+        _assert_same_bytes(minus, _minus_run(spec, 0.3, 2))
+
+
+def test_a_frame_off_a_system_wire_runs_both_signs(monkeypatch):
+    """A blank wire turned by a rotation takes no Z: the frame ends as Z on wire 0
+    only, and the minus output is not Z on every wire times the plus one."""
+    turn = GatePlacement(clone_gate(0.4), (1,), "turn@1")
+    spec = NetworkSpec(2, (turn,))
+    assert spec._z_sign(1) is None
+    runs = _count_runs(monkeypatch)
+    plus, minus = networks._run_signs(spec, 0.3, 1)
+    assert len(runs) == 2 and plus.post_state.amps.all()
+    runs.clear()
+    _assert_same_bytes(minus, _minus_run(spec, 0.3, 1))
+
+
+def test_a_plus_output_with_an_exact_zero_runs_both_signs(monkeypatch):
+    """The frame holds, but the sign of an exact zero is not fixed by it: a system
+    wire that no placement touches is blank, so half the output is zeros."""
+    z_gate = GatePlacement(Unitary(np.diag([1.0, -1.0])), (0,), "Z@0")
+    spec = NetworkSpec(3, (z_gate,))
+    assert spec._z_sign(1) == 1.0
+    runs = _count_runs(monkeypatch)
+    plus, minus = networks._run_signs(spec, 0.3, 1)
+    assert len(runs) == 2 and not plus.post_state.amps.all()
+    runs.clear()
+    _assert_same_bytes(minus, _minus_run(spec, 0.3, 1))
+
+
+# the frame rule of one gate: wire q is bit q of a mask, the first listed wire
+# is the control of a CNOT (active on |+>)
+_C, _T = 0b01, 0b10
+
+
+def test_the_cnot_maps_z_on_both_wires_to_minus_z_on_the_target():
+    assert networks._z_images(cnot().nonzero_pattern, (0, 1), _C | _T, 0) == ((_T, True),)
+
+
+def test_a_transfer_gate_keeps_z_on_both_wires():
+    for theta1, theta2 in ((0.3, 0.2), (0.5, 0.1), (0.0, 0.0)):
+        pattern = transfer_gate(theta1, theta2).nonzero_pattern
+        assert (_C | _T, False) in networks._z_images(pattern, (0, 1), _C | _T, 0)
+    assert networks._z_images(transfer_gate(0.3, 0.2).nonzero_pattern, (0, 1), _C | _T, 0) == (
+        (_C | _T, False),
+    )
+
+
+def test_a_generic_rotation_rejects_z_and_keeps_the_identity():
+    pattern = clone_gate(0.3).nonzero_pattern
+    assert networks._z_images(pattern, (0,), 1, 0) == ()
+    assert networks._z_images(pattern, (0,), 0, 0) == ((0, False),)
+
+
+def test_a_cnot_onto_a_blank_target_leaves_two_frames():
+    """Z on the control; the blank target's bit is free, so Z on the control and
+    -Z on the target both hold, and a rotation of the control keeps the second."""
+    images = networks._z_images(cnot().nonzero_pattern, (0, 1), _C, _T)
+    assert sorted(images) == [(_C, False), (_T, True)]
+    spec = NetworkSpec(
+        2,
+        (
+            GatePlacement(cnot(), (0, 1), "CNOT"),
+            GatePlacement(clone_gate(0.3), (0,), "turn@0"),
+            GatePlacement(cnot(), (0, 1), "CNOT"),
+        ),
+    )
+    assert spec._z_sign(1) == 1.0
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_network_at_equal_priors_keeps_the_z_frame(mode, decomposed):
+    """Z on the input wires ends as Z on every system wire, with a + sign."""
+    for m, n in ((1, 2), (2, 5), (3, 8)):
+        spec = _network(problem(theta=0.3, m=m, n=n), mode)
+        if decomposed:
+            spec = expand_decompositions(spec)
+        assert spec._z_sign(m) == 1.0
 
 
 # ------------------------------------------------- live prefix vs full width
@@ -582,7 +786,8 @@ def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
 def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
     """At N = 16 no state spans the system and the ancilla; the herald sees M + 2 wires.
 
-    Only the success branch is projected: one projection per input sign.
+    Only the success branch is projected, and only for the plus sign: the
+    minus result is taken from it.
     """
     seen = {"apply_gate": [], "project_qubit": []}
 
@@ -604,7 +809,7 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
         prob = problem(theta=0.3, m=m, n=n)
         report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
         assert report.success_deviation < 1e-10
-        assert seen["apply_gate"] and len(seen["project_qubit"]) == 2
+        assert seen["apply_gate"] and len(seen["project_qubit"]) == 1
         assert max(max(values) for values in seen.values() if values) <= n
         assert max(seen["project_qubit"]) <= m + 2
 
@@ -614,8 +819,10 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
 def test_networks_grow_the_register_without_padding(monkeypatch, mode, decomposed):
     """Each wire joins the live register inside `apply_gate`: no `pad_qubits` call grows a state.
 
-    Every mode at M <= 3, N <= 8, both signs: in the paper's networks each
+    Every mode at M <= 3, N <= 8, each run: in the paper's networks each
     growth is one wire at the end of the live register, the ancilla too.
+    The approx network runs at unequal priors, so it is walked for both
+    signs; the others are walked for the plus sign only.
     """
     grown, joins = [], []
 
@@ -635,8 +842,9 @@ def test_networks_grow_the_register_without_padding(monkeypatch, mode, decompose
             joins.clear()
             prob = problem(theta=0.3, m=m, n=n, eta_plus=0.7 if mode == "approx" else 0.5)
             evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
-            # per sign: the N - M system wires past the input, and the ancilla
-            assert sum(joins) == 2 * (n - m + (mode != "approx")), (m, n)
+            # per run: the N - M system wires past the input, and the ancilla
+            runs = 2 if mode == "approx" else 1
+            assert sum(joins) == runs * (n - m + (mode != "approx")), (m, n)
     assert grown == []
 
 
@@ -674,12 +882,28 @@ _LAYOUTS = {
 
 @pytest.mark.parametrize("case", sorted(_LAYOUTS), ids=lambda case: "-".join(map(str, case)))
 def test_run_network_keeps_the_live_register_layout(monkeypatch, case):
-    """Each kernel call sees the same register width and wires, for both signs.
+    """Each kernel call sees the same register width and wires.
 
     The wire a gate lands on picks its BLAS path (`cloneforge.linalg`), and
     so the last bits of the output.  The full-width oracle test cannot see
-    a change of layout: both of its sides run through the same walk.
+    a change of layout: both of its sides run through the same walk.  At
+    equal priors every network is walked once, for the plus sign.
     """
+    assert _kernel_calls(monkeypatch, case, eta_plus=0.5) == _LAYOUTS[case]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in _LAYOUTS if c[0] == "approx"), ids=lambda case: "-".join(map(str, case))
+)
+def test_an_approx_network_at_unequal_priors_walks_both_signs(monkeypatch, case):
+    """At eta_plus = 0.7 the clone stage turns qubit 0 and breaks the Z symmetry
+    of the two inputs: both signs are walked, each with the layout of equal priors."""
+    assert _kernel_calls(monkeypatch, case, eta_plus=0.7) == " ".join([_LAYOUTS[case]] * 2)
+
+
+def _kernel_calls(monkeypatch, case, eta_plus):
+    """The kernel calls of one `evaluate_cloner` of a `_LAYOUTS` case, in the form of
+    `_LAYOUTS`."""
     calls = []
 
     def spy(name, form):
@@ -699,9 +923,9 @@ def test_run_network_keeps_the_live_register_layout(monkeypatch, case):
         networks, "project_qubit", spy("project_qubit", lambda n, qubit, outcome: f"{n}!{qubit}")
     )
     mode, level, m, n = case
-    prob = problem(theta=0.3, m=m, n=n)
+    prob = problem(theta=0.3, m=m, n=n, eta_plus=eta_plus)
     evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=level == "cnots")
-    assert " ".join(calls) == " ".join([_LAYOUTS[case]] * 2)
+    return " ".join(calls)
 
 
 #: sha256 of each network's output bits (`_output_digest`), keyed
