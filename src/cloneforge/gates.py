@@ -178,8 +178,10 @@ def conjugating_rotation(delta: float) -> Unitary:
 
     Defined as ((1 - i sigma_y) cos(delta/2) + (1 + i sigma_y)
     sin(delta/2)) / sqrt(2), which is real: with c, s = cos, sin(delta/2),
-    A = ((c + s, s - c), (c - s, c + s)) / sqrt(2), each entry times
-    1/sqrt(2) as numpy's complex division by sqrt(2) computes it.
+    A = ((c + s, s - c), (c - s, c + s)) / sqrt(2), each entry multiplied
+    by 1/sqrt(2) rather than divided by sqrt(2): that rounding is what the
+    frozen output bits of the networks (``tests/data/network_bits.json``)
+    were taken with.
     """
     return Unitary(_conjugating(delta))
 
@@ -371,7 +373,7 @@ def _rebuild(circuits: Sequence[CircuitDecomposition]) -> np.ndarray:
         else:
             matrix = np.array([(p.gate.swapped if qubits == (1, 0) else p.gate).entries for p in step])
         if len(qubits) == 1:
-            gates, matrix = matrix, np.zeros(matrix.shape[:-2] + (4, 4), dtype=matrix.dtype)
+            gates, matrix = matrix, np.zeros(matrix.shape[:-2] + (4, 4))
             # wire 0 is the more significant bit: its gate acts on entries two apart
             if qubits == (0,):
                 matrix[..., 0::2, 0::2] = matrix[..., 1::2, 1::2] = gates

@@ -14,12 +14,11 @@ here is safe to evaluate concurrently.  Every
 ``StateVector`` is normalized: `project_qubit` returns the branch
 probability beside the renormalized post-state.
 
-Entries are stored as float64 unless an imaginary part is nonzero; arrays
-built here take their dtype from their operands, so a complex gate
-promotes a real state.  The networks are all real.  The real kernels below
-give the complex ones' bits up to the sign of an exact zero, and
-`project_qubit` multiplies by ``1.0 / sqrt(p)``, as numpy's complex
-division does, rather than dividing.
+Entries are stored as float64.  Every state and gate of the networks is
+real, and a state or gate with a nonzero imaginary part is refused when it
+is built (`_as_array`).  `project_qubit` multiplies by ``1.0 / sqrt(p)``
+rather than dividing, which keeps the frozen output bits of the networks
+(``tests/data/network_bits.json``).
 
 Validation happens at the boundaries, once per network: ``StateVector``
 checks its entries (`check_normalized`: finite, normalized by one
@@ -36,17 +35,14 @@ construction and is returned read-only without being copied or re-checked.
 ``family_state`` checks its arguments on every call but not its amplitudes,
 which are normalized by construction; its states are memoized
 (`_family_state`, 32 entries).  `project_qubit` checks its post-state with
-`check_normalized` and stores it with the constructor's dtype rule, without
-the constructor's second copy.
+`check_normalized` and stores it without the constructor's second copy.
 
 A gate may join a blank wire: index n of an n-qubit state names a |+>
 wire appended to it, and the result has n + 1 wires.  The join gives the
 bytes of the gate on the state padded with that wire (`pad_qubits`), without
 building the padding: a permutation moves its rows into zeros, and any
 other gate multiplies only its columns where the new wire reads |+>, in the
-same BLAS shapes as the padded register.  For complex storage only the
-sign of an exact zero may differ, where a complex product sums nothing but
-zeros.
+same BLAS shapes as the padded register.
 
 The gate kernel is chosen once per (gate, qubits, width), when the update
 is memoized, and first looks at the gate's entries.  A gate whose entries are
@@ -79,10 +75,7 @@ wires transposed to the front, then its output axes transposed onto its
 wires: the steps of ``np.tensordot`` then ``np.moveaxis``, worked out once
 per kernel, so the bytes are theirs.  Only two claims tie the bits to a wider
 register: a gate spanning the register has the bits it gets with one more
-blank wire, and a join has the bytes of pad-then-apply.  Bits do not in
-general survive a change of register width: for complex storage, a
-one-qubit gate on a two-qubit register hands BLAS another product shape
-than the same register padded with one blank wire, and the last bits differ.
+blank wire, and a join has the bytes of pad-then-apply.
 
 `global_fidelity` makes no BLAS call: it contracts an n-qubit state with n
 copies of a one-qubit state wire by wire, with element-wise ufuncs in a
@@ -115,17 +108,23 @@ class ImpossibleBranchError(ValueError):
     """Raised when asked to post-select on an outcome with ~zero probability."""
 
 
-def _as_array(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``, complex128 if any imaginary part is nonzero."""
-    arr = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
-    if arr.dtype == np.complex128 and not arr.imag.any():
-        arr = arr.real.copy()
+def _as_array(values, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, the entries of a ``what``.
+
+    Complex input is taken by its real part when every imaginary part is
+    exactly zero, and refused otherwise.
+    """
+    if np.iscomplexobj(values):
+        values = np.asarray(values)
+        if values.imag.any():
+            raise ValueError(f"{what} must be real, got an entry with a nonzero imaginary part")
+        values = values.real
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    # a complex entry is finite when both its parts are
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
@@ -138,7 +137,7 @@ def check_normalized(amps: np.ndarray) -> None:
     ``vdot``: a non-finite entry makes the norm non-finite, so the entries
     are scanned for one only when the norm is not finite.
     """
-    norm_sq = float(np.vdot(amps, amps).real)
+    norm_sq = float(np.vdot(amps, amps))
     if not math.isfinite(norm_sq):
         _require_finite(amps, "state vector")
     if abs(norm_sq - 1.0) > NORM_TOL:
@@ -155,7 +154,7 @@ class StateVector:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amps = _as_array(self.amps)
+        amps = _as_array(self.amps, "state vector")
         if amps.ndim != 1 or amps.size != 2 ** self.n_qubits:
             raise ValueError(
                 f"state vector over {self.n_qubits} qubit(s) must have "
@@ -191,18 +190,18 @@ _SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
 def unitaries(matrices) -> Tuple["Unitary", ...]:
-    """One `Unitary` per matrix of a finite (G, d, d) stack, checked in one pass: d a power
-    of two >= 2, max |U^dag U - I| < ``UNITARITY_TOL`` for each matrix, and a failure
+    """One `Unitary` per matrix of a finite, real (G, d, d) stack, checked in one pass: d a
+    power of two >= 2, max |U^T U - I| < ``UNITARITY_TOL`` for each matrix, and a failure
     names the first failing matrix in the words a lone `Unitary` would use."""
     if not len(matrices):
         return ()
-    mats = _require_finite(_as_array(matrices), "unitary")
+    mats = _require_finite(_as_array(matrices, "unitary"), "unitary")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"unitary must be square, got shape {mats.shape[1:]}")
     dim = mats.shape[1]
     if dim < 2 or (dim & (dim - 1)) != 0:
         raise ValueError(f"unitary dimension must be a power of two >= 2, got {dim}")
-    errors = np.abs(mats.conj().transpose(0, 2, 1) @ mats - _identity(dim))
+    errors = np.abs(mats.transpose(0, 2, 1) @ mats - _identity(dim))
     if errors.max() >= UNITARITY_TOL:
         worst = errors.reshape(len(mats), -1).max(axis=1)
         err = worst[worst >= UNITARITY_TOL][0]
@@ -213,7 +212,7 @@ def unitaries(matrices) -> Tuple["Unitary", ...]:
 
 @dataclass(frozen=True, eq=False)
 class Unitary:
-    """A dense unitary on one or more qubits, verified as a stack of one (`unitaries`).
+    """A dense real unitary on one or more qubits, verified as a stack of one (`unitaries`).
 
     ``nonzero_pattern`` tells which entries are not exactly zero, one byte
     per entry, row by row; `unitaries` finds it for a whole stack at once.
@@ -360,13 +359,13 @@ def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[
         rest = 2 ** (n - first) // k
         if batches == rest == 1:
             def spanning(amps):
-                padded = np.zeros((1, k_in, 2), dtype=amps.dtype)
+                padded = np.zeros((1, k_in, 2))
                 padded[0, :, 0] = amps
                 return np.matmul(gate, padded)[0, :, 0].copy()
             return spanning
         if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
             if rest > 1:
-                wide = np.zeros((k * rest, k * rest), dtype=gate.dtype)
+                wide = np.zeros((k * rest, k * rest))
                 for c in range(rest):
                     wide[c::rest, c::rest] = gate
                 wide.flags.writeable = False
@@ -388,12 +387,6 @@ def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[
     ).reshape(out_shape).transpose(order).reshape(-1)
 
 
-def _apply_matrix(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """Multiply the listed qubits of a 2**n amplitude array by ``gate``, in the
-    shape `_matrix_kernel` chooses."""
-    return _matrix_kernel(gate, qubits, n)(amps)
-
-
 def _permutation_kernel(gate: Unitary, first: int, n: int, joins: bool) -> Callable[[np.ndarray], np.ndarray]:
     """Move the amplitudes of a 0/1 permutation gate on wires ``first``.. of a
     2**n register by copying its moved rows of the (A, k, C) view; on a join
@@ -411,7 +404,7 @@ def _permutation_kernel(gate: Unitary, first: int, n: int, joins: bool) -> Calla
 
     def move(amps):
         amps = amps.reshape(view)
-        out = np.zeros((batches, dim, rest), dtype=amps.dtype) if joins else amps.copy()
+        out = np.zeros((batches, dim, rest)) if joins else amps.copy()
         for row, src in moves:
             out[:, row] = amps[:, src]
         return out.reshape(-1)
@@ -511,18 +504,18 @@ def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> S
     if n_qubits == k:
         return state
     at = k if at is None else at
-    amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)), dtype=state.amps.dtype)
+    amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)))
     amps[:, 0, :] = state.amps.reshape(2 ** at, -1)
     return StateVector._trusted(n_qubits, amps.reshape(-1))
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
+def inner(a: StateVector, b: StateVector) -> float:
+    """<a|b> of two real states."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(
             f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
         )
-    return complex(np.vdot(a.amps, b.amps))
+    return float(np.vdot(a.amps, b.amps))
 
 
 def global_fidelity(single: StateVector, state: StateVector) -> float:
@@ -530,17 +523,17 @@ def global_fidelity(single: StateVector, state: StateVector) -> float:
 
     The fidelity of ``state`` with n copies of ``single``, without building
     the 2**n-amplitude power: each pass contracts the last wire,
-    ``a[0::2] * conj(c0) + a[1::2] * conj(c1)``, halving the amplitudes
+    ``a[0::2] * c0 + a[1::2] * c1``, halving the amplitudes
     until one is left.  Only element-wise ufuncs run, in a fixed order, so
     the result does not depend on the BLAS library or its thread count.
     """
     if single.n_qubits != 1:
         raise ValueError(f"single must be a one-qubit state, got {single.n_qubits} qubits")
-    c0, c1 = single.amps.conj()
+    c0, c1 = single.amps
     amps = state.amps
     while amps.size > 1:
         amps = amps[0::2] * c0 + amps[1::2] * c1
-    val = abs(complex(amps[0])) ** 2
+    val = float(amps[0]) ** 2
     return float(min(val, 1.0))
 
 
@@ -565,8 +558,7 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
     Raises ImpossibleBranchError when the branch probability is below
     ``IMPOSSIBLE_BRANCH_TOL``.  The post-state is the one copy made here: it
     is checked by the constructor's own test (`check_normalized`) and stored
-    as the constructor stores it (float64 unless an imaginary part is
-    nonzero), without being copied again.
+    without being copied again.
     """
     prob = branch_probability(state, qubit, outcome)
     if prob < IMPOSSIBLE_BRANCH_TOL:
@@ -578,7 +570,5 @@ def project_qubit(state: StateVector, qubit: int, outcome: str):
     amps = state.amps.copy()
     _branch(amps, qubit, 1 - bit)[...] = 0.0
     amps *= 1.0 / np.sqrt(prob)
-    if amps.dtype != np.float64:
-        amps = _as_array(amps)  # the constructor's dtype rule, copied only off the float64 path
     check_normalized(amps)
     return prob, StateVector._trusted(state.n_qubits, amps)

@@ -22,13 +22,6 @@ def rng():
     return np.random.default_rng(20230817)
 
 
-def random_unitary(rng, dim: int) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def random_orthogonal(rng, dim: int) -> np.ndarray:
     """Haar-ish random real orthogonal matrix from the QR of a real Gaussian matrix."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))

@@ -38,7 +38,7 @@ from cloneforge.linalg import (
 from cloneforge.networks import compression_sequence, exact_network
 
 import oracles
-from conftest import random_unitary
+from conftest import random_orthogonal
 from oracles import (
     PARITY_EXCHANGE,
     PAULI_X,
@@ -215,11 +215,11 @@ def test_rebuild_matches_kron_oracle(rng):
     circuits += [decompose_transfer(0.0, 0.0), decompose_transfer(0.0, 0.4)]
     circuits += [decompose_separation(t, 0.7) for t in GRID[:-2]]
     placements = (
-        _local(random_unitary(rng, 2), 1),
+        _local(random_orthogonal(rng, 2), 1),
         _cnot(0, 1),
-        _local(random_unitary(rng, 2), 0),
+        _local(random_orthogonal(rng, 2), 0),
         _cnot(1, 0),
-        _local(random_unitary(rng, 2), 1),
+        _local(random_orthogonal(rng, 2), 1),
     )
     circuits.append(CircuitDecomposition(Unitary(_kron_product(placements)), placements))
     shapes = set()
@@ -290,7 +290,7 @@ def test_decomposition_batch_mixes_circuit_lengths():
 
 def test_circuit_decomposition_rejects_other_widths(rng):
     with pytest.raises(ValueError, match="two-qubit"):
-        CircuitDecomposition(target=Unitary(random_unitary(rng, 8)), placements=())
+        CircuitDecomposition(target=Unitary(random_orthogonal(rng, 8)), placements=())
     with pytest.raises(ValueError, match="wires 0 and 1"):
         CircuitDecomposition(
             target=transfer_gate(0.2, 0.5), placements=(_local(np.eye(2), 2),)

@@ -53,7 +53,7 @@ from cloneforge.networks import (
 )
 
 import oracles
-from conftest import random_orthogonal, random_unitary
+from conftest import random_orthogonal
 
 P12 = 0.5857864376269049
 P13 = 0.4530818393219728
@@ -728,7 +728,7 @@ def test_run_network_matches_full_width_oracle(mode, decomposed):
 
 
 def _random_amps(rng, n_qubits):
-    amps = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    amps = rng.normal(size=2 ** n_qubits)
     return amps / np.linalg.norm(amps)
 
 
@@ -755,10 +755,10 @@ def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
     The walk treats the last wire alike in unheralded networks: it joins
     the live register at position ``width``, and blank wires go in before it.
     """
-    local = GatePlacement(Unitary(random_unitary(rng, 2)), (5,), "local@5")
-    pair = GatePlacement(Unitary(random_unitary(rng, 4)), (3, 2), "pair@(3,2)")
-    far = GatePlacement(Unitary(random_unitary(rng, 4)), (4, 0), "far@(4,0)")
-    herald = GatePlacement(Unitary(random_unitary(rng, 4)), (0, 5), "herald@(0,5)")
+    local = GatePlacement(Unitary(random_orthogonal(rng, 2)), (5,), "local@5")
+    pair = GatePlacement(Unitary(random_orthogonal(rng, 4)), (3, 2), "pair@(3,2)")
+    far = GatePlacement(Unitary(random_orthogonal(rng, 4)), (4, 0), "far@(4,0)")
+    herald = GatePlacement(Unitary(random_orthogonal(rng, 4)), (0, 5), "herald@(0,5)")
     reference = family_state(0.3, PLUS)
     for heralded, placements in itertools.product(
         (True, False),
@@ -984,8 +984,8 @@ def test_every_placement_and_output_is_stored_real(monkeypatch, mode, decomposed
 
     Every placement's gate, every state `apply_gate` sees and both
     post-states of `evaluate_cloner`, at M = 1..3 and unequal priors where
-    the mode allows them.  A gate built with complex entries would still
-    simulate correctly, on the complex128 path at twice the bytes.
+    the mode allows them.  A gate or state with a nonzero imaginary part
+    cannot be built: `linalg` refuses it.
     """
     dtypes = set()
 
