@@ -59,6 +59,11 @@ class CloningProblem:
         return 1.0 - self.eta_plus
 
     @property
+    def equal_priors(self) -> bool:
+        """Whether eta_plus is 1/2 to within 1e-12, the hybrid trade-off's domain."""
+        return abs(self.eta_plus - 0.5) <= 1e-12
+
+    @property
     def theta_m(self) -> float:
         return angle_for_copies(self.theta, self.m_copies)
 

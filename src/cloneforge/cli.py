@@ -263,7 +263,7 @@ def _checked_p_s(problem: bounds.CloningProblem, p_s: float) -> float:
 
 def _check_equal_priors(problem: bounds.CloningProblem) -> None:
     """Refuse unequal priors for the hybrid trade-off before any network is built."""
-    if abs(problem.eta_plus - 0.5) > 1e-12:
+    if not problem.equal_priors:
         raise ConfigError(
             "the hybrid trade-off is defined for equal priors only: "
             f"--eta-plus must be 0.5, got {problem.eta_plus}"
@@ -529,10 +529,8 @@ def _placement_json(placement):
             "qubits": list(placement.qubits),
             "control_active": "plus",
         }
-    matrix = [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in placement.gate.entries
-    ]
+    # every gate is real; the JSON keeps its [re, im] pair per entry
+    matrix = [[[float(entry), 0.0] for entry in row] for row in placement.gate.entries]
     return {"gate": "LU", "qubits": list(placement.qubits), "matrix": matrix}
 
 

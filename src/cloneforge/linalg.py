@@ -298,25 +298,6 @@ def _family_state(theta: float, theta_sign: float, sign: str, copies: int) -> St
     return StateVector._trusted(copies, amps)
 
 
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2 ** n_qubits)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def kron(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two StateVectors.
-
-    The left operand indexes the more significant bits of the result.
-    """
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
-        raise TypeError(
-            "kron operands must both be StateVector, got "
-            f"{type(a).__name__} and {type(b).__name__}"
-        )
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
-
-
 #: fewest batches (A) for which one ``np.dot`` against gate (x) I_C beats
 #: ``matmul``'s per-batch BLAS calls
 _DOT_MIN_BATCHES = 64
@@ -507,15 +488,6 @@ def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> S
     amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)))
     amps[:, 0, :] = state.amps.reshape(2 ** at, -1)
     return StateVector._trusted(n_qubits, amps.reshape(-1))
-
-
-def inner(a: StateVector, b: StateVector) -> float:
-    """<a|b> of two real states."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
-    return float(np.vdot(a.amps, b.amps))
 
 
 def global_fidelity(single: StateVector, state: StateVector) -> float:

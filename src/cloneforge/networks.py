@@ -344,7 +344,7 @@ def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
     theta_tilde, decompress.  p_s at the exact-cloning probability
     reproduces the exact network; p_s = 1 reproduces the deterministic one.
     """
-    if abs(problem.eta_plus - 0.5) > 1e-12:
+    if not problem.equal_priors:
         raise ValueError("hybrid cloning requires equal priors")
     tilde = separated_angle(problem.theta_m, problem.theta_n, p_s)
     return _network(problem, _separation_placement(problem.theta_m, tilde, problem.n_copies))

@@ -1,9 +1,12 @@
 """Built-in verification suites behind ``cloneforge verify``.
 
-Each suite re-derives a family of claims numerically and reports the worst
-absolute error it saw.  The suites intentionally overlap with the test
-suite: this module is what ships to a user who wants to check an install
-without a dev environment.
+This module is the one registry of cloneforge's guarantees.  Each suite
+re-derives a family of claims numerically and reports the worst absolute
+error it saw.  A suite takes its grid as arguments, and the defaults are the
+quick grids that ``cloneforge verify`` runs, so a user can check an install
+without a dev environment.  ``tests/test_acceptance.py`` runs the same
+suites on wider grids and adds only checks that do not go through this
+module.
 
 ``TOLERANCES`` is module-level and looked up at call time, so a harness can
 tighten a bound to exercise the failure path.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +36,6 @@ TOLERANCES: Dict[str, float] = {
     "decomposed_shift": 1e-9,
     "cli_determinism": 0.0,
 }
-
-_THETAS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -71,27 +72,28 @@ def _merge(name: str, detail: str, *components: CheckResult) -> CheckResult:
     )
 
 
-def check_gate_algebra() -> CheckResult:
-    """Transfer gates are symmetric (Hermitian, being real), self-inverse, and act as claimed."""
+def check_gate_algebra(
+    angles: Sequence[float] = tuple(np.linspace(0.01, math.pi / 4, 8)),
+) -> CheckResult:
+    """Transfer gates are symmetric (Hermitian, being real) and self-inverse,
+    and merge and split both family branches, over ``angles`` x ``angles``."""
     worst = 0.0
-    grid = np.linspace(0.01, math.pi / 4, 8)
     eye = np.eye(4)
-    for t1 in grid:
-        for t2 in grid:
-            d = gates.transfer_gate(t1, t2).entries
+    for t1 in angles:
+        for t2 in angles:
+            gate = gates.transfer_gate(t1, t2)
+            d = gate.entries
             worst = max(worst, float(np.max(np.abs(d - d.T))))
             worst = max(worst, float(np.max(np.abs(d @ d - eye))))
+            t3 = bounds.compose_angle(t1, t2)
             for sign in (linalg.PLUS, linalg.MINUS):
-                pair = linalg.kron(
-                    linalg.family_state(t1, sign), linalg.family_state(t2, sign)
-                )
-                t3 = bounds.compose_angle(t1, t2)
-                merged = linalg.kron(
-                    linalg.family_state(t3, sign), linalg.basis_state(1, 0)
-                )
-                out = linalg.apply_gate(pair, gates.transfer_gate(t1, t2), (0, 1))
-                worst = max(worst, float(np.max(np.abs(out.amps - merged.amps))))
-    return _result("gate-algebra", "gate_algebra", worst, f"{len(grid)}x{len(grid)} grid")
+                first, second = (linalg.family_state(t, sign).amps for t in (t1, t2))
+                pair = linalg.StateVector(2, np.kron(first, second))
+                merged = linalg.pad_qubits(linalg.family_state(t3, sign), 2)
+                for before, after in ((pair, merged), (merged, pair)):
+                    out = linalg.apply_gate(before, gate, (0, 1))
+                    worst = max(worst, float(np.max(np.abs(out.amps - after.amps))))
+    return _result("gate-algebra", "gate_algebra", worst, f"{len(angles)}x{len(angles)} grid")
 
 
 def check_decompositions() -> CheckResult:
@@ -111,12 +113,15 @@ def check_decompositions() -> CheckResult:
     )
 
 
-def check_exact_networks() -> CheckResult:
+def check_exact_networks(
+    thetas: Sequence[float] = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4),
+    pairs: Sequence[Tuple[int, int]] = ((1, 2), (1, 4), (2, 3), (3, 5)),
+) -> CheckResult:
     """Heralded networks clone perfectly at the closed-form success rate."""
     worst = 0.0
     cases = 0
-    for theta in _THETAS:
-        for m, n in [(1, 2), (1, 4), (2, 3), (3, 5)]:
+    for theta in thetas:
+        for m, n in pairs:
             problem = bounds.CloningProblem(theta=theta, m_copies=m, n_copies=n)
             report = networks.evaluate_cloner(problem, "exact")
             worst = max(worst, report.fidelity_deviation, report.success_deviation)
@@ -124,13 +129,17 @@ def check_exact_networks() -> CheckResult:
     return _result("exact-networks", "exact_network", worst, f"{cases} cases")
 
 
-def check_approx_networks() -> CheckResult:
+def check_approx_networks(
+    thetas: Sequence[float] = (math.pi / 8, 3 * math.pi / 16),
+    etas: Sequence[float] = (0.5, 0.7, 0.9),
+    pairs: Sequence[Tuple[int, int]] = ((1, 2), (2, 4)),
+) -> CheckResult:
     """Deterministic networks hit the closed-form optimum for any priors."""
     worst = 0.0
     cases = 0
-    for theta in (math.pi / 8, 3 * math.pi / 16):
-        for eta_plus in (0.5, 0.7, 0.9):
-            for m, n in [(1, 2), (2, 4)]:
+    for theta in thetas:
+        for eta_plus in etas:
+            for m, n in pairs:
                 problem = bounds.CloningProblem(
                     theta=theta, m_copies=m, n_copies=n, eta_plus=eta_plus
                 )
@@ -211,19 +220,26 @@ def check_brute_force() -> CheckResult:
     return _result("brute-force", "brute_force", worst, f"{cases} cases")
 
 
-def check_hybrid_networks() -> CheckResult:
-    """Hybrid networks trace the fidelity/success trade-off curve."""
+def check_hybrid_networks(
+    thetas: Sequence[float] = (math.pi / 8, 3 * math.pi / 16),
+    pairs: Sequence[Tuple[int, int]] = ((1, 2), (2, 4)),
+) -> CheckResult:
+    """Hybrid networks trace the fidelity/success trade-off curve, and its
+    endpoints are exact and optimal approximate cloning."""
     worst_f = 0.0
     worst_p = 0.0
     cases = 0
-    for theta in (math.pi / 8, 3 * math.pi / 16):
-        for m, n in [(1, 2), (2, 4)]:
+    for theta in thetas:
+        for m, n in pairs:
             problem = bounds.CloningProblem(theta=theta, m_copies=m, n_copies=n)
             p_lo = bounds.exact_clone_probability(theta, m, n)
-            for p_s in (p_lo, (p_lo + 1.0) / 2.0, 1.0):
+            approx_f = bounds.fidelity_bound(problem)
+            for p_s, end_f in ((p_lo, 1.0), ((p_lo + 1.0) / 2.0, None), (1.0, approx_f)):
                 report = networks.evaluate_cloner(problem, "hybrid", p_s=p_s)
                 worst_f = max(worst_f, report.fidelity_deviation)
                 worst_p = max(worst_p, report.success_deviation)
+                if end_f is not None:
+                    worst_f = max(worst_f, abs(report.fidelity - end_f))
                 cases += 1
     name = "hybrid-networks"
     return _merge(
@@ -234,18 +250,26 @@ def check_hybrid_networks() -> CheckResult:
     )
 
 
-def check_asymptotics() -> CheckResult:
-    """Large-N cloning bounds converge to the discrimination bounds."""
+def check_asymptotics(
+    thetas: Sequence[float] = (math.pi / 8, 3 * math.pi / 16, math.pi / 4),
+    m_values: Sequence[int] = (1,),
+    etas: Sequence[float] = (0.5, 0.7),
+    limit_steps: int = 7,
+) -> CheckResult:
+    """Large-N cloning bounds converge to the discrimination bounds: the
+    Helstrom bound at N = 50, and the trade-off limit over ``limit_steps``
+    success probabilities at M = 1, N = 40."""
     worst_h = 0.0
-    for theta in (math.pi / 8, 3 * math.pi / 16, math.pi / 4):
-        for eta_plus in (0.5, 0.7):
-            problem = bounds.CloningProblem(
-                theta=theta, m_copies=1, n_copies=50, eta_plus=eta_plus
-            )
-            f_n = bounds.fidelity_bound(problem)
-            s_m = bounds.overlap_after_copies(theta, 1)
-            helstrom = bounds.helstrom_bound(eta_plus, s_m)
-            worst_h = max(worst_h, abs(f_n - helstrom))
+    for theta in thetas:
+        for m in m_values:
+            for eta_plus in etas:
+                problem = bounds.CloningProblem(
+                    theta=theta, m_copies=m, n_copies=50, eta_plus=eta_plus
+                )
+                f_n = bounds.fidelity_bound(problem)
+                s_m = bounds.overlap_after_copies(theta, m)
+                helstrom = bounds.helstrom_bound(eta_plus, s_m)
+                worst_h = max(worst_h, abs(f_n - helstrom))
     helstrom_res = _result("asymptotics", "asymptotic_helstrom", worst_h)
 
     worst_l = 0.0
@@ -253,7 +277,7 @@ def check_asymptotics() -> CheckResult:
     n = 40
     p_lo = bounds.exact_clone_probability(theta, 1, n)
     p_idp = bounds.idp_probability(bounds.overlap_after_copies(theta, 1))
-    for p_s in np.linspace(p_lo, 1.0, 7):
+    for p_s in np.linspace(p_lo, 1.0, limit_steps):
         point = bounds.hybrid_fidelity_bound(theta, 1, n, float(p_s))
         limit = bounds.hybrid_limit(float(p_s), p_idp)
         worst_l = max(worst_l, abs(point.fidelity_bound - limit))
@@ -267,77 +291,73 @@ def check_asymptotics() -> CheckResult:
     )
 
 
-def check_d_cloner() -> CheckResult:
+def check_d_cloner(
+    thetas: Sequence[float] = (math.pi / 16, math.pi / 8, 3 * math.pi / 16),
+) -> CheckResult:
     """A lone transfer gate on a blank wire is a symmetric 1->2 cloner."""
     worst = 0.0
-    for theta1 in (math.pi / 16, math.pi / 8, 3 * math.pi / 16):
+    for theta1 in thetas:
         theta3 = bounds.compose_angle(theta1, theta1)
         gate = gates.transfer_gate(theta1, theta1)
         local_expect = bounds.d_cloner_local_fidelity(theta3, theta1)
         global_expect = bounds.d_cloner_global_fidelity(theta3, theta1)
         for sign in (linalg.PLUS, linalg.MINUS):
-            src = linalg.kron(
-                linalg.family_state(theta3, sign), linalg.basis_state(1, 0)
-            )
-            out = linalg.apply_gate(src, gate, (0, 1))
-            pair = linalg.family_state(theta1, sign, copies=2)
+            original = linalg.family_state(theta3, sign)
+            out = linalg.apply_gate(linalg.pad_qubits(original, 2), gate, (0, 1)).amps
+            pair = linalg.family_state(theta1, sign, copies=2).amps
             # the split is exact ...
-            worst = max(worst, abs(abs(linalg.inner(pair, out)) - 1.0))
+            worst = max(worst, abs(abs(float(np.vdot(pair, out))) - 1.0))
             # ... and each copy overlaps the original by the claimed amount
-            ideal = linalg.family_state(theta3, sign, copies=2)
-            worst = max(worst, abs(abs(linalg.inner(ideal, out)) - global_expect))
-            single = abs(
-                linalg.inner(
-                    linalg.family_state(theta3, sign),
-                    linalg.family_state(theta1, sign),
-                )
-            )
+            ideal = linalg.family_state(theta3, sign, copies=2).amps
+            worst = max(worst, abs(abs(float(np.vdot(ideal, out))) - global_expect))
+            single = abs(float(np.vdot(original.amps, linalg.family_state(theta1, sign).amps)))
             worst = max(worst, abs(single - local_expect))
     return _result("d-cloner", "d_cloner", worst)
 
 
-def check_decomposed_networks() -> CheckResult:
+def _report_numbers(report: networks.ClonerReport) -> Tuple[float, ...]:
+    """Every number a `ClonerReport` gives, overall and per sign."""
+    return (
+        report.success_probability,
+        report.fidelity,
+        report.plus_result.success_probability,
+        report.plus_result.global_fidelity_vs_exact,
+        report.minus_result.success_probability,
+        report.minus_result.global_fidelity_vs_exact,
+        report.fidelity_deviation,
+        report.success_deviation,
+    )
+
+
+def check_decomposed_networks(
+    cases: Sequence[Tuple[bounds.CloningProblem, str, Optional[float]]] = (
+        (bounds.CloningProblem(theta=math.pi / 8, m_copies=1, n_copies=3), "exact", None),
+        (bounds.CloningProblem(theta=math.pi / 8, m_copies=1, n_copies=3), "approx", None),
+        (bounds.CloningProblem(theta=3 * math.pi / 16, m_copies=2, n_copies=4), "hybrid", 0.9),
+    ),
+) -> CheckResult:
     """CNOT-level networks report the same numbers as gate-level ones."""
     worst = 0.0
-    cases = 0
-    for theta, m, n, mode, p_s in [
-        (math.pi / 8, 1, 3, "exact", None),
-        (math.pi / 8, 1, 3, "approx", None),
-        (3 * math.pi / 16, 2, 4, "hybrid", 0.9),
-    ]:
-        problem = bounds.CloningProblem(theta=theta, m_copies=m, n_copies=n)
+    for problem, mode, p_s in cases:
         plain = networks.evaluate_cloner(problem, mode, p_s=p_s)
         wired = networks.evaluate_cloner(problem, mode, p_s=p_s, decompose_gates=True)
-        worst = max(
-            worst,
-            abs(plain.fidelity - wired.fidelity),
-            abs(plain.success_probability - wired.success_probability),
-        )
-        cases += 1
-    return _result("decomposed-networks", "decomposed_shift", worst, f"{cases} cases")
+        for a, b in zip(_report_numbers(plain), _report_numbers(wired)):
+            worst = max(worst, abs(a - b))
+    return _result("decomposed-networks", "decomposed_shift", worst, f"{len(cases)} cases")
 
 
-def check_cli_determinism() -> CheckResult:
-    """Repeated CLI invocations are byte-identical."""
+def check_cli_determinism(
+    argsets: Sequence[Sequence[str]] = (
+        ("bounds", "--theta", "0.4", "-m", "1", "-n", "3", "--eta-plus", "0.7"),
+        ("tradeoff", "--theta", "0.392699081698724", "-m", "1", "-n", "2", "--steps", "5"),
+    ),
+) -> CheckResult:
+    """Repeated CLI invocations exit 0 and are byte-identical."""
     from click.testing import CliRunner
 
     from .cli import main
 
     runner = CliRunner()
-    argsets = [
-        ["bounds", "--theta", "0.4", "-m", "1", "-n", "3", "--eta-plus", "0.7"],
-        [
-            "tradeoff",
-            "--theta",
-            "0.392699081698724",
-            "-m",
-            "1",
-            "-n",
-            "2",
-            "--steps",
-            "5",
-        ],
-    ]
     mismatches = 0
     for args in argsets:
         first = runner.invoke(main, args, catch_exceptions=False)

@@ -9,6 +9,7 @@ oracle values used in tests/test_bounds.py and tests/test_networks.py.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -757,12 +758,43 @@ def test_decompose_separation_to_a_tiny_angle_names_theta2(theta1):
 # ---------------------------------------------------------------------------
 
 
+#: the full ``cloneforge verify`` report; the suites' defaults are its grids
+VERIFY_STDOUT = """\
+ok    gate-algebra         max|err| 3.169e-16  (tol 1e-12)  8x8 grid
+ok    decompositions       max|err| 3.331e-16  (tol 1e-10)  CNOT counts (4, 4, 4, 3, 1, 1, 1)
+ok    exact-networks       max|err| 8.882e-16  (tol 1e-10)  16 cases
+ok    approx-networks      max|err| 4.441e-16  (tol 1e-10)  12 cases
+ok    brute-force          max|err| 2.220e-16  (tol 1e-06)  6 cases
+ok    hybrid-networks      max|err| 2.220e-16  (tol 1e-10)  12 cases; success dev 2.220e-16, fidelity dev 5.551e-16
+ok    asymptotics          max|err| 1.054e-08  (tol 1e-06)  Helstrom gap 1.054e-08 (N=50), limit gap 1.110e-16 (N=40)
+ok    d-cloner             max|err| 1.110e-16  (tol 1e-12)
+ok    decomposed-networks  max|err| 6.661e-16  (tol 1e-09)  3 cases
+ok    cli-determinism      max|err| 0.000e+00  (tol 0)  2 commands
+10/10 suites passed
+"""
+
+
 def test_verify_passes():
     result = run_cli("verify")
     assert result.exit_code == 0
-    assert "10/10 suites passed" in result.output
-    assert "FAIL" not in result.output
-    assert "CNOT counts (4, 4, 4, 3, 1, 1, 1)" in result.output
+    assert result.output == VERIFY_STDOUT
+
+
+def test_verify_suites_are_the_public_checks_in_order():
+    """`perfbench/tracing.py` wraps every public ``check_*`` function and
+    swaps its `_SUITES` entry by identity; `run_all` calls each with no
+    arguments."""
+    public = [
+        value
+        for name, value in vars(verify).items()
+        if name.startswith("check_")
+        and inspect.isfunction(value)
+        and value.__module__ == verify.__name__
+    ]
+    assert verify._SUITES == public
+    for suite in verify._SUITES:
+        params = inspect.signature(suite).parameters.values()
+        assert all(p.default is not inspect.Parameter.empty for p in params), suite
 
 
 def test_verify_reports_failures(monkeypatch):

@@ -25,16 +25,7 @@ from cloneforge.gates import (
     transfer_gate,
     transfer_gates,
 )
-from cloneforge.linalg import (
-    MINUS,
-    PLUS,
-    Unitary,
-    apply_gate,
-    basis_state,
-    family_state,
-    inner,
-    kron,
-)
+from cloneforge.linalg import MINUS, PLUS, StateVector, Unitary, apply_gate, family_state
 from cloneforge.networks import compression_sequence, exact_network
 
 import oracles
@@ -48,6 +39,15 @@ from oracles import (
 )
 
 GRID = np.linspace(0.01, math.pi / 4, 8)
+
+#: the computational basis of one and of two qubits; |+> is bit 0
+I2 = np.eye(2)
+I4 = np.eye(4)
+
+
+def pair_state(t1, t2, sign):
+    """family(t1) (x) family(t2) of one sign."""
+    return StateVector(2, oracles.kron_all(family_state(t1, sign).amps, family_state(t2, sign).amps))
 
 
 # ------------------------------------------------------------ transfer gate
@@ -90,10 +90,9 @@ def test_transfer_gate_forward_action():
             gate = transfer_gate(t1, t2)
             t3 = compose_angle(t1, t2)
             for sign in (PLUS, MINUS):
-                state = kron(family_state(t1, sign), family_state(t2, sign))
-                out = apply_gate(state, gate, (0, 1))
-                expect = kron(family_state(t3, sign), basis_state(1, 0))
-                assert np.max(np.abs(out.amps - expect.amps)) < 1e-12
+                out = apply_gate(pair_state(t1, t2, sign), gate, (0, 1))
+                expect = oracles.kron_all(family_state(t3, sign).amps, I2[0])
+                assert np.max(np.abs(out.amps - expect)) < 1e-12
 
 
 def test_transfer_gate_reverse_action():
@@ -102,10 +101,9 @@ def test_transfer_gate_reverse_action():
     gate = transfer_gate(t1, t2)
     t3 = compose_angle(t1, t2)
     for sign in (PLUS, MINUS):
-        state = kron(family_state(t3, sign), basis_state(1, 0))
+        state = StateVector(2, oracles.kron_all(family_state(t3, sign).amps, I2[0]))
         out = apply_gate(state, gate, (0, 1))
-        expect = kron(family_state(t1, sign), family_state(t2, sign))
-        assert np.max(np.abs(out.amps - expect.amps)) < 1e-12
+        assert np.max(np.abs(out.amps - pair_state(t1, t2, sign).amps)) < 1e-12
 
 
 def test_transfer_gate_degenerate_corner_is_sign_flip():
@@ -308,14 +306,14 @@ def test_equal_parity_reflection_at_zero():
 
 
 def test_equal_parity_reflection_quarter_turn_swaps_extremes():
-    out = apply_gate(basis_state(2, 0), Unitary(equal_parity_reflection(math.pi / 2)), (0, 1))
-    assert np.allclose(out.amps, basis_state(2, 3).amps)
+    out = apply_gate(StateVector(2, I4[0]), Unitary(equal_parity_reflection(math.pi / 2)), (0, 1))
+    assert np.allclose(out.amps, I4[3])
 
 
 def test_controlled_reflection_examples():
     assert np.allclose(controlled_reflection(0.0), np.diag([1, -1, 1, 1]))
-    out = apply_gate(basis_state(2, 0), Unitary(controlled_reflection(math.pi / 2)), (0, 1))
-    assert np.allclose(out.amps, basis_state(2, 1).amps)
+    out = apply_gate(StateVector(2, I4[0]), Unitary(controlled_reflection(math.pi / 2)), (0, 1))
+    assert np.allclose(out.amps, I4[1])
 
 
 def test_parity_exchange_is_hermitian_involution():
@@ -367,11 +365,11 @@ def test_separation_gate_action():
     p = (1.0 - math.cos(2 * t_in)) / (1.0 - math.cos(2 * t_out))
     gate = separation_gate(t_in, t_out)
     for sign in (PLUS, MINUS):
-        state = kron(basis_state(1, 0), family_state(t_in, sign))
+        state = StateVector(2, oracles.kron_all(I2[0], family_state(t_in, sign).amps))
         out = apply_gate(state, gate, (0, 1))
-        success = kron(basis_state(1, 0), family_state(t_out, sign))
-        failure = kron(basis_state(1, 1), basis_state(1, 0))
-        expect = math.sqrt(p) * success.amps + math.sqrt(1.0 - p) * failure.amps
+        success = oracles.kron_all(I2[0], family_state(t_out, sign).amps)
+        failure = oracles.kron_all(I2[1], I2[0])
+        expect = math.sqrt(p) * success + math.sqrt(1.0 - p) * failure
         assert np.max(np.abs(out.amps - expect)) < 1e-12
 
 
@@ -384,8 +382,8 @@ def test_separation_gate_identity_angles_is_not_identity():
 def test_separation_gate_leaves_idle_states_alone():
     gate = separation_gate(math.pi / 8, math.pi / 6)
     for idx in (1, 3):
-        out = apply_gate(basis_state(2, idx), gate, (0, 1))
-        assert np.allclose(out.amps, basis_state(2, idx).amps)
+        out = apply_gate(StateVector(2, I4[idx]), gate, (0, 1))
+        assert np.allclose(out.amps, I4[idx])
 
 
 def test_separation_gate_rejects_widening():
@@ -518,10 +516,10 @@ def test_transfer_pair_overlap_is_preserved():
     # overlap before equals the composed overlap after
     t1, t2 = math.pi / 8, 0.4
     gate = transfer_gate(t1, t2)
-    a = apply_gate(kron(family_state(t1, PLUS), family_state(t2, PLUS)), gate, (0, 1))
-    b = apply_gate(kron(family_state(t1, MINUS), family_state(t2, MINUS)), gate, (0, 1))
+    a = apply_gate(pair_state(t1, t2, PLUS), gate, (0, 1))
+    b = apply_gate(pair_state(t1, t2, MINUS), gate, (0, 1))
     t3 = compose_angle(t1, t2)
-    assert inner(a, b).real == pytest.approx(math.cos(2 * t3), abs=1e-12)
+    assert np.vdot(a.amps, b.amps) == pytest.approx(math.cos(2 * t3), abs=1e-12)
 
 
 def test_gates_are_immutable():

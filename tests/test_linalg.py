@@ -14,12 +14,9 @@ from cloneforge.linalg import (
     StateVector,
     Unitary,
     apply_gate,
-    basis_state,
     branch_probability,
     family_state,
     global_fidelity,
-    inner,
-    kron,
     live_prefix,
     pad_qubits,
     project_qubit,
@@ -132,37 +129,27 @@ def test_stack_members_are_read_only_gates(rng):
 
 
 def test_amplitudes_are_write_protected():
-    sv = basis_state(1, 0)
+    sv = StateVector(1, I2[0])
     with pytest.raises(ValueError):
         sv.amps[0] = 0.0
 
 
-# --------------------------------------------------------------------- kron
-
-
-def test_kron_basis_states_bit_convention():
-    # |+> is bit 0 and the left factor is more significant, so |+-> sits at index 1
-    state = kron(basis_state(1, 0), basis_state(1, 1))
-    assert np.allclose(state.amps, [0.0, 1.0, 0.0, 0.0])
+# -------------------------------------------------------------- tensor powers
 
 
 def test_kron_family_pair_amplitudes():
+    """Two copies are the Kronecker product; the first copy is the more significant bit."""
     theta = math.pi / 8
     c, s = math.cos(theta), math.sin(theta)
-    state = kron(family_state(theta, PLUS), family_state(theta, PLUS))
+    state = family_state(theta, PLUS, copies=2)
     assert np.allclose(state.amps, [c * c, c * s, s * c, s * s], atol=1e-15)
-
-
-def test_kron_rejects_mixed_kinds():
-    with pytest.raises(TypeError):
-        kron(basis_state(1, 0), Unitary(I2))
 
 
 # --------------------------------------------------------------- apply_gate
 
 
 def test_apply_identity_is_noop():
-    state = basis_state(2, 0)
+    state = StateVector(2, I4[0])
     out = apply_gate(state, Unitary(I4), (0, 1))
     assert np.allclose(out.amps, state.amps)
 
@@ -170,13 +157,14 @@ def test_apply_identity_is_noop():
 def test_cnot_active_on_plus_control():
     from cloneforge.gates import cnot
 
-    # |+-> has the control (qubit 0) in |+>, so the target flips: |++>
-    out = apply_gate(basis_state(2, 1), cnot(), (0, 1))
-    assert np.allclose(out.amps, basis_state(2, 0).amps)
+    # |+> is bit 0 and qubit 0 is the more significant bit, so |+-> sits at
+    # index 1; its control (qubit 0) is in |+>, so the target flips: |++>
+    out = apply_gate(StateVector(2, I4[1]), cnot(), (0, 1))
+    assert np.allclose(out.amps, I4[0])
     # |-+> and |--> have the control in |->, so nothing happens
     for idx in (2, 3):
-        out = apply_gate(basis_state(2, idx), cnot(), (0, 1))
-        assert np.allclose(out.amps, basis_state(2, idx).amps)
+        out = apply_gate(StateVector(2, I4[idx]), cnot(), (0, 1))
+        assert np.allclose(out.amps, I4[idx])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -189,7 +177,7 @@ def test_apply_gate_matches_explicit_embedding(rng, n):
                 continue
             full = oracles.embed(gate, (qa, qb), n)
             for idx in range(2 ** n):
-                out = apply_gate(basis_state(n, idx), Unitary(gate), (qa, qb))
+                out = apply_gate(StateVector(n, np.eye(2 ** n)[idx]), Unitary(gate), (qa, qb))
                 assert np.allclose(out.amps, full[:, idx], atol=1e-12)
 
 
@@ -351,23 +339,24 @@ def test_live_prefix_cuts_only_exactly_blank_trailing_wires(rng):
     assert np.array_equal(back.amps, state.amps)
     assert pad_qubits(cut, 3) is cut
     # every wire blank: one qubit is kept
-    assert live_prefix(basis_state(4, 0)).n_qubits == 1
+    assert live_prefix(StateVector(4, np.eye(16)[0])).n_qubits == 1
 
 
 def test_pad_qubits_inserts_blank_wires_at_any_wire(rng):
     head = StateVector(2, random_orthogonal(rng, 4)[:, 0])
     tail = StateVector(1, random_orthogonal(rng, 2)[:, 0])
-    joined = kron(head, tail)
+    joined = StateVector(3, np.kron(head.amps, tail.amps))
     for at, blanks in ((0, 1), (2, 1), (2, 3), (3, 2)):
         got = pad_qubits(joined, 3 + blanks, at=at)
         assert got.n_qubits == 3 + blanks and not got.amps.flags.writeable
+        blank = np.eye(2 ** blanks)[0]
         if at == 3:
-            expect = kron(joined, basis_state(blanks, 0))
+            expect = oracles.kron_all(joined.amps, blank)
         elif at == 2:
-            expect = kron(kron(head, basis_state(blanks, 0)), tail)
+            expect = oracles.kron_all(head.amps, blank, tail.amps)
         else:
-            expect = kron(basis_state(blanks, 0), joined)
-        assert np.array_equal(got.amps, expect.amps)
+            expect = oracles.kron_all(blank, joined.amps)
+        assert np.array_equal(got.amps, expect)
     assert np.array_equal(pad_qubits(joined, 5).amps, pad_qubits(joined, 5, at=3).amps)
 
 
@@ -396,17 +385,17 @@ def test_live_prefix_keeps_wires_that_are_not_blank(rng):
 
 def test_apply_gate_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_gate(basis_state(2, 0), Unitary(I4), (0,))
+        apply_gate(StateVector(2, I4[0]), Unitary(I4), (0,))
 
 
 def test_apply_gate_duplicate_qubits():
     with pytest.raises(ValueError):
-        apply_gate(basis_state(2, 0), Unitary(I4), (0, 0))
+        apply_gate(StateVector(2, I4[0]), Unitary(I4), (0, 0))
 
 
 def test_apply_gate_index_out_of_range():
     """Index n of an n-qubit state joins a blank wire; n + 1 and negative indices raise."""
-    state = basis_state(2, 1)
+    state = StateVector(2, I4[1])
     joined = apply_gate(state, Unitary(I4), (0, 2))
     assert joined.n_qubits == 3
     assert np.array_equal(joined.amps, pad_qubits(state, 3).amps)
@@ -417,7 +406,7 @@ def test_apply_gate_index_out_of_range():
 
 def test_a_bad_qubit_list_raises_on_every_call():
     """The kernel memo holds no exception: a bad qubit list raises its message every time."""
-    state, pair = basis_state(2, 0), Unitary(I4)
+    state, pair = StateVector(2, I4[0]), Unitary(I4)
     for gate, qubits, message in (
         (pair, (0,), "gate of dimension 4 cannot act on 1 qubit(s)"),
         (pair, (1, 1), "qubit indices must be distinct, got [1, 1]"),
@@ -590,34 +579,12 @@ def test_apply_gate_preserves_norm(seed, n):
 
 
 def test_inner_trivial_cases():
-    assert inner(basis_state(1, 0), basis_state(1, 0)) == pytest.approx(1.0)
     th = math.pi / 8
-    assert inner(family_state(th, PLUS), family_state(th, MINUS)) == pytest.approx(
-        math.cos(2 * th), abs=1e-15
-    )
+    overlap = np.vdot(family_state(th, PLUS).amps, family_state(th, MINUS).amps)
+    assert overlap == pytest.approx(math.cos(2 * th), abs=1e-15)
     f = family_state(math.pi / 4, PLUS)
     g = family_state(math.pi / 4, MINUS)
-    assert abs(inner(f, g)) < 1e-15
-
-
-def test_inner_size_mismatch():
-    with pytest.raises(ValueError):
-        inner(basis_state(1, 0), basis_state(2, 0))
-
-
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_inner_conjugate_symmetry(seed):
-    """On real states conjugate symmetry is symmetry, and `inner` returns a float."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=4)
-    b = rng.normal(size=4)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    sa, sb = StateVector(2, a), StateVector(2, b)
-    got = inner(sa, sb)
-    assert type(got) is float
-    assert got == inner(sb, sa)
+    assert abs(np.vdot(f.amps, g.amps)) < 1e-15
 
 
 @given(
@@ -629,7 +596,7 @@ def test_family_copies_overlap_power_law(theta, k):
     """<plus^k|minus^k> = cos(2 theta)^k, the distinguishability product rule."""
     a = family_state(theta, PLUS, copies=k)
     b = family_state(theta, MINUS, copies=k)
-    assert inner(a, b) == pytest.approx(math.cos(2 * theta) ** k, abs=1e-12)
+    assert np.vdot(a.amps, b.amps) == pytest.approx(math.cos(2 * theta) ** k, abs=1e-12)
     assert abs(np.sum(np.abs(a.amps) ** 2) - 1.0) < 1e-12
 
 
@@ -683,26 +650,27 @@ def test_global_fidelity_matches_overlap_with_the_explicit_power(theta, sign, n,
 
 def test_global_fidelity_rejects_a_wider_single_state():
     with pytest.raises(ValueError, match="one-qubit"):
-        global_fidelity(basis_state(2, 0), basis_state(2, 0))
+        global_fidelity(StateVector(2, I4[0]), StateVector(2, I4[0]))
 
 
 def test_global_fidelity_values():
     th = math.pi / 8
     assert global_fidelity(family_state(th, PLUS), family_state(th, PLUS)) == 1.0
-    assert global_fidelity(basis_state(1, 0), basis_state(1, 1)) == 0.0
+    assert global_fidelity(StateVector(1, I2[0]), StateVector(1, I2[1])) == 0.0
     assert global_fidelity(
         family_state(th, PLUS), family_state(th, MINUS)
     ) == pytest.approx(0.5, abs=1e-15)
     # a single state with a negative amplitude
     minus = family_state(th, MINUS)
-    assert global_fidelity(minus, kron(minus, minus)) == pytest.approx(1.0, abs=1e-15)
+    pair = StateVector(2, np.kron(minus.amps, minus.amps))
+    assert global_fidelity(minus, pair) == pytest.approx(1.0, abs=1e-15)
 
 
 # -------------------------------------------------------------- measurement
 
 
 def test_project_definite_state():
-    prob, post = project_qubit(basis_state(1, 0), 0, PLUS)
+    prob, post = project_qubit(StateVector(1, I2[0]), 0, PLUS)
     assert prob == pytest.approx(1.0)
     assert np.allclose(post.amps, [1.0, 0.0])
 
@@ -716,7 +684,7 @@ def test_project_balanced_superposition():
 
 def test_project_impossible_branch():
     with pytest.raises(ImpossibleBranchError):
-        project_qubit(basis_state(1, 0), 0, MINUS)
+        project_qubit(StateVector(1, I2[0]), 0, MINUS)
 
 
 def test_project_qubit_checks_its_post_state_without_a_second_copy():
@@ -739,7 +707,7 @@ def test_project_qubit_checks_its_post_state_without_a_second_copy():
 
 def test_project_rejects_unknown_outcome():
     with pytest.raises(ValueError):
-        branch_probability(basis_state(1, 0), 0, "up")
+        branch_probability(StateVector(1, I2[0]), 0, "up")
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=4))
@@ -795,5 +763,4 @@ def test_states_and_gates_must_be_real(rng):
     assert StateVector(1, np.array([1.0 + 0.0j, -0.0j])).amps.dtype == np.float64
     assert StateVector(1, [0.6, 0.8]).amps.dtype == np.float64
     assert Unitary(np.eye(2, dtype=complex)).entries.dtype == np.float64
-    assert basis_state(3, 5).amps.dtype == np.float64
     assert family_state(0.3, MINUS, copies=4).amps.dtype == np.float64
