@@ -13,9 +13,11 @@ blank state |+> inert on the target side of every network here.
 A network's gates are checked in batches: a chain's transfer gates as one
 stack (`transfer_gates`), its circuits' factors as one stack and their
 products as one ``matmul`` per step (`decompositions`); a lone gate is one.
-The rows of a trade-off sweep share them: `transfer_gates` and
-`decompose_transfers` are memoized per tuple of angle pairs, and every
-circuit holds the same two CNOT placements, built at import.
+Each gate and its angles are built once, for its network and its circuit
+(`_transfers`, `_separation`), and a placement built here formats its label
+only when it is read (`_placed`).  The rows of a trade-off sweep share
+them: `transfer_gates` and `decompose_transfers` are memoized per tuple of
+angle pairs, and every circuit holds the same two CNOT placements.
 """
 
 from __future__ import annotations
@@ -121,29 +123,38 @@ def sector_angles(theta1: float, theta2: float) -> Tuple[float, float]:
     return delta1, delta2
 
 
-@functools.lru_cache(maxsize=16)
 def transfer_gates(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[Unitary, ...]:
     """The transfer gates of the angle pairs ``pairs``, checked as one stack.
 
     Each gate's 16 entries are written row by row (see `transfer_gate`).
-    Memoized per tuple (the rows of a trade-off sweep rebuild the same chains);
-    the gates are immutable, and invalid angles raise on every call.
+    Memoized per tuple (`_transfers`); invalid angles raise on every call.
     """
-    entries = {}  # one gate per distinct pair: far down a long chain the angles repeat
-    for theta1, theta2 in pairs:
-        if (theta1, theta2) in entries:
+    return _transfers(pairs)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _transfers(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[tuple, tuple]:
+    """The gates of `transfer_gates`, and each pair's sector angles for its circuit
+    (None at the corner); each distinct pair is solved once."""
+    solved = {}
+    for theta1, theta2 in dict.fromkeys(pairs):
+        if _odd_sector_weight(theta1, theta2) != 0.0:
+            solved[theta1, theta2] = sector_angles(theta1, theta2)
             continue
         _check_angle_range(theta1, "theta1")
         _check_angle_range(theta2, "theta2")
-        if _odd_sector_weight(theta1, theta2) == 0.0:
-            entries[theta1, theta2] = tuple(np.diag([1.0, 1.0, 1.0, -1.0]).flat)
+        solved[theta1, theta2] = None
+    entries = []
+    for angles in solved.values():
+        if angles is None:
+            entries.append(tuple(np.diag([1.0, 1.0, 1.0, -1.0]).flat))
             continue
-        delta1, delta2 = sector_angles(theta1, theta2)
-        (c1, s1), _ = _reflection(delta1)
-        (c2, s2), _ = _reflection(delta2 + math.pi / 2.0)
-        entries[theta1, theta2] = (c1, 0.0, 0.0, s1, 0.0, c2, s2, 0.0, 0.0, s2, -c2, 0.0, s1, 0.0, 0.0, -c1)
-    built = dict(zip(entries, unitaries(np.reshape(list(entries.values()), (-1, 4, 4)))))
-    return tuple(built[pair] for pair in pairs)
+        # the first rows of the reflections by delta1 and delta2 + pi/2 (`_reflection`)
+        delta1, delta2 = angles[0], angles[1] + math.pi / 2.0
+        c1, s1, c2, s2 = math.cos(delta1), math.sin(delta1), math.cos(delta2), math.sin(delta2)
+        entries.append((c1, 0.0, 0.0, s1, 0.0, c2, s2, 0.0, 0.0, s2, -c2, 0.0, s1, 0.0, 0.0, -c1))
+    built = dict(zip(solved, unitaries(np.array(entries).reshape(-1, 4, 4))))
+    return tuple([built[pair] for pair in pairs]), tuple([solved[pair] for pair in pairs])
 
 
 def transfer_gate(theta1: float, theta2: float) -> Unitary:
@@ -162,7 +173,7 @@ def transfer_gate(theta1: float, theta2: float) -> Unitary:
     input.  At theta1 = theta2 = 0 the odd sector is defined as the
     identity (the physical family never populates it there).
 
-    The batch of one of `transfer_gates`, and memoized by it.
+    The batch of one of `transfer_gates`, and memoized with it.
     """
     return transfer_gates(((theta1, theta2),))[0]
 
@@ -226,13 +237,16 @@ def separation_gate(theta_in: float, theta_out: float) -> Unitary:
     ancilla heralds the separation; P is the separation success probability.
     The states |+-> and |--> are left invariant.
     """
-    return _separation_gate(separation_gamma(theta_in, theta_out))
+    return _separation(theta_in, theta_out)[1]
 
 
-def _separation_gate(gamma: float) -> Unitary:
-    """The separation gate of mixing angle ``gamma`` (`separation_gamma`)."""
+@functools.lru_cache(maxsize=1)
+def _separation(theta_in: float, theta_out: float) -> Tuple[float, Unitary]:
+    """The mixing angle (`separation_gamma`) and the gate of a separation, built once
+    for a network and its CNOT circuit."""
+    gamma = separation_gamma(theta_in, theta_out)
     (c, s), _ = _reflection(gamma)
-    return Unitary(((c, 0.0, s, 0.0), (0.0, 1.0, 0.0, 0.0), (s, 0.0, -c, 0.0), (0.0, 0.0, 0.0, 1.0)))
+    return gamma, Unitary(((c, 0.0, s, 0.0), (0.0, 1.0, 0.0, 0.0), (s, 0.0, -c, 0.0), (0.0, 0.0, 0.0, 1.0)))
 
 
 def clone_gate(turn: float) -> Unitary:
@@ -281,11 +295,20 @@ class GatePlacement:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"placement qubits must be distinct, got {self.qubits}")
 
-    def rewired(self, wires: Sequence[int], label: str) -> "GatePlacement":
-        """Moved from each qubit q to ``wires[q]``; an injective ``wires`` needs no re-check."""
-        placed = object.__new__(GatePlacement)
-        placed.__dict__.update(vars(self), qubits=tuple(map(wires.__getitem__, self.qubits)), label=label)
-        return placed
+
+class _Placed(GatePlacement):
+    @property
+    def label(self) -> str:
+        text, args = self._text
+        return text.format(*[a.label if isinstance(a, GatePlacement) else a for a in args])
+
+
+def _placed(gate: Unitary, qubits: tuple, kind: str, params: tuple, text: str, *args) -> GatePlacement:
+    """A placement on wires valid by construction, unchecked, labelled ``text.format(*args)``
+    (a placement standing for its label) when the label is read."""
+    placed = object.__new__(_Placed)
+    placed.__dict__.update(gate=gate, qubits=qubits, kind=kind, params=params, _text=(text, args))
+    return placed
 
 
 @dataclass(frozen=True)
@@ -326,25 +349,28 @@ def decompositions(circuits: Sequence[tuple]) -> Tuple[CircuitDecomposition, ...
     at every step are re-multiplied together (`_rebuild`); each keeps its own
     ``max_abs_error``, with the bits it gets alone.
     """
-    built, groups = [], {}
-    for target, placements in circuits:
+    circuits = [(target, tuple(placements)) for target, placements in circuits]
+    for target, _ in circuits:
         if target.dim != 4:
             raise ValueError(
                 f"decomposition targets must be two-qubit gates, got dimension {target.dim}"
             )
-        for p in placements:
-            if p.kind not in (KIND_CNOT, KIND_LOCAL):
-                raise ValueError(
-                    f"decompositions may contain only CNOT and single-qubit "
-                    f"placements, got kind {p.kind!r}"
-                )
-            if not set(p.qubits) <= {0, 1}:
-                raise ValueError(
-                    f"decomposition placements act on wires 0 and 1, got {p.qubits}"
-                )
+    # each placement once: the circuits of a batch share their CNOT placements
+    for p in {id(p): p for _, placements in circuits for p in placements}.values():
+        if p.kind not in (KIND_CNOT, KIND_LOCAL):
+            raise ValueError(
+                f"decompositions may contain only CNOT and single-qubit "
+                f"placements, got kind {p.kind!r}"
+            )
+        if not set(p.qubits) <= {0, 1}:
+            raise ValueError(
+                f"decomposition placements act on wires 0 and 1, got {p.qubits}"
+            )
+    built, groups = [], {}
+    for target, placements in circuits:
         circuit = object.__new__(CircuitDecomposition)
-        circuit.__dict__.update(target=target, placements=tuple(placements))
-        groups.setdefault(tuple(p.qubits for p in placements), []).append(circuit)
+        circuit.__dict__.update(target=target, placements=placements)
+        groups.setdefault(tuple([p.qubits for p in placements]), []).append(circuit)
         built.append(circuit)
     for group in groups.values():
         targets = np.array([c.target.entries for c in group])
@@ -397,10 +423,6 @@ def _cnot_placement(control: int, target: int) -> GatePlacement:
 _C01, _C10 = _cnot_placement(0, 1), _cnot_placement(1, 0)
 
 
-def _local_placement(gate: Unitary, qubit: int, label: str) -> GatePlacement:
-    return GatePlacement(gate=gate, qubits=(qubit,), label=f"{label}@{qubit}", kind=KIND_LOCAL)
-
-
 def decompose_transfers(pairs: Sequence[Tuple[float, float]]) -> Tuple[CircuitDecomposition, ...]:
     """CNOT + single-qubit circuits equal to the transfer gates of ``pairs``.
 
@@ -418,35 +440,34 @@ def decompose_transfers(pairs: Sequence[Tuple[float, float]]) -> Tuple[CircuitDe
     At theta1 = theta2 = 0 the gate is diagonal (one sign flip) and a
     shorter five-placement, three-CNOT circuit is emitted instead.
 
-    The targets (`transfer_gates`), the one-qubit factors and the
-    re-multiplications (`decompositions`) are each checked as one batch.
-    Memoized per tuple of pairs (a list is taken as its tuple): the rows of
-    a trade-off sweep expand the same chain.  The circuits are immutable,
-    and invalid angles raise on every call.
+    The targets and their sector angles are `transfer_gates`' own
+    (`_transfers`); the one-qubit factors and the re-multiplications
+    (`decompositions`) are each checked as one batch.  Memoized per tuple of
+    pairs (a list is taken as its tuple); invalid angles raise on every call.
     """
     return _decompose_transfers(tuple(pairs))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=4)
 def _decompose_transfers(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[CircuitDecomposition, ...]:
     """The memoized body of `decompose_transfers`."""
-    corners = [_odd_sector_weight(theta1, theta2) == 0.0 for theta1, theta2 in pairs]
+    targets, solved = _transfers(pairs)
     factors, labels = [], []
-    for (theta1, theta2), corner in zip(pairs, corners):
-        if corner:
+    for angles in solved:
+        if angles is None:
             factors += [_reflection(math.pi / 4.0), _rotation(-math.pi / 4.0)]
-            labels += ["reflection(pi/4)", "rotation(-pi/4)"]
+            labels += [("reflection(pi/4)@0",), ("rotation(-pi/4)@0",)]
             continue
-        delta1, delta2 = sector_angles(theta1, theta2)
+        delta1, delta2 = angles
         d2p = delta2 + math.pi / 2.0
         half = (d2p - delta1) / 2.0
         factors += [_rotation(half), _reflection(d2p)]
-        labels += [f"rotation({half:.12g})", f"reflection({d2p:.12g})"]
-    local = [_local_placement(g, 0, label) for g, label in zip(unitaries(np.array(factors)), labels)]
+        labels += [("rotation({:.12g})@0", half), ("reflection({:.12g})@0", d2p)]
+    local = [_placed(g, (0,), KIND_LOCAL, (), *label) for g, label in zip(unitaries(np.array(factors)), labels)]
     # a regular circuit places its one rotation twice
     return decompositions([
-        (target, (_C01, a, _C10, b, _C01) if corner else (_C01, a, _C10, a, _C10, b, _C01))
-        for target, corner, a, b in zip(transfer_gates(pairs), corners, local[0::2], local[1::2])
+        (target, (_C01, a, _C10, b, _C01) if angles is None else (_C01, a, _C10, a, _C10, b, _C01))
+        for target, angles, a, b in zip(targets, solved, local[0::2], local[1::2])
     ])
 
 
@@ -461,15 +482,15 @@ def decompose_separation(theta_in: float, theta_out: float) -> CircuitDecomposit
     The CNOT targets the ancilla (wire 0) controlled by the system
     (wire 1), conjugated by a rotation B = `conjugating_rotation` (gamma)
     on the ancilla: B^dag_0 . C(1->0) . B_0, rightmost factor first.  Three
-    placements.  gamma (`separation_gamma`) is solved once, for the target
-    and for B, and B and B^dag are checked as one stack.
+    placements.  The target is `separation_gate`'s own (`_separation`), and
+    B and B^dag are checked as one stack.
     """
-    gamma = separation_gamma(theta_in, theta_out)
+    gamma, target = _separation(theta_in, theta_out)
     b = _conjugating(gamma)
     rotation, inverse = unitaries((b, b.T))
     placements = (
-        _local_placement(rotation, 0, f"rotation({math.pi / 4.0 - gamma / 2.0:.12g})"),
+        _placed(rotation, (0,), KIND_LOCAL, (), "rotation({:.12g})@0", math.pi / 4.0 - gamma / 2.0),
         _C10,
-        _local_placement(inverse, 0, f"rotation({gamma / 2.0 - math.pi / 4.0:.12g})"),
+        _placed(inverse, (0,), KIND_LOCAL, (), "rotation({:.12g})@0", gamma / 2.0 - math.pi / 4.0),
     )
-    return CircuitDecomposition(target=_separation_gate(gamma), placements=placements)
+    return CircuitDecomposition(target=target, placements=placements)

@@ -22,16 +22,15 @@ rather than dividing, which keeps the frozen output bits of the networks
 
 Validation happens at the boundaries, once per network: ``StateVector``
 checks its entries (`check_normalized`: finite, normalized by one
-``vdot``) and `unitaries` checks a whole (G, d, d) stack of gates in one
-pass (a lone ``Unitary`` is a stack of one), and notes in the same pass
-which entries are exactly zero (`Unitary.nonzero_pattern`, read by the
-Z frame of ``networks``), ``gates.GatePlacement`` and
-``networks.NetworkSpec`` check qubit lists, and ``networks.run_network``
-checks each network output once, in place, with `check_normalized`.
-``apply_gate`` checks only its qubit list, once per (gate, qubits, width):
-the checked update is memoized (`_kernel`, 128 entries, keyed by the gate's
-identity), and a bad list raises on every call.  Its result is valid by
-construction and is returned read-only without being copied or re-checked.
+``vdot``); `unitaries` checks a (G, d, d) stack of gates in one pass (a
+lone ``Unitary`` is a stack of one) and notes in it each gate's exact zeros
+(`Unitary.nonzero_pattern`) and 0/1 permutation (`Unitary.permutation`);
+``gates.GatePlacement`` and ``networks.NetworkSpec`` check qubit lists; and
+``networks.run_network`` checks each output once, in place.  ``apply_gate``
+checks its qubit list once per layout (gate dimension, permutation, qubits,
+width), memoized per layout, not per gate (`_layout`), so a gate of fresh
+angles binds only its entries; a bad list raises on every call.  Its
+result is returned read-only without being copied or re-checked.
 ``family_state`` checks its arguments on every call but not its amplitudes,
 which are normalized by construction; its states are memoized
 (`_family_state`, 32 entries).  `project_qubit` checks its post-state with
@@ -44,18 +43,18 @@ building the padding: a permutation moves its rows into zeros, and any
 other gate multiplies only its columns where the new wire reads |+>, in the
 same BLAS shapes as the padded register.
 
-The gate kernel is chosen once per (gate, qubits, width), when the update
-is memoized, and first looks at the gate's entries.  A gate whose entries are
-a 0/1 permutation matrix (the CNOT; `Unitary.permutation`, found once per
-gate) on one qubit, or on two adjacent ones, is not multiplied: the
+The gate kernel is chosen once per layout, when the update is memoized,
+and first looks at the gate's permutation.  A gate whose entries are
+a 0/1 permutation matrix (the CNOT; `Unitary.permutation`, found by
+`unitaries`) on one qubit, or on two adjacent ones, is not multiplied: the
 amplitudes are copied and each moved row of the k axis of the (A, k, C)
 view below is copied into place by slice assignment (``np.take`` is slow
 on 8-byte items at small C).  Each output amplitude is then the input
 amplitude a multiplication by the 0/1 matrix would give, bit for bit: the
 product adds only ``0 * x`` terms, which can at most turn a moved exact
 zero into -0.0.  A descending pair uses
-the gate's SWAP-conjugated form, `Unitary.swapped`, built once per gate and
-shared by both paths.  Every other gate is multiplied, with the BLAS call
+the gate's SWAP-conjugated form (the entries of `Unitary.swapped`, and the
+permutation they make).  Every other gate is multiplied, with the BLAS call
 picked from the shape of the update.  A gate on one qubit, or on two
 adjacent ones, starting at wire ``first`` of an n-qubit register splits the
 amplitudes into an (A, k, C) view, A = 2**first batches of k gate rows times
@@ -73,7 +72,7 @@ needs no spare wire under a gate that spans its live prefix.  A non-adjacent
 pair is one ``np.dot`` of the gate against the amplitudes with its input
 wires transposed to the front, then its output axes transposed onto its
 wires: the steps of ``np.tensordot`` then ``np.moveaxis``, worked out once
-per kernel, so the bytes are theirs.  Only two claims tie the bits to a wider
+per layout, so the bytes are theirs.  Only two claims tie the bits to a wider
 register: a gate spanning the register has the bits it gets with one more
 blank wire, and a join has the bytes of pad-then-apply.
 
@@ -186,7 +185,8 @@ def _identity(dim: int) -> np.ndarray:
 
 
 #: local basis order of a two-qubit gate whose two qubits are listed the other way round
-_SWAPPED_PAIR = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+_SWAP = (0, 2, 1, 3)
+_SWAPPED_PAIR = np.ix_(_SWAP, _SWAP)
 
 
 def unitaries(matrices) -> Tuple["Unitary", ...]:
@@ -206,8 +206,18 @@ def unitaries(matrices) -> Tuple["Unitary", ...]:
         worst = errors.reshape(len(mats), -1).max(axis=1)
         err = worst[worst >= UNITARITY_TOL][0]
         raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {err:.3e})")
-    patterns = [row.tobytes() for row in (mats != 0).reshape(len(mats), -1)]
-    return tuple(map(Unitary._trusted, mats, patterns))
+    flat, size = (mats != 0).tobytes(), dim * dim
+    patterns = [flat[at:at + size] for at in range(0, len(flat), size)]
+    return tuple(map(Unitary._trusted, mats, patterns, map(_source, mats, patterns)))
+
+
+def _source(mat: np.ndarray, pattern: bytes) -> Optional[Tuple[int, ...]]:
+    """Source index of each row of ``mat`` when its entries are a 0/1 permutation, else None:
+    a unitary with only ``dim`` nonzero entries (read off ``pattern``), all exactly 1."""
+    dim = len(mat)
+    if pattern.count(1) != dim or not (mat[mat != 0] == 1).all():
+        return None
+    return tuple(pattern.index(1, row * dim) - row * dim for row in range(dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,51 +225,40 @@ class Unitary:
     """A dense real unitary on one or more qubits, verified as a stack of one (`unitaries`).
 
     ``nonzero_pattern`` tells which entries are not exactly zero, one byte
-    per entry, row by row; `unitaries` finds it for a whole stack at once.
-    It is all that the Z-frame rule of ``networks`` (`networks._z_images`)
-    reads of a gate.
+    per entry, row by row; it is all the Z frame of ``networks`` reads of a
+    gate.  ``permutation`` is the source index of each row when the entries
+    are a 0/1 permutation matrix, else None; it picks the kernel
+    (`apply_gate`).  `unitaries` finds both for a whole stack in one pass.
     """
 
     entries: np.ndarray
     dim: int = field(init=False)
     nonzero_pattern: bytes = field(init=False, repr=False)
+    permutation: Optional[Tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         (checked,) = unitaries(np.asarray(self.entries)[np.newaxis])
         self.__dict__.update(vars(checked))
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray, nonzero_pattern: bytes) -> "Unitary":
+    def _trusted(cls, entries: np.ndarray, nonzero_pattern: bytes, permutation) -> "Unitary":
         """Wrap read-only entries that are already checked (a view of a checked stack)."""
         gate = object.__new__(cls)
-        gate.__dict__.update(entries=entries, dim=entries.shape[0], nonzero_pattern=nonzero_pattern)
+        gate.__dict__.update(
+            entries=entries, dim=entries.shape[0], nonzero_pattern=nonzero_pattern, permutation=permutation
+        )
         return gate
 
     @functools.cached_property
     def swapped(self) -> "Unitary":
         """The two-qubit gate with its qubits listed the other way round.
 
-        Its entries are ``entries`` conjugated by SWAP; built once per gate
-        and shared by every placement on a descending pair.
+        Its entries are ``entries`` conjugated by SWAP; built once per gate.
         """
         mat = self.entries[_SWAPPED_PAIR]
         mat.flags.writeable = False
-        return Unitary._trusted(mat, (mat != 0).tobytes())
-
-    @functools.cached_property
-    def permutation(self) -> Optional[np.ndarray]:
-        """Source index of each row when the entries are a 0/1 permutation.
-
-        ``None`` unless every entry is an exact 0 or 1.  A unitary with only
-        ``dim`` nonzero entries, all exactly 1, has one 1 in each row and
-        column, and row r of the gate reads amplitude ``permutation[r]``.
-        """
-        mat = self.entries
-        if np.count_nonzero(mat) != self.dim or not (mat[mat != 0] == 1).all():
-            return None
-        source = np.nonzero(mat)[1]
-        source.flags.writeable = False
-        return source
+        pattern = (mat != 0).tobytes()
+        return Unitary._trusted(mat, pattern, _source(mat, pattern))
 
 
 def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:
@@ -306,55 +305,43 @@ _DOT_MIN_BATCHES = 64
 _DOT_MAX_TRAILING = 8
 
 
-def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Choose how to multiply the listed qubits of a 2**n amplitude array by ``gate``.
+def _matrix_layout(k: int, k_in: int, qubits: Sequence[int], n: int) -> Callable:
+    """``(gate, amps) -> out``, the listed qubits of a 2**n amplitude array times a (k, k_in)
+    gate, in the BLAS shape of the module docstring, worked out once per layout.
 
-    Returns the multiplication, ``amps -> out``; everything that depends
-    only on the gate, the qubits and ``n`` (the BLAS shape, gate (x) I_C,
-    the transposes of a non-adjacent pair) is worked out here, once.  The first listed
-    qubit is the most significant bit of the gate's local basis; an
-    adjacent pair must be listed in ascending order (`apply_gate` swaps a
-    descending one first).  The result is one new C-contiguous array.
-    ``gate`` is (k, k), or (k, k/2) for a join: then ``amps`` covers wires
-    0..n-2, the listed wire n - 1 is a blank |+> wire, and ``gate`` holds
-    only its columns where that wire reads |+>, the others would multiply
-    exact zeros.  One qubit, or an adjacent pair, contract over an (A, k, C)
-    view of the amplitudes (C = 1 for a join).  At A = C = 1 (the gate spans
-    the register) it is column 0 of one ``matmul`` against the amplitudes
-    plus a zero column, the product the gate gets on one more blank wire.
-    With C = 1, or with A >= 64 batches of 2 <= C <= 8, it is one ``np.dot``
-    of the (A, k*C) view against gate (x) I_C (built by strided assignment;
-    every added entry is an exact zero, so each sum gains only exact zero
-    terms).  Any other such view goes through one ``matmul``; ``matmul``
-    over an (A, k, 1) view would take a matrix-vector BLAS path and change
-    the last bits of the amplitudes.  A non-adjacent pair is the ``np.dot``
-    that ``np.tensordot`` makes, between the gate and the amplitudes with its
-    input wires transposed to the front, followed by the transpose that
-    ``np.moveaxis`` makes onto its wires; both are worked out here instead of
-    on every call, and the bytes are the same.
+    The first listed qubit is the gate's most significant bit; an adjacent
+    pair is ascending (`_layout` swaps a descending one).  A join's gate is
+    (k, k/2): ``amps`` covers wires 0..n-2 and the gate holds its columns
+    where the blank wire n - 1 reads |+>.  gate (x) I_C puts the gate's
+    entries into zeros, so each sum gains only exact zero terms.
     """
     first = min(qubits)
-    k, k_in = gate.shape
     if len(qubits) == 1 or max(qubits) - first == 1:
         batches = 2 ** first
         rest = 2 ** (n - first) // k
         if batches == rest == 1:
-            def spanning(amps):
+            def spanning(gate, amps):
                 padded = np.zeros((1, k_in, 2))
                 padded[0, :, 0] = amps
                 return np.matmul(gate, padded)[0, :, 0].copy()
             return spanning
-        if rest == 1 or (batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING):
-            if rest > 1:
-                wide = np.zeros((k * rest, k * rest))
-                for c in range(rest):
-                    wide[c::rest, c::rest] = gate
-                wide.flags.writeable = False
-                gate = wide
-            gate_t = gate.T
-            return lambda amps: np.dot(amps.reshape(batches, -1), gate_t).reshape(-1)
+        if rest == 1:
+            return lambda gate, amps: np.dot(amps.reshape(batches, -1), gate.T).reshape(-1)
+        if batches >= _DOT_MIN_BATCHES and rest <= _DOT_MAX_TRAILING:
+            # gate (x) I_C: entry (i, j) of the gate at (i*C + c, j*C + c), one put
+            width = k * rest
+            cells = [(c, i, j) for c in range(rest) for i in range(k) for j in range(k)]
+            at = np.array([(i * rest + c) * width + j * rest + c for c, i, j in cells])
+            of = np.array([i * k + j for c, i, j in cells])
+            at.flags.writeable = of.flags.writeable = False
+
+            def wide(gate, amps):
+                wide = np.zeros(width * width)
+                wide[at] = gate.take(of)
+                return np.dot(amps.reshape(batches, -1), wide.reshape(width, width).T).reshape(-1)
+            return wide
         view = (batches, k, rest)
-        return lambda amps: np.matmul(gate, amps.reshape(view)).reshape(-1)
+        return lambda gate, amps: np.matmul(gate, amps.reshape(view)).reshape(-1)
     # tensordot's transpose of the input wires to the front, and moveaxis' order
     inputs = qubits if k_in == k else [q for q in qubits if q != n - 1]
     shape = (2,) * (n - len(qubits) + len(inputs))
@@ -363,27 +350,26 @@ def _matrix_kernel(gate: np.ndarray, qubits: Sequence[int], n: int) -> Callable[
     order = list(range(len(qubits), n))
     for wire, axis in sorted(zip(qubits, range(len(qubits)))):
         order.insert(wire, axis)
-    return lambda amps: np.dot(
+    return lambda gate, amps: np.dot(
         gate, amps.reshape(shape).transpose(to_front).reshape(k_in, -1)
     ).reshape(out_shape).transpose(order).reshape(-1)
 
 
-def _permutation_kernel(gate: Unitary, first: int, n: int, joins: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Move the amplitudes of a 0/1 permutation gate on wires ``first``.. of a
-    2**n register by copying its moved rows of the (A, k, C) view; on a join
-    (n counts the joined wire) rows that read the joined wire's |-> half stay
-    exact zeros."""
-    dim = gate.dim
+def _permutation_kernel(source: Tuple[int, ...], first: int, n: int, joins: bool) -> Callable:
+    """``(entries, amps) -> out`` for the 0/1 permutation ``source`` (`Unitary.permutation`)
+    on wires ``first``.. of a 2**n register: its moved rows of the (A, k, C) view are
+    copied, and the entries are not read; on a join (n counts the joined wire) rows
+    that read the joined wire's |-> half stay exact zeros."""
+    dim = len(source)
     batches, rest = 2 ** first, 2 ** (n - first) // dim
     view = (batches, dim >> joins, rest)
-    source = gate.permutation.tolist()
     if joins:
         # the joined wire is the last local bit
         moves = tuple((row, src // 2) for row, src in enumerate(source) if src % 2 == 0)
     else:
         moves = tuple((row, src) for row, src in enumerate(source) if src != row)
 
-    def move(amps):
+    def move(_, amps):
         amps = amps.reshape(view)
         out = np.zeros((batches, dim, rest)) if joins else amps.copy()
         for row, src in moves:
@@ -392,41 +378,50 @@ def _permutation_kernel(gate: Unitary, first: int, n: int, joins: bool) -> Calla
     return move
 
 
-@functools.lru_cache(maxsize=128)
-def _kernel(gate: Unitary, qubits: Tuple[int, ...], n: int) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """The update of `apply_gate` for ``gate`` on ``qubits`` of an n-qubit
-    state, and the width of its result.
+@functools.lru_cache(maxsize=256)
+def _layout(
+    dim: int, permutation: Optional[Tuple[int, ...]], qubits: Tuple[int, ...], n: int
+) -> Tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
+    """The update of `apply_gate`, ``(entries, amps) -> out``, and the width of its result,
+    for a gate of dimension ``dim`` and `Unitary.permutation` ``permutation`` on
+    ``qubits`` of an n-qubit state.
 
-    Memoized per (gate, qubits, n), by the gate's identity: the rows of a
-    trade-off sweep place the same gates on the same wires.  The qubit list
-    is checked here, so a bad one raises on every call (exceptions are not
-    memoized).  A kernel holds only read-only arrays.
+    Memoized per layout, not per gate: it holds no entries, only read-only
+    index arrays, and a gate binds its entries on each call, swapped for a
+    descending pair and cut to a join's columns.  The qubit list is checked
+    here, so a bad one raises on every call.
     """
     k = len(qubits)
-    if gate.dim != 2 ** k:
-        raise ValueError(
-            f"gate of dimension {gate.dim} cannot act on {k} qubit(s)"
-        )
+    if dim != 2 ** k:
+        raise ValueError(f"gate of dimension {dim} cannot act on {k} qubit(s)")
     if len(set(qubits)) != k:
         raise ValueError(f"qubit indices must be distinct, got {list(qubits)}")
     for q in qubits:
         if not (0 <= q <= n):
-            raise ValueError(
-                f"qubit index {q} out of range for {n}-qubit state"
-            )
+            raise ValueError(f"qubit index {q} out of range for {n}-qubit state")
     joins = n in qubits
     first = min(qubits)
-    if k == 2 and qubits[0] == first + 1:
-        gate, qubits = gate.swapped, (first, first + 1)
-    if qubits == tuple(range(first, first + k)) and gate.permutation is not None:
-        return _permutation_kernel(gate, first, n + joins, joins), n + joins
-    entries = gate.entries
-    if joins:
-        # local bit j of a column index: keep the columns where it reads |+>
-        j = qubits.index(n)
-        entries = entries.reshape(gate.dim, 2 ** j, 2, -1)[:, :, 0].reshape(gate.dim, -1)
-        entries.flags.writeable = False
-    return _matrix_kernel(entries, qubits, n + joins), n + joins
+    swap = k == 2 and qubits[0] == first + 1
+    if swap:
+        # the gate's SWAP-conjugated form (`Unitary.swapped`) on the ascending pair
+        qubits = (first, first + 1)
+        if permutation is not None:
+            permutation = tuple(_SWAP[permutation[_SWAP[row]]] for row in range(4))
+    if qubits == tuple(range(first, first + k)) and permutation is not None:
+        return _permutation_kernel(permutation, first, n + joins, joins), n + joins
+    multiply = _matrix_layout(dim, dim >> joins, qubits, n + joins)
+    if not (swap or joins):
+        return multiply, n + joins
+    # local bit j of a column index: a join keeps the columns where it reads |+>
+    j = qubits.index(n) if joins else 0
+
+    def update(entries, amps):
+        if swap:
+            entries = entries[_SWAPPED_PAIR]
+        if joins:
+            entries = entries.reshape(dim, 2 ** j, 2, -1)[:, :, 0].reshape(dim, -1)
+        return multiply(entries, amps)
+    return update, n + joins
 
 
 def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
@@ -437,21 +432,13 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     ``state.n_qubits`` names a blank |+> wire that the gate joins: the
     result has one more wire, the bytes of the gate on ``state`` padded
     with that wire (`pad_qubits`), without the padding.  Only the qubit
-    list is checked here, once per (gate, qubits, width) (`_kernel`):
-    ``state`` and ``gate`` were validated when they were built and a
-    unitary preserves the norm, so the result is returned read-only without
-    copying or re-checking its amplitudes.
-
-    A descending adjacent pair is the gate's `Unitary.swapped` form on the
-    ascending pair.  A 0/1 permutation gate (`Unitary.permutation`) on one
-    qubit or on a run of ascending wires moves amplitudes by copying its
-    moved rows (`_permutation_kernel`); on a join, rows that read the joined
-    wire's |-> half stay exact zeros.  Every other gate is multiplied in the
-    shape `_matrix_kernel` chooses, on a join by the gate's columns where
-    the joined wire reads |+>.
+    list is checked here, once per layout (`_layout`): ``state`` and
+    ``gate`` were validated when they were built and a unitary preserves
+    the norm, so the result is returned read-only without copying or
+    re-checking its amplitudes.
     """
-    update, width = _kernel(gate, tuple(qubits), state.n_qubits)
-    return StateVector._trusted(width, update(state.amps))
+    update, width = _layout(gate.dim, gate.permutation, tuple(qubits), state.n_qubits)
+    return StateVector._trusted(width, update(gate.entries, state.amps))
 
 
 def live_prefix(state: StateVector) -> StateVector:

@@ -33,15 +33,17 @@ other term by term.  IEEE rounding treats signs alike, fl(-a*b) =
 -fl(a*b) and fl(-x - y) = -fl(x + y), so the minus run is then the plus
 run with its signs turned, bit for bit, up to the sign of an exact zero.
 The minus result is taken from the plus result (`_z_flipped`) when the
-plus output has no exact zero; any other network, the approx one at
-unequal priors among them, runs both signs.
+plus output has no exact zero, and its post-state is formed only when it
+is read; any other network, the approx one at unequal priors among them,
+runs both signs.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import weakref
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +61,8 @@ from .gates import (
     KIND_CLONE,
     KIND_SEPARATION,
     KIND_TRANSFER,
-    CircuitDecomposition,
     GatePlacement,
+    _placed,
     clone_gate,
     decompose_separation,
     decompose_transfer,  # noqa: F401  (bound here too: traced runs wrap every binding)
@@ -95,6 +97,10 @@ class NetworkSpec:
     n_qubits: int
     placements: Tuple[GatePlacement, ...]
     heralded: bool = False
+    #: set on the networks built here, by construction: what the networks of one shape
+    #: share, the wires of every placement, so their walk's wires are found once per
+    #: shape (`_shape_steps`)
+    shape: ClassVar[Optional[tuple]] = None
 
     def __post_init__(self):
         # every wire at once: the first placement off the register is looked up only to name it
@@ -108,6 +114,18 @@ class NetworkSpec:
                 f"network has {self.n_qubits} qubit(s)"
             )
 
+    def _gates(self) -> list:
+        return [p.gate for p in self.placements]
+
+    def _steps(self) -> tuple:
+        """`_walk` without its gates (`_step`)."""
+        last = self.n_qubits - 1
+        steps = [_step(p.qubits, last) for p in self.placements]
+        if self.heralded:
+            touching = [i for i, step in enumerate(steps) if step[2]]
+            steps.insert(touching[-1] + 1 if touching else 0, None)
+        return tuple(steps)
+
     @functools.cached_property
     def _walk(self) -> Tuple[Optional[Tuple[Unitary, Tuple[int, ...], int, bool]], ...]:
         """The steps of `run_network`, worked out once per network and shared by its runs.
@@ -116,20 +134,11 @@ class NetworkSpec:
         highest wire other than the last (-1 if none) and ``on_last`` tells
         whether it touches the last wire.  A heralded network has one more
         step, ``None``, after the last placement on the ancilla (first if
-        none touches it).
+        none touches it).  All but the gates is found once per shape.
         """
-        last = self.n_qubits - 1
-        steps = []
-        for p in self.placements:
-            qubits = p.qubits
-            if last in qubits:
-                steps.append((p.gate, qubits, max([q for q in qubits if q != last], default=-1), True))
-            else:
-                steps.append((p.gate, qubits, max(qubits), False))
-        if self.heralded:
-            touching = [i for i, step in enumerate(steps) if step[3]]
-            steps.insert(touching[-1] + 1 if touching else 0, None)
-        return tuple(steps)
+        steps = self._steps() if self.shape is None else _shape_steps(_Shape(self.shape, weakref.ref(self)))
+        gates = iter(self._gates())
+        return tuple([step if step is None else (next(gates),) + step for step in steps])
 
     def _z_sign(self, width: int) -> Optional[float]:
         """The sign g with which the run of Z^(x)width |in> is g Z^(x)N times the
@@ -183,6 +192,49 @@ class NetworkSpec:
 _MAX_FRAMES = 4
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """A memo key: a network shape, and a weak reference (no part of the key) to a
+    network of that shape for a miss to walk."""
+
+    key: tuple
+    network: weakref.ref = field(compare=False)
+
+
+@functools.lru_cache(maxsize=128)
+def _shape_steps(shape: _Shape) -> tuple:
+    """`NetworkSpec._steps` of the networks of a shape: M, N, the middle gates' kinds and,
+    at CNOT level, the circuits' lengths."""
+    return shape.network()._steps()
+
+
+@functools.lru_cache(maxsize=1024)
+def _step(qubits: Tuple[int, ...], last: int) -> Tuple[Tuple[int, ...], int, bool]:
+    """A step of `NetworkSpec._steps`, shared by the walks `_shape_steps` holds."""
+    if last in qubits:
+        return qubits, max([q for q in qubits if q != last], default=-1), True
+    return qubits, max(qubits), False
+
+
+class _Expanded(NetworkSpec):
+    """`expand_decompositions`' network: ``_runs`` holds ``(circuit, placement)`` per
+    gate-level placement (circuit None for one kept as it is).  The circuits'
+    placements are moved onto their wires and labelled only when read."""
+
+    @functools.cached_property
+    def placements(self) -> Tuple[GatePlacement, ...]:
+        return tuple([
+            p if circuit is None else _placed(
+                p.gate, tuple([source.qubits[q] for q in p.qubits]), p.kind, p.params, "{} [from {}]", p, source
+            )
+            for circuit, source in self._runs
+            for p in (circuit.placements if circuit else (source,))
+        ])
+
+    def _gates(self) -> list:
+        return [p.gate for circuit, src in self._runs for p in (circuit.placements if circuit else (src,))]
+
+
 @functools.lru_cache(maxsize=1024)
 def _z_images(pattern: bytes, qubits: Tuple[int, ...], z: int, blank: int) -> Tuple[Tuple[int, bool], ...]:
     """Each image ``(bits, flip)`` of a Z string under a gate: its new bits on
@@ -224,12 +276,29 @@ class SimulationResult:
 
     `evaluate_cloner` may take the minus input's result from the plus run
     (`_z_flipped`) instead of running it; it holds the bytes its own run
-    would give.
+    would give, and forms its post-state only when that is read.
     """
 
     success_probability: float
     post_state: StateVector
     global_fidelity_vs_exact: float
+
+
+class _ZFlipped(SimulationResult):
+    """``result`` with ``sign`` Z^(x)N applied to its post-state, formed on first read."""
+
+    def __init__(self, result: SimulationResult, sign: float):
+        self.__dict__.update(vars(result), _flip=(result.post_state, sign))
+        del self.__dict__["post_state"]
+
+    @functools.cached_property
+    def post_state(self) -> StateVector:
+        post, sign = self._flip
+        # two broadcast passes, by the parities of the high and the low half of the wires
+        low = post.n_qubits // 2
+        amps = post.amps.reshape(-1, 2 ** low) * _parities(post.n_qubits - low, sign)[:, None]
+        amps *= _parities(low, 1.0)
+        return StateVector._trusted(post.n_qubits, amps.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -263,32 +332,25 @@ def compression_sequence(theta: float, copies: int) -> Tuple[GatePlacement, ...]
     angle pairs are memoized (`_chain`), so the rows of a trade-off sweep
     share one chain.
     """
-    return _chain(tuple((theta, angle_for_copies(theta, j)) for j in range(1, copies)))
+    return _chain(tuple([(theta, angle_for_copies(theta, j)) for j in range(1, copies)]), copies)
 
 
 @functools.lru_cache(maxsize=16)
-def _chain(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[GatePlacement, ...]:
-    """The placements of `compression_sequence`: pair i of L on wires (L-1-i, L-i)."""
-    wires = range(len(pairs), 0, -1)
-    return tuple(
-        GatePlacement(
-            gate=gate,
-            qubits=(j - 1, j),
-            label=f"transfer({theta1:.6g},{theta2:.6g})@{(j - 1, j)}",
-            kind=KIND_TRANSFER,
-            params=(theta1, theta2),
-        )
-        for j, gate, (theta1, theta2) in zip(wires, transfer_gates(pairs), pairs)
-    )
+def _chain(pairs: Tuple[Tuple[float, float], ...], copies: int) -> Tuple[GatePlacement, ...]:
+    """The placements of `compression_sequence`: pair i of the first copies - 1 of
+    ``pairs`` on wires (copies-2-i, copies-1-i), with the gates of all of ``pairs``, so
+    a compression chain's gates are a prefix of the decompression chain's."""
+    placed = []
+    for i, (gate, pair) in enumerate(zip(transfer_gates(pairs), pairs[: copies - 1])):
+        wires = (copies - 2 - i, copies - 1 - i)
+        placed.append(_placed(gate, wires, KIND_TRANSFER, pair, "transfer({:.6g},{:.6g})@{}", *pair, wires))
+    return tuple(placed)
 
 
 def _separation_placement(theta_in: float, theta_out: float, n: int) -> GatePlacement:
-    return GatePlacement(
-        gate=separation_gate(theta_in, theta_out),
-        qubits=(n, 0),
-        label=f"separation({theta_in:.6g},{theta_out:.6g})@({n},0)",
-        kind=KIND_SEPARATION,
-        params=(theta_in, theta_out),
+    return _placed(
+        separation_gate(theta_in, theta_out), (n, 0), KIND_SEPARATION, (theta_in, theta_out),
+        "separation({:.6g},{:.6g})@({},0)", theta_in, theta_out, n,
     )
 
 
@@ -296,15 +358,15 @@ def _network(problem: CloningProblem, *middle: GatePlacement) -> NetworkSpec:
     """Compress the M copies, apply ``middle`` to qubit 0, decompress over N.
 
     The network is heralded when ``middle`` separates: the separation's
-    ancilla is wire N, one past the system wires.
+    ancilla is wire N, one past the system wires.  The compression gates
+    are the first M - 1 of the decompression chain's (`_chain`).
     """
     heralded = any(p.kind == KIND_SEPARATION for p in middle)
-    placements = (
-        compression_sequence(problem.theta, problem.m_copies)
-        + middle
-        + compression_sequence(problem.theta, problem.n_copies)[::-1]
-    )
-    return NetworkSpec(problem.n_copies + heralded, placements, heralded)
+    chain = compression_sequence(problem.theta, problem.n_copies)
+    placements = _chain(tuple([p.params for p in chain]), problem.m_copies) + middle + chain[::-1]
+    spec = NetworkSpec(problem.n_copies + heralded, placements, heralded)
+    spec.__dict__["shape"] = (problem.m_copies, problem.n_copies) + tuple([p.kind for p in middle])
+    return spec
 
 
 def exact_network(problem: CloningProblem) -> NetworkSpec:
@@ -322,16 +384,7 @@ def approx_network(problem: CloningProblem) -> NetworkSpec:
     themselves and the rotation is the identity.
     """
     turn = optimal_phis(problem).phi_plus - problem.theta_m
-    return _network(
-        problem,
-        GatePlacement(
-            gate=clone_gate(turn),
-            qubits=(0,),
-            label=f"clone({turn:.6g})@0",
-            kind=KIND_CLONE,
-            params=(turn,),
-        ),
-    )
+    return _network(problem, _placed(clone_gate(turn), (0,), KIND_CLONE, (turn,), "clone({:.6g})@0", turn))
 
 
 def hybrid_network(problem: CloningProblem, p_s: float) -> NetworkSpec:
@@ -354,14 +407,11 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     """Replace every transfer/separation gate by its CNOT circuit.
 
     Placements of other kinds (already single-qubit) are kept as-is.  The
-    resulting network simulates to the same numbers as the original, and
-    is validated as any ``NetworkSpec`` is.  Each distinct ``(kind, params)``
-    is decomposed once: the compression gates repeat decompression gates,
-    and every copy of a gate gets the same circuit.  The distinct transfer
-    gates are decomposed as one batch, and the checked circuit placements
-    are moved without re-checking (`rewired`).  A circuit's moved and
-    labelled run on a wire pair is memoized (`_placed_run`), so the rows of a
-    trade-off sweep share their transfer circuits' runs.
+    resulting network simulates to the same numbers as the original; its
+    wires are the original's, checked when it was built.  Each distinct
+    ``(kind, params)`` is decomposed once, the transfer gates as one batch.
+    The result runs each circuit on its placement's wires; its placements
+    are moved there, unchecked, only when they are read (`_Expanded`).
     """
     keys = dict.fromkeys((p.kind, p.params) for p in spec.placements)
     # sorted: the N-copy chain's pairs (angles grow with copies), memoized with its gates
@@ -373,30 +423,13 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     circuits.update(
         (key, decompose_separation(*key[1])) for key in keys if key[0] == KIND_SEPARATION
     )
-    expanded = []
-    for p in spec.placements:
-        circuit = circuits.get((p.kind, p.params))
-        if circuit is None:
-            expanded.append(p)
-        else:
-            expanded.extend(_placed_run(circuit, p.qubits, p.label))
-    return NetworkSpec(
-        n_qubits=spec.n_qubits,
-        placements=tuple(expanded),
-        heralded=spec.heralded,
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _placed_run(circuit: CircuitDecomposition, wires: Tuple[int, ...], label: str) -> Tuple[GatePlacement, ...]:
-    """``circuit``'s placements moved from local wires 0, 1 to ``wires``, each labelled
-    with the placement ``label`` it comes from.
-
-    Memoized: the rows of a sweep place the same transfer circuits (at most 7 runs
-    a row, at M = 3, N = 6).  A separation circuit, and any circuit of fresh
-    angles, is never placed again, so the bound keeps such runs few.
-    """
-    return tuple(dp.rewired(wires, f"{dp.label} [from {label}]") for dp in circuit.placements)
+    runs = tuple([(circuits.get((p.kind, p.params)), p) for p in spec.placements])
+    expanded = object.__new__(_Expanded)
+    expanded.__dict__.update(n_qubits=spec.n_qubits, heralded=spec.heralded, _runs=runs)
+    if spec.shape is not None:
+        # a circuit's length names its form (the transfer corner's is shorter)
+        expanded.__dict__["shape"] = spec.shape + (tuple([len(c.placements) for c, _ in runs if c]),)
+    return expanded
 
 
 def run_network(
@@ -433,12 +466,9 @@ def run_network(
     a last wire that has joined) blank wires are first inserted before
     the last wire, up to the placement's top qubit (`linalg.pad_qubits`).
     The herald is one step of the walk: it projects the ancilla, drops it
-    and re-takes the live prefix.  What the walk needs of each placement
-    (its gate, its wires, its top system wire, whether it touches the last
-    wire) and where the herald goes are worked out once per network
-    (``NetworkSpec._walk``) and shared by its runs, and by the Z frame that
-    lets `evaluate_cloner` skip the minus run; the dynamic part (the live
-    width, the joins, the padding) is still decided per run.
+    and re-takes the live prefix.  The steps are worked out once per network
+    (``NetworkSpec._walk``); the live width, the joins and the padding are
+    decided per run.
 
     Gates are validated when the placements are built and ``apply_gate``
     re-checks no amplitudes, so the output, padded to the system width if a
@@ -547,14 +577,9 @@ def evaluate_cloner(
 
 
 def _run_signs(spec: NetworkSpec, theta: float, copies: int) -> Tuple[SimulationResult, SimulationResult]:
-    """The results of ``spec`` on ``copies`` copies of each family state.
-
-    The plus input is run.  The minus input is Z^(x)copies times it, bit for
-    bit, so when a Z frame shows that the minus run is g Z^(x)N times the plus
-    run (`NetworkSpec._z_sign`), its result is taken from the plus result
-    (`_z_flipped`); otherwise, or if the plus output has an exact zero, it is
-    run too.
-    """
+    """The results of ``spec`` on ``copies`` copies of each family state: the plus input's
+    run, and the minus input's taken from it (`_z_flipped`) where a Z frame shows it
+    (`NetworkSpec._z_sign`), else run too."""
     plus = run_network(
         spec, family_state(theta, PLUS, copies=copies), reference=family_state(theta, PLUS)
     )
@@ -571,22 +596,11 @@ def _z_flipped(result: SimulationResult, sign: float) -> Optional[SimulationResu
     """``result`` with ``sign`` Z^(x)N applied to its post-state: the other sign's result.
 
     None when the post-state has an exact zero, whose sign the frame does not
-    fix.  Otherwise each amplitude of the other run is this one's times
-    +/-1, the probability and the fidelity are its bits, and the post-state
-    is signed in two broadcast passes, by the parities of the high and the
-    low half of the wires (`_parities`).
+    fix.  Otherwise each amplitude of the other run is this one's times +/-1,
+    the probability and the fidelity are its bits, and the post-state is
+    formed when it is first read (`_ZFlipped`): no report reads it.
     """
-    post = result.post_state
-    if not post.amps.all():
-        return None
-    low = post.n_qubits // 2
-    amps = post.amps.reshape(-1, 2 ** low) * _parities(post.n_qubits - low, sign)[:, None]
-    amps *= _parities(low, 1.0)
-    return SimulationResult(
-        success_probability=result.success_probability,
-        post_state=StateVector._trusted(post.n_qubits, amps.reshape(-1)),
-        global_fidelity_vs_exact=result.global_fidelity_vs_exact,
-    )
+    return _ZFlipped(result, sign) if result.post_state.amps.all() else None
 
 
 @functools.lru_cache(maxsize=32)

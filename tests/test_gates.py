@@ -29,6 +29,7 @@ from cloneforge.linalg import MINUS, PLUS, StateVector, Unitary, apply_gate, fam
 from cloneforge.networks import compression_sequence, exact_network
 
 import oracles
+from cloneforge import gates
 from conftest import random_orthogonal
 from oracles import (
     PARITY_EXCHANGE,
@@ -138,7 +139,7 @@ def test_transfer_gate_memo_is_safe_to_share():
     for _ in range(2):
         with pytest.raises(ValueError):
             transfer_gate(1.0, 0.1)
-    assert transfer_gates.cache_info().maxsize is not None
+    assert gates._transfers.cache_info().maxsize is not None
     assert cnot() is cnot()
 
 
@@ -169,7 +170,7 @@ def test_chain_longer_than_the_memos_builds():
     angle pairs, so a long chain is built and checked gate by gate all the same.
     """
     chain = compression_sequence(0.05, 40)
-    assert len({p.params for p in chain}) == 39 > transfer_gates.cache_info().maxsize
+    assert len({p.params for p in chain}) == 39 > gates._transfers.cache_info().maxsize
     for placement in chain:
         want = oracles.transfer_matrix(*sector_angles(*placement.params))
         assert placement.gate.entries.tobytes() == want.tobytes()

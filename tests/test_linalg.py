@@ -228,11 +228,11 @@ def _placements(k, n):
 
 
 def _matrix_path(state, gate, qubits):
-    """`linalg._matrix_kernel` on the same entries, the way `apply_gate` calls it."""
+    """`linalg._matrix_layout` on the same entries, the way `apply_gate` calls it."""
     qubits = list(qubits)
     if len(qubits) == 2 and qubits[0] == qubits[1] + 1:
         gate, qubits = gate.swapped, qubits[::-1]
-    return linalg._matrix_kernel(gate.entries, qubits, state.n_qubits)(state.amps)
+    return linalg._matrix_layout(gate.dim, gate.dim, qubits, state.n_qubits)(gate.entries, state.amps)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -282,15 +282,60 @@ def test_permutation_gates_keep_exact_zeros(rng):
 def test_only_exact_zero_one_matrices_are_permutations(rng):
     from cloneforge.gates import cnot
 
-    assert cnot().permutation.tolist() == [1, 0, 2, 3]
+    assert cnot().permutation == (1, 0, 2, 3)
     # control on the less significant qubit: |++> <-> |-+>
-    assert cnot().swapped.permutation.tolist() == [2, 1, 0, 3]
-    assert Unitary(I4).permutation.tolist() == [0, 1, 2, 3]
+    assert cnot().swapped.permutation == (2, 1, 0, 3)
+    assert Unitary(I4).permutation == (0, 1, 2, 3)
     # a sign or a rounding error is not a permutation
     for matrix in (np.diag([1.0, -1.0]), np.array([[0.0, -1.0], [1.0, 0.0]]),
                    np.array([[0.0, 1.0], [1.0 - 2 ** -52, 0.0]]),
                    random_orthogonal(rng, 4)):
         assert Unitary(matrix).permutation is None
+
+
+def _permutation_scan(mat):
+    """The per-gate scan that `Unitary.permutation` once ran: the source of each row of
+    a 0/1 permutation matrix, None for any other."""
+    if np.count_nonzero(mat) != len(mat) or not (mat[mat != 0] == 1).all():
+        return None
+    return tuple(np.nonzero(mat)[1].tolist())
+
+
+def _flag_candidates(dim):
+    from cloneforge.gates import clone_gate, cnot
+
+    one_less, one_more = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    if dim == 2:
+        return [*PERMUTATIONS[:2], clone_gate(0.0).entries, clone_gate(-0.0).entries, np.diag([1.0, -1.0]),
+                np.array([[0.0, one_less], [1.0, 0.0]]), np.array([[one_more, 0.0], [0.0, 1.0]]),
+                np.array([[0.0, -1.0], [1.0, 0.0]])]
+    return [*PERMUTATIONS[2:], cnot().entries, cnot().swapped.entries, np.diag([1.0, 1.0, 1.0, -1.0]),
+            np.diag([1.0, one_less, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, one_more])[[1, 0, 2, 3]],
+            np.diag([1.0, 1.0, -1.0, 1.0])[[1, 0, 2, 3]]]
+
+
+@given(
+    st.sampled_from([2, 4]),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_stack_pass_flags_the_permutations_the_per_gate_scan_finds(dim, picks, seed):
+    """`unitaries` records each gate's `Unitary.permutation` in its one pass: the same
+    as a per-gate scan over random stacks of 0/1 permutations, CNOT and its swapped
+    form, clone_gate(0.0) (1, -0.0, 0, 1: a permutation), signed and 1-ulp-short
+    near-permutations and random orthogonal gates; and so is each swapped form's."""
+    rng = np.random.default_rng(seed)
+    candidates = _flag_candidates(dim)
+    stack = [
+        candidates[pick % len(candidates)] if pick % 4 else random_orthogonal(rng, dim)
+        for pick in picks
+    ]
+    gates = unitaries(np.array(stack))
+    assert [gate.permutation for gate in gates] == [_permutation_scan(mat) for mat in stack]
+    if dim == 4:
+        for gate in gates:
+            assert gate.swapped.permutation == _permutation_scan(gate.swapped.entries)
 
 
 def test_swapped_is_built_once_per_gate():
@@ -305,7 +350,7 @@ def test_whole_register_gate_has_the_bits_of_one_more_blank_wire(seed):
     """A gate spanning a one- or two-qubit register: the bytes of that register padded.
 
     Random states and orthogonal gates.  Such a gate is A = C = 1 in
-    `linalg._matrix_kernel`, where a matrix-vector product would give other
+    `linalg._matrix_layout`, where a matrix-vector product would give other
     last bits than the padded register's matrix-matrix product.
     """
     rng = np.random.default_rng(seed)
@@ -420,45 +465,59 @@ def test_a_bad_qubit_list_raises_on_every_call():
     assert np.array_equal(apply_gate(state, pair, (0, 1)).amps, state.amps)
 
 
+def _arrays_held(fn):
+    """Every ndarray in the closure of ``fn`` and of the functions it closes over."""
+    found = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found += _arrays_held(value)
+    return found
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 @pytest.mark.parametrize("zeros", [False, True])
 def test_memoized_kernels_keep_the_bytes_of_a_fresh_one(rng, n, zeros):
-    """A kernel from the memo gives the bytes of one built afresh.
+    """A layout from the memo gives the bytes of one built afresh, for every gate.
 
     Orthogonal gates and 0/1 permutations, on one qubit, ascending,
-    descending and non-adjacent pairs, and joins of wire n, each applied to
-    two new states, so the second call is a memo hit; the fresh kernel is
-    the unmemoized `linalg._kernel`.  With ``zeros`` the states hold exact
-    zeros of either sign.  A memoized kernel holds only read-only arrays.
+    descending and non-adjacent pairs, and joins of wire n.  Each layout
+    serves two fresh orthogonal gates, or one permutation twice, each on two
+    new states, so every call after the first is a memo hit; the fresh
+    layout is the unmemoized `linalg._layout`.  With ``zeros`` the states
+    hold exact zeros of either sign.  A layout holds no float array, so no
+    gate's entries (a gate binds its entries on every call), and only
+    read-only index arrays.
     """
     from cloneforge.gates import cnot
 
-    gates = {
-        1: [Unitary(random_orthogonal(rng, 2)), Unitary(I2[::-1])],
-        2: [Unitary(random_orthogonal(rng, 4)), cnot(), Unitary(I4[rng.permutation(4)])],
-    }
     wires = sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
     placements = [(q,) for q in wires] + [(a, b) for a in wires for b in wires if a != b]
     for qubits in placements:
-        for gate in gates[len(qubits)]:
-            hits = linalg._kernel.cache_info().hits
-            for _ in range(2):
-                amps = rng.normal(size=2 ** n)
-                if zeros:
-                    amps[rng.random(2 ** n) < 0.3] = 0.0
-                    amps[rng.random(2 ** n) < 0.3] = -0.0
-                    amps[0] = 1.0
-                state = StateVector(n, amps / np.linalg.norm(amps))
-                update, width = linalg._kernel.__wrapped__(gate, qubits, n)
-                want = update(state.amps)
-                out = apply_gate(state, gate, qubits)
-                assert out.n_qubits == width == n + (n in qubits)
-                assert out.amps.tobytes() == want.tobytes(), qubits
-            assert linalg._kernel.cache_info().hits > hits
-            update, _ = linalg._kernel(gate, qubits, n)
-            for cell in update.__closure__ or ():
-                if isinstance(cell.cell_contents, np.ndarray):
-                    assert not cell.cell_contents.flags.writeable
+        dim = 2 ** len(qubits)
+        permutations = [Unitary(I2[::-1])] if dim == 2 else [cnot(), Unitary(I4[rng.permutation(4)])]
+        kinds = [[Unitary(random_orthogonal(rng, dim)) for _ in range(2)]] + [[p, p] for p in permutations]
+        for gates in kinds:
+            hits = linalg._layout.cache_info().hits
+            for gate in gates:
+                for _ in range(2):
+                    amps = rng.normal(size=2 ** n)
+                    if zeros:
+                        amps[rng.random(2 ** n) < 0.3] = 0.0
+                        amps[rng.random(2 ** n) < 0.3] = -0.0
+                        amps[0] = 1.0
+                    state = StateVector(n, amps / np.linalg.norm(amps))
+                    update, width = linalg._layout.__wrapped__(gate.dim, gate.permutation, qubits, n)
+                    want = update(gate.entries, state.amps)
+                    out = apply_gate(state, gate, qubits)
+                    assert out.n_qubits == width == n + (n in qubits)
+                    assert out.amps.tobytes() == want.tobytes(), qubits
+            assert linalg._layout.cache_info().hits >= hits + 3
+            update, _ = linalg._layout(gates[0].dim, gates[0].permutation, qubits, n)
+            for held in _arrays_held(update):
+                assert held.dtype.kind == "i" and not held.flags.writeable
 
 
 #: the local gate shapes of a join onto wire n: one qubit, or a pair with
@@ -554,7 +613,7 @@ def test_non_adjacent_pairs_keep_the_bytes_of_tensordot(seed, n, joins, descendi
         j = qubits.index(n)
         entries = entries.reshape(4, 2 ** j, 2, -1)[:, :, 0].reshape(4, -1)
     want = _tensordot_kernel(entries, qubits, n + joins)(state.amps)
-    direct = linalg._matrix_kernel(entries, qubits, n + joins)(state.amps)
+    direct = linalg._matrix_layout(4, entries.shape[1], qubits, n + joins)(entries, state.amps)
     got = apply_gate(state, gate, qubits)
     assert got.n_qubits == n + joins
     for out in (direct, got.amps):

@@ -3,9 +3,8 @@ holding an exception.
 
 The rows of a trade-off sweep at one (theta, M, N) differ only in their
 separation stage, so they share their chain placements (`networks._chain`),
-their transfer gates (`gates.transfer_gates`), their CNOT circuits
-(`gates.decompose_transfers`) and those circuits' runs placed on the network's
-wires (`networks._placed_run`), and their input and reference states
+their transfer gates (`gates._transfers`), their CNOT circuits
+(`gates.decompose_transfers`), and their input and reference states
 (`linalg._family_state`).
 """
 
@@ -61,8 +60,10 @@ def test_every_lru_cache_is_bounded():
     )
     assert sorted(cached) == declared
     assert {"cloneforge.networks._chain", "cloneforge.gates._decompose_transfers",
-            "cloneforge.linalg._kernel", "cloneforge.linalg._family_state",
-            "cloneforge.networks._placed_run", "cloneforge.networks._z_images",
+            "cloneforge.gates._transfers", "cloneforge.gates._separation",
+            "cloneforge.linalg._layout", "cloneforge.linalg._family_state",
+            "cloneforge.networks._z_images",
+            "cloneforge.networks._shape_steps", "cloneforge.networks._step",
             "cloneforge.networks._parities"} <= set(cached)
     for name, memo in cached.items():
         maxsize = memo.cache_parameters()["maxsize"]
@@ -104,7 +105,7 @@ def test_memos_never_hold_an_exception():
         with pytest.raises(ValueError):
             compression_sequence(1.0, 3)
         with pytest.raises(ValueError, match="theta1 must lie in"):
-            networks._chain(((1.0, 0.1),))
+            networks._chain(((1.0, 0.1),), 2)
         with pytest.raises(ValueError, match="theta2 must lie in"):
             decompose_transfers([(0.3, 0.2), (0.3, -0.1)])
     assert sizes == (networks._chain.cache_info().currsize, gates._decompose_transfers.cache_info().currsize)
@@ -166,37 +167,36 @@ def test_family_state_checks_its_arguments_on_every_call():
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 6)])
-def test_rows_of_a_sweep_share_their_placed_runs(m, n):
-    """Two rows at one (theta, M, N), expanded to CNOTs, hold the same placed runs
-    of their transfer circuits: the second row misses only its new separation."""
+def test_an_expanded_network_places_its_circuits_only_when_read(monkeypatch, m, n):
+    """Expanding and running a CNOT-level network of a known shape moves no placement
+    (`networks._shape_steps`); reading its placements moves each circuit's placements
+    onto their wires once, labelled as coming from the placement they replace."""
+    moved, original = [], networks._placed
+
+    def record(*args):
+        if "[from" in args[4]:
+            moved.append(args[-1])
+        return original(*args)
+
+    networks.evaluate_cloner(CloningProblem(0.3, m, n), "exact", decompose_gates=True)
+    monkeypatch.setattr(networks, "_placed", record)
     prob = CloningProblem(0.41, m, n)
-    p_exact = exact_clone_probability(0.41, m, n)
-    first = expand_decompositions(hybrid_network(prob, p_exact + 0.3 * (1 - p_exact)))
-    before = networks._placed_run.cache_info()
-    second = expand_decompositions(exact_network(prob))
-    after = networks._placed_run.cache_info()
-    transfers = (m - 1) + (n - 1)
-    assert (after.hits - before.hits, after.misses - before.misses) == (transfers, 1)
-
-    def placed(spec):
-        return [p for p in spec.placements if "[from transfer" in p.label]
-
-    assert len(placed(first)) == len(placed(second)) > transfers
-    assert all(a is b for a, b in zip(placed(first), placed(second)))
-
-
-def test_the_placed_run_memo_is_bounded():
-    """A wide chain of fresh angles fills the memo up to its bound and no further."""
-    maxsize = networks._placed_run.cache_parameters()["maxsize"]
-    assert maxsize is not None and maxsize <= 64
-    for theta in (0.2, 0.3, 0.4):
-        expand_decompositions(exact_network(CloningProblem(theta, 3, 16)))
-    assert networks._placed_run.cache_info().currsize == maxsize
+    gate_level = exact_network(prob)
+    spec = expand_decompositions(gate_level)
+    networks.evaluate_cloner(prob, "exact", decompose_gates=True)
+    assert moved == []
+    placements = spec.placements
+    assert spec.placements is placements
+    assert len(moved) == len(placements) > len(gate_level.placements)
+    for p, source in zip(placements, moved):
+        assert p.label.endswith(f" [from {source.label}]")
+        assert set(p.qubits) <= set(source.qubits)
 
 
 def test_the_sign_flip_memoizes_half_registers_only(monkeypatch):
-    """The minus post-state taken from the plus one is signed by the parities of the
-    high and the low half of its wires: no memoized sign vector spans the register."""
+    """The minus post-state taken from the plus one, formed when it is read, is signed by
+    the parities of the high and the low half of its wires: no memoized sign vector
+    spans the register (tests/test_networks.py checks that it is formed on demand)."""
     sizes, original = [], networks._parities
 
     def record(k, sign):
@@ -205,8 +205,8 @@ def test_the_sign_flip_memoizes_half_registers_only(monkeypatch):
 
     monkeypatch.setattr(networks, "_parities", record)
     report = networks.evaluate_cloner(CloningProblem(0.3, 2, 13), "exact")
-    assert sorted(sizes) == [2 ** 6, 2 ** 7]
     assert report.minus_result.post_state.n_qubits == 13
+    assert sorted(sizes) == [2 ** 6, 2 ** 7]
     for k in (6, 7):
         with pytest.raises(ValueError):
             original(k, 1.0)[0] = 5.0

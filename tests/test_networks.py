@@ -364,6 +364,34 @@ def test_expand_decompositions_remaps_wires():
     assert all("[from" in p.label for p in spec.placements if p.kind != KIND_CLONE)
 
 
+#: sha256 of the newline-joined labels of every placement, at theta = 0.3, M = 2,
+#: N = 4 (eta_plus = 0.7 for approx, p_s = 0.9 for hybrid), taken when every label
+#: was formatted as its placement was built
+_LABEL_DIGESTS = {
+    ("exact", False): "37326bdb93b44f1a393e64503b6f3eb6de0d4943e839b050b47f3ae8767c4bcd",
+    ("exact", True): "edfaeb841b61dc3091dd5e62073b12649b2870b647998c2996bed9e5e8eaffbc",
+    ("approx", False): "68ad40ae74852389eaeeef5e32955f8f2fa6d4d6d7ae80d4152f2482b184e72b",
+    ("approx", True): "8ef2d50f2a149f61be6fd7826d0f0753e12ba89d472c65170228c6b94476a77c",
+    ("hybrid", False): "1affa0d9432158015de171a19a18f9160767ac9db4b0a68004d2fbb4d734ec3d",
+    ("hybrid", True): "325afcc1b6280bdc6ab6f4f43262f5d00d485933595a03403f28f5a5536c6127",
+}
+
+
+@pytest.mark.parametrize("mode, decomposed", sorted(_LABEL_DIGESTS))
+def test_labels_read_as_when_they_were_formatted_eagerly(mode, decomposed):
+    """A placement formats its label when it is read, with the text it once got when built."""
+    prob = problem(theta=0.3, m=2, n=4, eta_plus=0.7 if mode == "approx" else 0.5)
+    spec = {"exact": exact_network, "approx": approx_network}.get(mode, lambda p: hybrid_network(p, 0.9))(prob)
+    if decomposed:
+        spec = expand_decompositions(spec)
+    labels = [p.label for p in spec.placements]
+    if (mode, decomposed) == ("approx", False):
+        assert labels == ["transfer(0.3,0.3)@(0, 1)", "clone(0.0544599)@0", "transfer(0.3,0.486876)@(0, 1)",
+                          "transfer(0.3,0.410712)@(1, 2)", "transfer(0.3,0.3)@(2, 3)"]
+    digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()
+    assert digest == _LABEL_DIGESTS[mode, decomposed]
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx", "hybrid"])
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 6)])
 def test_expand_decompositions_decomposes_each_distinct_gate_once(monkeypatch, mode, m, n):
@@ -418,6 +446,52 @@ def test_expanded_circuits_target_the_network_gates(monkeypatch, mode, m, n):
     assert len(expanded.placements) > len(spec.placements)
 
 
+@pytest.mark.parametrize("mode", ["exact", "hybrid"])
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 16)])
+def test_a_fresh_angle_builds_each_gate_once(monkeypatch, mode, m, n):
+    """A fresh-theta, CNOT-level `evaluate_cloner` builds and checks each gate once.
+
+    Each distinct angle pair's sectors are solved once, for its gate and its
+    circuit; the N - 1 transfer gates, of both chains, are one `unitaries`
+    stack; the separation's mixing angle is solved once and its gate, checked
+    once, is the target of its circuit; the compression placements hold the
+    decompression chain's own gates.
+    """
+    from cloneforge import gates, linalg
+
+    solved, stacks, gammas, networks_built = [], [], [], []
+    spies = {
+        "sector_angles": lambda original: lambda *args: solved.append(args) or original(*args),
+        "unitaries": lambda original: lambda mats: stacks.append(np.shape(mats)) or original(mats),
+        "separation_gamma": lambda original: lambda *args: gammas.append(args) or original(*args),
+    }
+    for name, spy in spies.items():
+        monkeypatch.setattr(gates, name, spy(getattr(gates, name)))
+    # a lone `Unitary` is checked as a stack of one by linalg's own binding
+    monkeypatch.setattr(linalg, "unitaries", gates.unitaries)
+    original_expand = networks.expand_decompositions
+    monkeypatch.setattr(
+        networks, "expand_decompositions",
+        lambda spec: networks_built.append((spec, original_expand(spec))) or networks_built[-1][1],
+    )
+    theta = 0.3 + 1e-9 * (m + n) + (mode == "hybrid") * 1e-10  # no memo has seen it
+    prob = problem(theta=theta, m=m, n=n)
+    evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=True)
+    ((spec, expanded),) = networks_built
+    pairs = [p.params for p in spec.placements if p.kind == KIND_TRANSFER]
+    assert sorted(solved) == sorted(set(pairs)) and len(solved) == n - 1
+    assert sorted(s for s in stacks if s[1:] == (4, 4)) == [(1, 4, 4), (n - 1, 4, 4)]
+    assert sorted(s for s in stacks if s[1:] == (2, 2)) == [(2, 2, 2), (2 * (n - 1), 2, 2)]
+    assert len(gammas) == 1
+    gate_of = {}
+    for p in spec.placements[::-1]:
+        if p.kind == KIND_TRANSFER:
+            assert gate_of.setdefault(p.params, p.gate) is p.gate
+    (separation,) = [p for p in spec.placements if p.kind == KIND_SEPARATION]
+    (circuit,) = [c for c, source in expanded._runs if source is separation]
+    assert circuit.target is separation.gate
+
+
 def test_both_signs_share_one_walk(monkeypatch):
     """`evaluate_cloner` works out the walk of its network once, for both signs.
 
@@ -452,14 +526,17 @@ def test_both_signs_share_one_walk(monkeypatch):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_a_network_equals_one_built_afresh_from_its_placements(mode, decomposed):
-    """A spec built from another's placements is equal to it, walks the same steps
-    and runs to the same bytes: the walk depends on nothing but the placements."""
+    """A spec built from another's placements holds the same placements, walks the
+    same steps and runs to the same bytes: the walk depends on nothing but the
+    placements, and the walk a network's shape shares is its own."""
     prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
     spec = _network(prob, mode)
     if decomposed:
         spec = expand_decompositions(spec)
     fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
-    assert fresh == spec and fresh._walk == spec._walk
+    # an expanded network is its own class, so compared field by field
+    assert (fresh.n_qubits, fresh.placements, fresh.heralded) == (spec.n_qubits, spec.placements, spec.heralded)
+    assert fresh._walk == spec._walk
     for sign in (PLUS, MINUS):
         state, reference = family_state(0.3, sign, copies=2), family_state(0.3, sign)
         got, want = (run_network(s, state, reference=reference) for s in (fresh, spec))
@@ -521,6 +598,32 @@ def test_a_minus_result_taken_from_the_plus_run_has_the_bytes_of_its_own_run(
         spec = expand_decompositions(spec)
     assert spec._z_sign(m) == 1.0
     _assert_same_bytes(report.minus_result, _minus_run(spec, theta, m))
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 7), (3, 13)])
+def test_the_minus_post_state_is_formed_only_when_read(monkeypatch, mode, decomposed, m, n):
+    """`evaluate_cloner`, and reading the report's fidelity and success probability,
+    never form the minus post-state it takes from the plus run (`networks._parities`
+    signs it); the first read forms it, once, with the bytes of the minus input's own
+    run."""
+    formed, original = [], networks._parities
+    monkeypatch.setattr(networks, "_parities", lambda k, sign: formed.append(k) or original(k, sign))
+    theta = 0.3 + 1e-9 * (m + n + decomposed)  # no memo has seen it
+    prob = problem(theta=theta, m=m, n=n)
+    report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
+    minus = report.minus_result
+    assert (report.fidelity, report.success_probability) == (
+        0.5 * report.plus_result.global_fidelity_vs_exact + 0.5 * minus.global_fidelity_vs_exact,
+        0.5 * report.plus_result.success_probability + 0.5 * minus.success_probability,
+    )
+    assert formed == []
+    post = minus.post_state
+    assert len(formed) == 2 and minus.post_state is post and len(formed) == 2
+    assert not post.amps.flags.writeable
+    spec = _network(prob, mode)
+    _assert_same_bytes(minus, _minus_run(expand_decompositions(spec) if decomposed else spec, theta, m))
 
 
 def _count_runs(monkeypatch):
@@ -643,6 +746,32 @@ def test_every_network_at_equal_priors_keeps_the_z_frame(mode, decomposed):
         if decomposed:
             spec = expand_decompositions(spec)
         assert spec._z_sign(m) == 1.0
+
+
+def test_the_walk_is_found_once_per_network_shape():
+    """Networks of one shape, at any angle, share the wires of one walk; each walks its
+    own gates, and a network of another shape (another M or N, another middle stage,
+    CNOT level) walks its own wires."""
+    before = networks._shape_steps.cache_info()
+    walks = {}
+    for theta in (0.3 + 1e-7, 0.41 + 1e-7, math.pi / 4 - 1e-7):
+        for mode, decomposed in itertools.product(("exact", "approx"), (False, True)):
+            spec = _network(problem(theta=theta, m=2, n=7), mode)
+            if decomposed:
+                spec = expand_decompositions(spec)
+            fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
+            assert spec._walk == fresh._walk
+            walks.setdefault((mode, decomposed), []).append(spec._walk)
+    after = networks._shape_steps.cache_info()
+    assert after.misses - before.misses <= 4 and after.hits - before.hits >= 8
+    for first, *rest in walks.values():
+        for walk in rest:
+            # the same wires, held once: the qubit tuples of the first network's placements
+            assert len(walk) == len(first) and all(a is b is None or a[1] is b[1] for a, b in zip(first, walk))
+            assert [s[0] for s in walk if s] != [s[0] for s in first if s]
+    shapes = {spec.shape for spec in (exact_network(problem(m=2, n=7)), exact_network(problem(m=2, n=6)),
+                                      approx_network(problem(m=2, n=7)), exact_network(problem(m=1, n=7)))}
+    assert len(shapes) == 4
 
 
 # ------------------------------------------------- live prefix vs full width
