@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -149,9 +149,8 @@ def _transfers(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[tuple, tuple]:
         if angles is None:
             entries.append(tuple(np.diag([1.0, 1.0, 1.0, -1.0]).flat))
             continue
-        # the first rows of the reflections by delta1 and delta2 + pi/2 (`_reflection`)
-        delta1, delta2 = angles[0], angles[1] + math.pi / 2.0
-        c1, s1, c2, s2 = math.cos(delta1), math.sin(delta1), math.cos(delta2), math.sin(delta2)
+        (c1, s1), _ = _reflection(angles[0])
+        (c2, s2), _ = _reflection(angles[1] + math.pi / 2.0)
         entries.append((c1, 0.0, 0.0, s1, 0.0, c2, s2, 0.0, 0.0, s2, -c2, 0.0, s1, 0.0, 0.0, -c1))
     built = dict(zip(solved, unitaries(np.array(entries).reshape(-1, 4, 4))))
     return tuple([built[pair] for pair in pairs]), tuple([solved[pair] for pair in pairs])
@@ -271,7 +270,21 @@ KIND_SEPARATION = "separation"
 KIND_CLONE = "clone"
 
 
+def _equal_by_fields(cls: type) -> type:
+    """Dataclass equality over the fields of ``cls``, with any instance of it: a subclass
+    that forms a field when it is read (`_placed`) equals the instance built with it."""
+
+    def __eq__(self, other):
+        if not isinstance(other, cls):
+            return NotImplemented
+        return [getattr(self, f.name) for f in fields(cls)] == [getattr(other, f.name) for f in fields(cls)]
+
+    cls.__eq__ = __eq__
+    return cls
+
+
 @dataclass(frozen=True)
+@_equal_by_fields
 class GatePlacement:
     """One gate applied to named qubits of a register.
 
@@ -297,7 +310,7 @@ class GatePlacement:
 
 
 class _Placed(GatePlacement):
-    @property
+    @functools.cached_property
     def label(self) -> str:
         text, args = self._text
         return text.format(*[a.label if isinstance(a, GatePlacement) else a for a in args])
@@ -305,7 +318,7 @@ class _Placed(GatePlacement):
 
 def _placed(gate: Unitary, qubits: tuple, kind: str, params: tuple, text: str, *args) -> GatePlacement:
     """A placement on wires valid by construction, unchecked, labelled ``text.format(*args)``
-    (a placement standing for its label) when the label is read."""
+    (a placement standing for its label) when the label is first read."""
     placed = object.__new__(_Placed)
     placed.__dict__.update(gate=gate, qubits=qubits, kind=kind, params=params, _text=(text, args))
     return placed
@@ -349,25 +362,25 @@ def decompositions(circuits: Sequence[tuple]) -> Tuple[CircuitDecomposition, ...
     at every step are re-multiplied together (`_rebuild`); each keeps its own
     ``max_abs_error``, with the bits it gets alone.
     """
-    circuits = [(target, tuple(placements)) for target, placements in circuits]
-    for target, _ in circuits:
+    built, groups, seen = [], {}, set()
+    for target, placements in circuits:
         if target.dim != 4:
             raise ValueError(
                 f"decomposition targets must be two-qubit gates, got dimension {target.dim}"
             )
-    # each placement once: the circuits of a batch share their CNOT placements
-    for p in {id(p): p for _, placements in circuits for p in placements}.values():
-        if p.kind not in (KIND_CNOT, KIND_LOCAL):
-            raise ValueError(
-                f"decompositions may contain only CNOT and single-qubit "
-                f"placements, got kind {p.kind!r}"
-            )
-        if not set(p.qubits) <= {0, 1}:
-            raise ValueError(
-                f"decomposition placements act on wires 0 and 1, got {p.qubits}"
-            )
-    built, groups = [], {}
-    for target, placements in circuits:
+        placements = tuple(placements)
+        # each placement once: the circuits of a batch share their CNOT placements
+        for p in [p for p in placements if id(p) not in seen]:
+            seen.add(id(p))
+            if p.kind not in (KIND_CNOT, KIND_LOCAL):
+                raise ValueError(
+                    f"decompositions may contain only CNOT and single-qubit "
+                    f"placements, got kind {p.kind!r}"
+                )
+            if not set(p.qubits) <= {0, 1}:
+                raise ValueError(
+                    f"decomposition placements act on wires 0 and 1, got {p.qubits}"
+                )
         circuit = object.__new__(CircuitDecomposition)
         circuit.__dict__.update(target=target, placements=placements)
         groups.setdefault(tuple([p.qubits for p in placements]), []).append(circuit)
@@ -448,6 +461,7 @@ def decompose_transfers(pairs: Sequence[Tuple[float, float]]) -> Tuple[CircuitDe
     return _decompose_transfers(tuple(pairs))
 
 
+# 4: a sweep reuses one chain at a time, and fresh angles never hit while held entries cost time and RSS
 @functools.lru_cache(maxsize=4)
 def _decompose_transfers(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[CircuitDecomposition, ...]:
     """The memoized body of `decompose_transfers`."""

@@ -62,6 +62,7 @@ from .gates import (
     KIND_SEPARATION,
     KIND_TRANSFER,
     GatePlacement,
+    _equal_by_fields,
     _placed,
     clone_gate,
     decompose_separation,
@@ -86,6 +87,7 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
+@_equal_by_fields
 class NetworkSpec:
     """An ordered gate list on ``n_qubits`` wires, optionally heralded.
 
@@ -118,9 +120,13 @@ class NetworkSpec:
         return [p.gate for p in self.placements]
 
     def _steps(self) -> tuple:
-        """`_walk` without its gates (`_step`)."""
+        """`_walk` without its gates."""
         last = self.n_qubits - 1
-        steps = [_step(p.qubits, last) for p in self.placements]
+        steps = [
+            (p.qubits, max([q for q in p.qubits if q != last], default=-1), True)
+            if last in p.qubits else (p.qubits, max(p.qubits), False)
+            for p in self.placements
+        ]
         if self.heralded:
             touching = [i for i, step in enumerate(steps) if step[2]]
             steps.insert(touching[-1] + 1 if touching else 0, None)
@@ -208,14 +214,6 @@ def _shape_steps(shape: _Shape) -> tuple:
     return shape.network()._steps()
 
 
-@functools.lru_cache(maxsize=1024)
-def _step(qubits: Tuple[int, ...], last: int) -> Tuple[Tuple[int, ...], int, bool]:
-    """A step of `NetworkSpec._steps`, shared by the walks `_shape_steps` holds."""
-    if last in qubits:
-        return qubits, max([q for q in qubits if q != last], default=-1), True
-    return qubits, max(qubits), False
-
-
 class _Expanded(NetworkSpec):
     """`expand_decompositions`' network: ``_runs`` holds ``(circuit, placement)`` per
     gate-level placement (circuit None for one kept as it is).  The circuits'
@@ -232,6 +230,8 @@ class _Expanded(NetworkSpec):
         ])
 
     def _gates(self) -> list:
+        if "placements" in self.__dict__:  # read, or given to a copy (`dataclasses.replace`)
+            return super()._gates()
         return [p.gate for circuit, src in self._runs for p in (circuit.placements if circuit else (src,))]
 
 
@@ -271,6 +271,7 @@ def _z_images(pattern: bytes, qubits: Tuple[int, ...], z: int, blank: int) -> Tu
 
 
 @dataclass(frozen=True)
+@_equal_by_fields
 class SimulationResult:
     """Outcome of one network run on one input: its success branch.
 
@@ -285,11 +286,8 @@ class SimulationResult:
 
 
 class _ZFlipped(SimulationResult):
-    """``result`` with ``sign`` Z^(x)N applied to its post-state, formed on first read."""
-
-    def __init__(self, result: SimulationResult, sign: float):
-        self.__dict__.update(vars(result), _flip=(result.post_state, sign))
-        del self.__dict__["post_state"]
+    """A result whose post-state is ``_flip`` = (post-state, sign): ``sign`` Z^(x)N
+    applied to that post-state, formed on first read (`_z_flipped`)."""
 
     @functools.cached_property
     def post_state(self) -> StateVector:
@@ -600,7 +598,12 @@ def _z_flipped(result: SimulationResult, sign: float) -> Optional[SimulationResu
     the probability and the fidelity are its bits, and the post-state is
     formed when it is first read (`_ZFlipped`): no report reads it.
     """
-    return _ZFlipped(result, sign) if result.post_state.amps.all() else None
+    if not result.post_state.amps.all():
+        return None
+    flipped = object.__new__(_ZFlipped)
+    flipped.__dict__.update(vars(result), _flip=(result.post_state, sign))
+    del flipped.__dict__["post_state"]
+    return flipped
 
 
 @functools.lru_cache(maxsize=32)

@@ -268,6 +268,17 @@ def test_decomposition_batch_rejects_one_wrong_circuit():
         decompositions(items)
 
 
+def test_decomposition_batch_reports_the_first_faulty_circuit(rng):
+    """A batch checks each circuit's target, then its placements, circuit by circuit."""
+    good = decompose_transfer(0.2, 0.5)
+    bad_wire = (good.target, (_local(np.eye(2), 2),))
+    bad_target = (Unitary(random_orthogonal(rng, 8)), good.placements)
+    with pytest.raises(ValueError, match="wires 0 and 1"):
+        decompositions([bad_wire, bad_target])
+    with pytest.raises(ValueError, match="two-qubit"):
+        decompositions([bad_target, bad_wire])
+
+
 def test_decomposition_batch_mixes_circuit_lengths():
     """Circuits of different lengths, and steps on different wires, batch together."""
     placements = (

@@ -63,7 +63,7 @@ def test_every_lru_cache_is_bounded():
             "cloneforge.gates._transfers", "cloneforge.gates._separation",
             "cloneforge.linalg._layout", "cloneforge.linalg._family_state",
             "cloneforge.networks._z_images",
-            "cloneforge.networks._shape_steps", "cloneforge.networks._step",
+            "cloneforge.networks._shape_steps",
             "cloneforge.networks._parities"} <= set(cached)
     for name, memo in cached.items():
         maxsize = memo.cache_parameters()["maxsize"]

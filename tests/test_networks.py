@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -40,6 +41,7 @@ from cloneforge.linalg import (
 from cloneforge.networks import (
     MODES,
     NetworkSpec,
+    SimulationResult,
     approx_network,
     compression_sequence,
     evaluate_cloner,
@@ -526,22 +528,44 @@ def test_both_signs_share_one_walk(monkeypatch):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_a_network_equals_one_built_afresh_from_its_placements(mode, decomposed):
-    """A spec built from another's placements holds the same placements, walks the
-    same steps and runs to the same bytes: the walk depends on nothing but the
-    placements, and the walk a network's shape shares is its own."""
+    """A spec built from another's placements is equal to it, walks the same steps
+    and runs to the same bytes: the walk depends on nothing but the placements, and
+    the walk a network's shape shares is its own."""
     prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
     spec = _network(prob, mode)
     if decomposed:
         spec = expand_decompositions(spec)
     fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
-    # an expanded network is its own class, so compared field by field
-    assert (fresh.n_qubits, fresh.placements, fresh.heralded) == (spec.n_qubits, spec.placements, spec.heralded)
-    assert fresh._walk == spec._walk
+    assert fresh == spec and fresh._walk == spec._walk
     for sign in (PLUS, MINUS):
         state, reference = family_state(0.3, sign, copies=2), family_state(0.3, sign)
         got, want = (run_network(s, state, reference=reference) for s in (fresh, spec))
         _assert_same_bits(got, want)
         assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_objects_that_form_a_field_when_read_equal_their_dataclasses(mode):
+    """A placement built here, an expanded network and a minus result taken from the
+    plus run each form a field only when it is read.  Each equals, and hashes as, the
+    dataclass built with its fields, and `dataclasses.replace` copies it."""
+    prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
+    spec = expand_decompositions(_network(prob, mode))
+    for p in _network(prob, mode).placements + spec.placements:
+        plain = GatePlacement(p.gate, p.qubits, p.label, p.kind, p.params)
+        assert p == plain and plain == p and hash(p) == hash(plain)
+        assert dataclasses.replace(p, label="x") == dataclasses.replace(plain, label="x") != p
+    copy = dataclasses.replace(spec)
+    assert copy == spec and hash(copy) == hash(spec) and copy._walk == spec._walk
+    for sign in (PLUS, MINUS):
+        state, reference = family_state(0.3, sign, copies=2), family_state(0.3, sign)
+        got, want = (run_network(s, state, reference=reference) for s in (copy, spec))
+        assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+    minus = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=True).minus_result
+    plain = SimulationResult(minus.success_probability, minus.post_state, minus.global_fidelity_vs_exact)
+    assert minus == plain and plain == minus
+    assert dataclasses.replace(minus) == minus
+    assert dataclasses.replace(minus, success_probability=0.0) != minus
 
 
 # ------------------------------------------------------------ the Z frame
