@@ -38,10 +38,12 @@ which are normalized by construction; its states are memoized
 
 A gate may join a blank wire: index n of an n-qubit state names a |+>
 wire appended to it, and the result has n + 1 wires.  The join gives the
-bytes of the gate on the state padded with that wire (`pad_qubits`), without
-building the padding: a permutation moves its rows into zeros, and any
-other gate multiplies only its columns where the new wire reads |+>, in the
-same BLAS shapes as the padded register.
+bytes of the gate on the state padded with that wire (its amplitudes in
+an array of zeros, where the new wire reads |+>), without building the
+padding: a permutation moves its rows into zeros, and any other gate
+multiplies only its columns where the new wire reads |+>, in the same
+BLAS shapes as the padded register.  It is how ``networks.run_network``
+grows its register, one wire at a time.
 
 The gate kernel is chosen once per layout, when the update is memoized,
 and first looks at the gate's permutation.  A gate whose entries are
@@ -68,7 +70,7 @@ C = 2**(n - first) / k trailing amplitudes:
 * otherwise one ``matmul`` over the view, which calls BLAS once per batch.
 
 No gate takes numpy's matrix-vector BLAS path, so ``networks.run_network``
-needs no spare wire under a gate that spans its live prefix.  A non-adjacent
+needs no spare wire under a gate that spans its live register.  A non-adjacent
 pair is one ``np.dot`` of the gate against the amplitudes with its input
 wires transposed to the front, then its output axes transposed onto its
 wires: the steps of ``np.tensordot`` then ``np.moveaxis``, worked out once
@@ -431,7 +433,7 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     is the more significant bit of the gate's local basis.  Index
     ``state.n_qubits`` names a blank |+> wire that the gate joins: the
     result has one more wire, the bytes of the gate on ``state`` padded
-    with that wire (`pad_qubits`), without the padding.  Only the qubit
+    with that wire, without the padding.  Only the qubit
     list is checked here, once per layout (`_layout`): ``state`` and
     ``gate`` were validated when they were built and a unitary preserves
     the norm, so the result is returned read-only without copying or
@@ -439,42 +441,6 @@ def apply_gate(state: StateVector, gate: Unitary, qubits) -> StateVector:
     """
     update, width = _layout(gate.dim, gate.permutation, tuple(qubits), state.n_qubits)
     return StateVector._trusted(width, update(gate.entries, state.amps))
-
-
-def live_prefix(state: StateVector) -> StateVector:
-    """``state`` cut to its leading qubits that carry amplitude.
-
-    A trailing qubit is blank when every amplitude with its bit set is
-    exactly 0.0.  Blank qubits are cut off from the last one down: the last
-    qubit is blank when the odd entries are all zero, and then the even
-    entries are the amplitudes of the qubits before it.  At least one qubit
-    is kept.  Only exact zeros are dropped, so `pad_qubits` gives back the
-    same amplitudes.
-    """
-    amps = state.amps
-    blank = 0
-    while blank < state.n_qubits - 1 and not amps[1::2].any():
-        amps = amps[::2]
-        blank += 1
-    if not blank:
-        return state
-    return StateVector._trusted(state.n_qubits - blank, amps.copy())
-
-
-def pad_qubits(state: StateVector, n_qubits: int, at: Optional[int] = None) -> StateVector:
-    """Insert blank |+> qubits before wire ``at``, up to ``n_qubits`` in all.
-
-    By default they are appended after the last wire.  Exact zero padding:
-    the amplitudes are copied unchanged into the slots of an array of zeros
-    where every inserted wire reads |+>.
-    """
-    k = state.n_qubits
-    if n_qubits == k:
-        return state
-    at = k if at is None else at
-    amps = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)))
-    amps[:, 0, :] = state.amps.reshape(2 ** at, -1)
-    return StateVector._trusted(n_qubits, amps.reshape(-1))
 
 
 def global_fidelity(single: StateVector, state: StateVector) -> float:

@@ -18,10 +18,12 @@ the post-selected output.
            identity, so there is none.  Interpolates between the two
            strategies.
 
-`run_network` simulates any network in one walk over its placements, on
-the live wires only, with the herald as one step of the walk.
-Probabilities are computed by exact projection -- never sampled -- so
-repeated runs are bit-identical and 1e-10 comparisons are meaningful.
+`run_network` simulates these networks, and only these, in one walk over
+their placements from the M input copies: each wire joins the register
+when a placement first touches it, at its end, the ancilla included, and
+the herald is one step of the walk.  Probabilities are computed by exact
+projection -- never sampled -- so repeated runs are bit-identical and
+1e-10 comparisons are meaningful.
 
 `evaluate_cloner` runs one sign where it can.  Z on every wire swaps the
 two M-copy inputs, bit for bit, and every network built here keeps that
@@ -34,8 +36,8 @@ other term by term.  IEEE rounding treats signs alike, fl(-a*b) =
 run with its signs turned, bit for bit, up to the sign of an exact zero.
 The minus result is taken from the plus result (`_z_flipped`) when the
 plus output has no exact zero, and its post-state is formed only when it
-is read; any other network, the approx one at unequal priors among them,
-runs both signs.
+is read; otherwise, as for the approx network at unequal priors, both
+signs run.
 """
 
 from __future__ import annotations
@@ -80,8 +82,6 @@ from .linalg import (
     check_normalized,
     family_state,
     global_fidelity,
-    live_prefix,
-    pad_qubits,
     project_qubit,
 )
 
@@ -99,9 +99,9 @@ class NetworkSpec:
     n_qubits: int
     placements: Tuple[GatePlacement, ...]
     heralded: bool = False
-    #: set on the networks built here, by construction: what the networks of one shape
-    #: share, the wires of every placement, so their walk's wires are found once per
-    #: shape (`_shape_steps`)
+    #: set on the networks built here, by construction, and `run_network` runs only those:
+    #: what the networks of one shape share, the wires of every placement, so their
+    #: walk's wires are found once per shape (`_shape_steps`); its first entry is M
     shape: ClassVar[Optional[tuple]] = None
 
     def __post_init__(self):
@@ -120,31 +120,32 @@ class NetworkSpec:
         return [p.gate for p in self.placements]
 
     def _steps(self) -> tuple:
-        """`_walk` without its gates."""
-        last = self.n_qubits - 1
-        steps = [
-            (p.qubits, max([q for q in p.qubits if q != last], default=-1), True)
-            if last in p.qubits else (p.qubits, max(p.qubits), False)
-            for p in self.placements
-        ]
+        """The wires of each placement and, in a heralded network, None at the herald: right
+        after the last placement on the ancilla (first if none touches it)."""
+        steps = [p.qubits for p in self.placements]
         if self.heralded:
-            touching = [i for i, step in enumerate(steps) if step[2]]
+            touching = [i for i, qubits in enumerate(steps) if self.n_qubits - 1 in qubits]
             steps.insert(touching[-1] + 1 if touching else 0, None)
         return tuple(steps)
 
     @functools.cached_property
-    def _walk(self) -> Tuple[Optional[Tuple[Unitary, Tuple[int, ...], int, bool]], ...]:
+    def _walk(self) -> Tuple[Tuple[Optional[Unitary], Optional[Tuple[int, ...]], Optional[Tuple[int, ...]]], ...]:
         """The steps of `run_network`, worked out once per network and shared by its runs.
 
-        One ``(gate, qubits, top, on_last)`` per placement: ``top`` is its
-        highest wire other than the last (-1 if none) and ``on_last`` tells
-        whether it touches the last wire.  A heralded network has one more
-        step, ``None``, after the last placement on the ancilla (first if
-        none touches it).  All but the gates is found once per shape.
+        One ``(gate, qubits, live)`` per placement: ``qubits`` are its wires
+        in the network and ``live`` the wires its ``apply_gate`` call names.
+        A heralded network has one more step, ``(None, None, (position,))``
+        at the herald, where ``position`` is the ancilla's in the live
+        register.  All but the gates is found once per network shape
+        (`_shape_steps`); a network built by hand has no shape, and no live
+        wires (``live`` is None).
         """
-        steps = self._steps() if self.shape is None else _shape_steps(_Shape(self.shape, weakref.ref(self)))
+        if self.shape is None:
+            steps = [(qubits, None) for qubits in self._steps()]
+        else:
+            steps = _shape_steps(_Shape(self.shape, weakref.ref(self)))
         gates = iter(self._gates())
-        return tuple([step if step is None else (next(gates),) + step for step in steps])
+        return tuple([(None if qubits is None else next(gates), qubits, live) for qubits, live in steps])
 
     def _z_sign(self, width: int) -> Optional[float]:
         """The sign g with which the run of Z^(x)width |in> is g Z^(x)N times the
@@ -170,13 +171,12 @@ class NetworkSpec:
         """
         live = (1 << width) - 1
         frames = {(live, 1.0)}
-        for step in self._walk:
-            if step is None:
+        for gate, qubits, _ in self._walk:
+            if gate is None:
                 keep = ~(1 << (self.n_qubits - 1))
                 frames = {(mask & keep, sign) for mask, sign in frames}
                 live &= keep
                 continue
-            gate, qubits = step[0], step[1]
             wires = 0
             for q in qubits:
                 wires |= 1 << q
@@ -209,9 +209,38 @@ class _Shape:
 
 @functools.lru_cache(maxsize=128)
 def _shape_steps(shape: _Shape) -> tuple:
-    """`NetworkSpec._steps` of the networks of a shape: M, N, the middle gates' kinds and,
-    at CNOT level, the circuits' lengths."""
-    return shape.network()._steps()
+    """``(qubits, live)`` per step of `NetworkSpec._steps`, for the networks of a shape: M,
+    N, the middle gates' kinds and, at CNOT level, the circuits' lengths.
+
+    ``live`` names the step's wires in the live register, which starts as
+    the M input wires and ends as the N system wires.  A wire joins when a
+    placement first touches it, at the end of the live register: index
+    ``state.n_qubits`` of its ``apply_gate`` call.  So a placement may bring
+    in one wire, the next system wire before the ancilla has joined, or the
+    ancilla; the herald projects the ancilla, the last live wire, and drops
+    it.  Any other growth would need blank wires padded in, and raises.
+    """
+    network = shape.network()
+    system, ancilla = network.n_qubits - network.heralded, network.n_qubits - 1
+    live, steps = list(range(shape.key[0])), []
+    for qubits in network._steps():
+        if qubits is None:
+            if live[-1:] != [ancilla]:
+                raise ValueError(f"the herald needs the ancilla {ancilla} as the last live wire, got {live}")
+            live.pop()
+            steps.append((None, (len(live),)))
+            continue
+        new = [q for q in qubits if q not in live]
+        if len(new) > 1 or new and new[0] < system and live != list(range(new[0])):
+            raise ValueError(
+                f"a placement on wires {qubits} would need blank wires padded in: live wires {live}, "
+                "and one wire joins at a time, the next system wire or the ancilla"
+            )
+        live += new
+        steps.append((qubits, tuple(map(live.index, qubits))))
+    if live != list(range(system)):
+        raise ValueError(f"the output needs system wires 0..{system - 1} live, got {live}")
+    return tuple(steps)
 
 
 class _Expanded(NetworkSpec):
@@ -436,78 +465,54 @@ def run_network(
     *,
     reference: StateVector,
 ) -> SimulationResult:
-    """Run a network on one input and compare against a product reference.
+    """Run a network built here on its M input copies and compare against a product reference.
 
-    ``input_state`` covers the register's leading 1..n wires; the wires past
-    it are blank |+>.  Placements are applied in order.  A heralded network
-    projects its ancilla onto |+> immediately after the last placement
-    touching it: the probability of that outcome is recorded, the
-    renormalized success branch goes on through the remaining placements,
-    and the ancilla, blank after the projection, is dropped from it.  The
-    failure branch is not simulated.  ``reference`` is a one-qubit state,
-    and the reported fidelity is the squared overlap of the output (the
-    system wires, without the ancilla) with one copy of it on every wire,
-    contracted wire by wire (`linalg.global_fidelity`), so the 2**N
-    reference is never built.
+    ``spec`` is a network of `exact_network`, `approx_network`,
+    `hybrid_network` or `expand_decompositions`, and ``input_state`` is on
+    its M input wires; anything else is refused.  Placements are applied in
+    order.  A heralded network projects its ancilla onto |+> immediately
+    after the last placement touching it: the probability of that outcome
+    is recorded, the renormalized success branch goes on through the
+    remaining placements, and the ancilla, blank after the projection, is
+    dropped from it.  The failure branch is not simulated.  ``reference`` is
+    a one-qubit state, and the reported fidelity is the squared overlap of
+    the output (the system wires, without the ancilla) with one copy of it
+    on every wire, contracted wire by wire (`linalg.global_fidelity`), so
+    the 2**N reference is never built.
 
-    One walk over the placements simulates only the live register: the
-    leading ``width`` wires, and the last wire of the network (the ancilla
-    of a heralded one) at position ``width`` once a placement has touched
-    it.  Trailing wires whose amplitudes are all exactly zero are cut off
-    (`linalg.live_prefix`), on the input and again on the success branch.
-    The first placement that touches a wire past the live register brings
-    it in.  When that is one wire at the end of the live register (the
-    next system wire, or the last wire before it has joined), the
-    placement names it by index ``state.n_qubits`` and ``apply_gate`` joins
-    it, with no padded copy; in the paper's networks every growth is of
-    this kind.  Otherwise (several wires at once, or a system wire before
-    a last wire that has joined) blank wires are first inserted before
-    the last wire, up to the placement's top qubit (`linalg.pad_qubits`).
-    The herald is one step of the walk: it projects the ancilla, drops it
-    and re-takes the live prefix.  The steps are worked out once per network
-    (``NetworkSpec._walk``); the live width, the joins and the padding are
-    decided per run.
-
-    Gates are validated when the placements are built and ``apply_gate``
-    re-checks no amplitudes, so the output, padded to the system width if a
-    system wire was never touched, is checked once and in place, by the
-    ``StateVector`` constructor's own test (`linalg.check_normalized`:
-    finite and normalized to ``NORM_TOL``).
+    The walk (``NetworkSpec._walk``, found once per network shape) names
+    each step's wires in the live register: each wire joins it when a
+    placement first touches it, as index ``state.n_qubits`` of that
+    ``apply_gate`` call, with no padded copy, and the herald projects the
+    ancilla, the last live wire.  Gates are validated when the placements
+    are built and ``apply_gate`` re-checks no amplitudes, so the output is
+    checked once and in place, by the ``StateVector`` constructor's own
+    test (`linalg.check_normalized`: finite and normalized to ``NORM_TOL``).
     """
-    n = spec.n_qubits
-    if input_state.n_qubits > n:
-        raise ValueError(f"input has {input_state.n_qubits} qubit(s), network expects {n}")
+    if spec.shape is None:
+        raise ValueError(
+            "run_network runs the networks that exact_network, approx_network, hybrid_network "
+            "and expand_decompositions build, not one built by hand"
+        )
+    copies = spec.shape[0]
+    if input_state.n_qubits != copies:
+        raise ValueError(f"input has {input_state.n_qubits} qubit(s), network expects its {copies} input copies")
     if reference.n_qubits != 1:
         raise ValueError(f"reference must be a one-qubit state, got {reference.n_qubits} qubits")
-    last = n - 1
-    state = live_prefix(input_state)
-    width, joined = min(state.n_qubits, last), state.n_qubits > last
-    prob = 1.0
-    for step in spec._walk:
-        if step is None:
-            # the herald
-            prob, success = project_qubit(pad_qubits(state, width + 1), width, PLUS)
-            # the projection left exact zeros in the odd entries: drop the ancilla
-            state = live_prefix(StateVector._trusted(width, success.amps[::2].copy()))
-            width, joined = state.n_qubits, False
-            continue
-        gate, qubits, top, on_last = step
-        grown = top + 1 if top >= width else width
-        with_last = joined or on_last
-        if grown + with_last > state.n_qubits + 1 or joined and grown > width:
-            # several wires at once, or a system wire before the joined last wire
-            state = pad_qubits(state, grown + with_last, at=width)
-        width, joined = grown, with_last
-        if on_last:
-            qubits = tuple(width if q == last else q for q in qubits)
-        # index state.n_qubits joins one blank wire (`apply_gate`)
-        state = apply_gate(state, gate, qubits)
-    post = pad_qubits(state, n - spec.heralded, at=width)
-    check_normalized(post.amps)
+    state, prob = input_state, 1.0
+    for gate, _, qubits in spec._walk:
+        if gate is None:
+            # the herald; the projection left exact zeros in the odd entries: drop the ancilla
+            (ancilla,) = qubits
+            prob, success = project_qubit(state, ancilla, PLUS)
+            state = StateVector._trusted(ancilla, success.amps[::2].copy())
+        else:
+            state = apply_gate(state, gate, qubits)
+    check_normalized(state.amps)
     return SimulationResult(
         success_probability=prob,
-        post_state=post,
-        global_fidelity_vs_exact=global_fidelity(reference, post),
+        post_state=state,
+        global_fidelity_vs_exact=global_fidelity(reference, state),
     )
 
 

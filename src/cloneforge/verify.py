@@ -89,10 +89,12 @@ def check_gate_algebra(
             for sign in (linalg.PLUS, linalg.MINUS):
                 first, second = (linalg.family_state(t, sign).amps for t in (t1, t2))
                 pair = linalg.StateVector(2, np.kron(first, second))
-                merged = linalg.pad_qubits(linalg.family_state(t3, sign), 2)
-                for before, after in ((pair, merged), (merged, pair)):
+                single = linalg.family_state(t3, sign)
+                merged = np.kron(single.amps, [1.0, 0.0])
+                # the split joins the blank wire 1 to the merged copy
+                for before, after in ((pair, merged), (single, pair.amps)):
                     out = linalg.apply_gate(before, gate, (0, 1))
-                    worst = max(worst, float(np.max(np.abs(out.amps - after.amps))))
+                    worst = max(worst, float(np.max(np.abs(out.amps - after))))
     return _result("gate-algebra", "gate_algebra", worst, f"{len(angles)}x{len(angles)} grid")
 
 
@@ -303,7 +305,7 @@ def check_d_cloner(
         global_expect = bounds.d_cloner_global_fidelity(theta3, theta1)
         for sign in (linalg.PLUS, linalg.MINUS):
             original = linalg.family_state(theta3, sign)
-            out = linalg.apply_gate(linalg.pad_qubits(original, 2), gate, (0, 1)).amps
+            out = linalg.apply_gate(original, gate, (0, 1)).amps  # joins the blank wire 1
             pair = linalg.family_state(theta1, sign, copies=2).amps
             # the split is exact ...
             worst = max(worst, abs(abs(float(np.vdot(pair, out))) - 1.0))

@@ -67,6 +67,20 @@ def kron_embed(gate: np.ndarray, qubits, n: int) -> np.ndarray:
     return full[np.ix_(source, source)]
 
 
+def pad_qubits(amps: np.ndarray, n_qubits: int, at=None) -> np.ndarray:
+    """The padding oracle: ``amps`` with blank |+> wires inserted before wire ``at``,
+    up to ``n_qubits`` wires in all (by default appended after the last wire).
+
+    The amplitudes are copied unchanged into the slots of an array of zeros
+    where every inserted wire reads |+>, so padding keeps every byte.
+    """
+    k = amps.size.bit_length() - 1
+    at = k if at is None else at
+    padded = np.zeros((2 ** at, 2 ** (n_qubits - k), 2 ** (k - at)))
+    padded[:, 0, :] = amps.reshape(2 ** at, -1)
+    return padded.reshape(-1)
+
+
 def run_network_full(placements, n: int, inputs, measured=None):
     """Reference runs of a network at full width, written without the package.
 

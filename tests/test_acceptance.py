@@ -39,7 +39,7 @@ from cloneforge.gates import (
     separation_gate,
     transfer_gate,
 )
-from cloneforge.linalg import MINUS, PLUS, apply_gate, family_state, pad_qubits
+from cloneforge.linalg import MINUS, PLUS, StateVector, apply_gate, family_state
 
 GATE_GRID = np.linspace(0.01, math.pi / 4, 20)
 CNOT_MATRIX = np.eye(4)[[1, 0, 2, 3]]
@@ -172,7 +172,8 @@ def test_criterion_6_limits():
 def test_criterion_7_transfer_gate_as_cloner():
     """A lone transfer gate splits its natural input into two independent
     copies whose per-copy fidelity is the angle-difference cosine and whose
-    global fidelity is its square, within 1e-12, in < 1 s."""
+    global fidelity is its square, within 1e-12, in < 1 s.  The split joins
+    the blank wire with the bytes of padding it first."""
     start = time.perf_counter()
     thetas = (math.pi / 16, math.pi / 8, 3 * math.pi / 16)
     result = verify.check_d_cloner(thetas)
@@ -184,7 +185,10 @@ def test_criterion_7_transfer_gate_as_cloner():
         worst = max(worst, abs(d_cloner_global_fidelity(theta3, theta1) - local_f ** 2))
         for sign in (PLUS, MINUS):
             ideal = family_state(theta3, sign)
-            out = apply_gate(pad_qubits(ideal, 2), transfer_gate(theta1, theta1), (0, 1))
+            gate = transfer_gate(theta1, theta1)
+            out = apply_gate(ideal, gate, (0, 1))  # joins the blank wire 1
+            padded = StateVector(2, oracles.pad_qubits(ideal.amps, 2))
+            assert out.amps.tobytes() == apply_gate(padded, gate, (0, 1)).amps.tobytes()
             # per-copy overlap, straight from the output amplitudes
             pair_amps = out.amps.reshape(2, 2)
             for contracted in (ideal.amps @ pair_amps, pair_amps @ ideal.amps):

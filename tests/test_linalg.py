@@ -17,8 +17,6 @@ from cloneforge.linalg import (
     branch_probability,
     family_state,
     global_fidelity,
-    live_prefix,
-    pad_qubits,
     project_qubit,
     unitaries,
 )
@@ -345,6 +343,11 @@ def test_swapped_is_built_once_per_gate():
     assert not gate.swapped.entries.flags.writeable
 
 
+def _padded(state, n_qubits):
+    """``state`` padded with blank trailing wires by the padding oracle."""
+    return StateVector(n_qubits, oracles.pad_qubits(state.amps, n_qubits))
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_whole_register_gate_has_the_bits_of_one_more_blank_wire(seed):
     """A gate spanning a one- or two-qubit register: the bytes of that register padded.
@@ -360,40 +363,18 @@ def test_whole_register_gate_has_the_bits_of_one_more_blank_wire(seed):
             amps = rng.normal(size=2 ** n)
             state = StateVector(n, amps / np.linalg.norm(amps))
             got = apply_gate(state, gate, qubits).amps
-            padded = apply_gate(pad_qubits(state, n + 1), gate, qubits).amps
+            padded = apply_gate(_padded(state, n + 1), gate, qubits).amps
             assert got.tobytes() == padded[::2].tobytes()
             assert not padded[1::2].any()
 
 
-def _with_blank_wires(amps, blank):
-    padded = np.zeros((amps.size, 2 ** blank))
-    padded[:, 0] = amps
-    return padded.reshape(-1)
-
-
-def test_live_prefix_cuts_only_exactly_blank_trailing_wires(rng):
-    amps = rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(6, _with_blank_wires(amps, 3))
-    cut = live_prefix(state)
-    assert cut.n_qubits == 3
-    assert np.array_equal(cut.amps, amps)
-    assert not cut.amps.flags.writeable
-    back = pad_qubits(cut, 6)
-    assert back.n_qubits == 6
-    assert np.array_equal(back.amps, state.amps)
-    assert pad_qubits(cut, 3) is cut
-    # every wire blank: one qubit is kept
-    assert live_prefix(StateVector(4, np.eye(16)[0])).n_qubits == 1
-
-
 def test_pad_qubits_inserts_blank_wires_at_any_wire(rng):
+    """The padding oracle, which the join tests compare against, against ``np.kron``."""
     head = StateVector(2, random_orthogonal(rng, 4)[:, 0])
     tail = StateVector(1, random_orthogonal(rng, 2)[:, 0])
     joined = StateVector(3, np.kron(head.amps, tail.amps))
     for at, blanks in ((0, 1), (2, 1), (2, 3), (3, 2)):
-        got = pad_qubits(joined, 3 + blanks, at=at)
-        assert got.n_qubits == 3 + blanks and not got.amps.flags.writeable
+        got = oracles.pad_qubits(joined.amps, 3 + blanks, at=at)
         blank = np.eye(2 ** blanks)[0]
         if at == 3:
             expect = oracles.kron_all(joined.amps, blank)
@@ -401,31 +382,8 @@ def test_pad_qubits_inserts_blank_wires_at_any_wire(rng):
             expect = oracles.kron_all(head.amps, blank, tail.amps)
         else:
             expect = oracles.kron_all(blank, joined.amps)
-        assert np.array_equal(got.amps, expect)
-    assert np.array_equal(pad_qubits(joined, 5).amps, pad_qubits(joined, 5, at=3).amps)
-
-
-def test_live_prefix_keeps_wires_that_are_not_blank(rng):
-    dense = rng.normal(size=32)
-    dense /= np.linalg.norm(dense)
-    state = StateVector(5, dense)
-    assert live_prefix(state) is state
-    # only wire 2 is blank: the trailing wires 3 and 4 still carry amplitude
-    middle = dense.reshape(4, 2, 4).copy()
-    middle[:, 1, :] = 0.0
-    middle = StateVector(5, middle.reshape(-1) / np.linalg.norm(middle))
-    assert live_prefix(middle) is middle
-    # the last wire is set only together with the one before it
-    pair = np.zeros(8)
-    pair[0] = pair[3] = 1 / math.sqrt(2)
-    assert live_prefix(StateVector(3, pair)).n_qubits == 3
-    # amplitudes of 1e-300 on the last wire are not zero
-    tiny = _with_blank_wires(np.array([0.6, -0.8]), 4)
-    tiny[1::2] = 1e-300
-    assert live_prefix(StateVector(5, tiny)).n_qubits == 5
-    tiny[1::2] = 0.0
-    tiny[2::4] = 1e-300
-    assert live_prefix(StateVector(5, tiny)).n_qubits == 4
+        assert np.array_equal(got, expect)
+    assert np.array_equal(oracles.pad_qubits(joined.amps, 5), oracles.pad_qubits(joined.amps, 5, at=3))
 
 
 def test_apply_gate_dimension_mismatch():
@@ -443,7 +401,7 @@ def test_apply_gate_index_out_of_range():
     state = StateVector(2, I4[1])
     joined = apply_gate(state, Unitary(I4), (0, 2))
     assert joined.n_qubits == 3
-    assert np.array_equal(joined.amps, pad_qubits(state, 3).amps)
+    assert np.array_equal(joined.amps, oracles.pad_qubits(state.amps, 3))
     for qubits in ((0, 3), (3,), (-1,), (2, -1)):
         with pytest.raises(ValueError, match="out of range for 2-qubit state"):
             apply_gate(state, Unitary(np.eye(2 ** len(qubits))), qubits)
@@ -534,7 +492,8 @@ _JOIN_SHAPES = st.tuples(st.integers(min_value=0, max_value=8), st.booleans(), s
 )
 @settings(max_examples=400, deadline=None)
 def test_join_has_the_bytes_of_pad_then_apply(seed, n, shape, kind, zeros):
-    """A gate naming wire n of an n-qubit state: the bytes of `pad_qubits` then `apply_gate`.
+    """A gate naming wire n of an n-qubit state: the bytes of padding (`oracles.pad_qubits`)
+    then `apply_gate`.
 
     Orthogonal and 0/1 permutation gates, on the new wire alone or paired
     with any other wire in either order.  States may hold exact zeros of
@@ -563,7 +522,7 @@ def test_join_has_the_bytes_of_pad_then_apply(seed, n, shape, kind, zeros):
     state = StateVector._trusted(n, amps)
 
     got = apply_gate(state, gate, qubits)
-    want = apply_gate(pad_qubits(state, n + 1), gate, qubits)
+    want = apply_gate(_padded(state, n + 1), gate, qubits)
     assert got.n_qubits == n + 1 and not got.amps.flags.writeable
     assert got.amps.tobytes() == want.amps.tobytes()
 

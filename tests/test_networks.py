@@ -36,7 +36,6 @@ from cloneforge.linalg import (
     Unitary,
     apply_gate,
     family_state,
-    pad_qubits,
 )
 from cloneforge.networks import (
     MODES,
@@ -81,7 +80,7 @@ def test_prepare_input_layout():
         oracles.family_amps(prob.theta, +1), np.array([1.0, 0.0])
     )
     assert np.max(np.abs(state.amps - expect)) < 1e-15
-    assert np.array_equal(state.amps, pad_qubits(family_state(prob.theta, PLUS), 2).amps)
+    assert np.array_equal(state.amps, oracles.pad_qubits(family_state(prob.theta, PLUS).amps, 2))
 
 
 def test_prepare_input_with_ancilla():
@@ -94,8 +93,8 @@ def test_prepare_input_with_ancilla():
         np.array([1.0, 0.0]),
     )
     assert np.max(np.abs(state.amps - expect)) < 1e-15
-    package = pad_qubits(family_state(prob.theta, MINUS, copies=2), 4)
-    assert np.array_equal(state.amps, package.amps)
+    package = oracles.pad_qubits(family_state(prob.theta, MINUS, copies=2).amps, 4)
+    assert np.array_equal(state.amps, package)
 
 
 def test_prepare_input_overlap_is_copy_power():
@@ -275,7 +274,7 @@ def test_every_mode_rejects_identical_states(mode, m):
 def test_run_network_is_deterministic():
     prob = problem(m=1, n=3)
     spec = exact_network(prob)
-    state = prepare_input(prob, PLUS, with_ancilla=True)
+    state = family_state(prob.theta, PLUS)
     ref = family_state(prob.theta, PLUS)
     a = run_network(spec, state, reference=ref)
     b = run_network(spec, state, reference=ref)
@@ -285,27 +284,31 @@ def test_run_network_is_deterministic():
 
 
 def test_run_network_empty_spec():
-    spec = NetworkSpec(n_qubits=1, placements=())
-    state = family_state(0.3, PLUS)
-    ref = family_state(0.3, MINUS)
-    result = run_network(spec, state, reference=ref)
-    assert result.success_probability == 1.0
-    assert result.global_fidelity_vs_exact == pytest.approx(
-        math.cos(0.6) ** 2, abs=1e-14
-    )
+    """A network built by hand, empty or a copy of one built here, is refused: the message
+    names the networks `run_network` runs."""
+    state, ref = family_state(0.3, PLUS), family_state(0.3, MINUS)
+    built = exact_network(problem(theta=0.3))
+    for spec in (NetworkSpec(n_qubits=1, placements=()), dataclasses.replace(built)):
+        with pytest.raises(ValueError, match=r"^run_network runs the networks that exact_network, "
+                                             r"approx_network, hybrid_network and expand_decompositions build"):
+            run_network(spec, state, reference=ref)
+    assert run_network(built, state, reference=ref).success_probability > 0.0
 
 
 def test_run_network_rejects_wrong_input_size():
-    spec = approx_network(problem())
-    with pytest.raises(ValueError, match=r"input has 3 qubit\(s\), network expects 2"):
-        run_network(spec, StateVector(3, np.eye(8)[0]), reference=StateVector(2, np.eye(4)[0]))
+    """The input is the M copies: the full register, or fewer wires, is refused."""
+    prob = problem(m=2, n=4)
+    for spec in (approx_network(prob), expand_decompositions(exact_network(prob))):
+        for width in (1, 3, spec.n_qubits):
+            with pytest.raises(ValueError, match=rf"^input has {width} qubit\(s\), network expects its 2 input copies"):
+                run_network(spec, StateVector(width, np.eye(2 ** width)[0]), reference=family_state(0.3, PLUS))
 
 
 def test_run_network_rejects_wrong_reference_size():
     prob = problem()
     spec = exact_network(prob)
-    state = prepare_input(prob, PLUS, with_ancilla=True)
-    with pytest.raises(ValueError, match="reference"):
+    state = family_state(prob.theta, PLUS)
+    with pytest.raises(ValueError, match="^reference must be a one-qubit state, got 2 qubits"):
         run_network(spec, state, reference=StateVector(2, np.eye(4)[0]))
 
 
@@ -528,15 +531,22 @@ def test_both_signs_share_one_walk(monkeypatch):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_a_network_equals_one_built_afresh_from_its_placements(mode, decomposed):
-    """A spec built from another's placements is equal to it, walks the same steps
-    and runs to the same bytes: the walk depends on nothing but the placements, and
-    the walk a network's shape shares is its own."""
+    """A spec built from another's placements is equal to it and walks the same gates on
+    the same wires.  Built by hand, it has no shape and `run_network` refuses it; given
+    the network's shape, it walks the same live wires and runs to the same bytes: the
+    walk depends on nothing but the placements and the shape, and the walk a network's
+    shape shares is its own."""
     prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
     spec = _network(prob, mode)
     if decomposed:
         spec = expand_decompositions(spec)
     fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
-    assert fresh == spec and fresh._walk == spec._walk
+    assert fresh == spec and [s[:2] for s in fresh._walk] == [s[:2] for s in spec._walk]
+    with pytest.raises(ValueError, match="not one built by hand"):
+        run_network(fresh, family_state(0.3, PLUS, copies=2), reference=family_state(0.3, PLUS))
+    fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
+    fresh.__dict__["shape"] = spec.shape
+    assert fresh._walk == spec._walk
     for sign in (PLUS, MINUS):
         state, reference = family_state(0.3, sign, copies=2), family_state(0.3, sign)
         got, want = (run_network(s, state, reference=reference) for s in (fresh, spec))
@@ -556,11 +566,8 @@ def test_objects_that_form_a_field_when_read_equal_their_dataclasses(mode):
         assert p == plain and plain == p and hash(p) == hash(plain)
         assert dataclasses.replace(p, label="x") == dataclasses.replace(plain, label="x") != p
     copy = dataclasses.replace(spec)
-    assert copy == spec and hash(copy) == hash(spec) and copy._walk == spec._walk
-    for sign in (PLUS, MINUS):
-        state, reference = family_state(0.3, sign, copies=2), family_state(0.3, sign)
-        got, want = (run_network(s, state, reference=reference) for s in (copy, spec))
-        assert got.post_state.amps.tobytes() == want.post_state.amps.tobytes()
+    assert copy == spec and hash(copy) == hash(spec)
+    assert [s[:2] for s in copy._walk] == [s[:2] for s in spec._walk]
     minus = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=True).minus_result
     plain = SimulationResult(minus.success_probability, minus.post_state, minus.global_fidelity_vs_exact)
     assert minus == plain and plain == minus
@@ -678,47 +685,39 @@ def test_an_approx_network_at_unequal_priors_runs_both_signs(monkeypatch, decomp
         _assert_same_bytes(report.minus_result, _minus_run(spec, 0.3, m))
 
 
-def test_a_random_orthogonal_network_runs_both_signs(monkeypatch, rng):
-    """Dense gates keep no Z string but the identity: the minus input is run."""
+def test_a_random_orthogonal_network_runs_both_signs(rng):
+    """Dense gates keep no Z string but the identity: no Z frame, so both signs would run."""
     placements = tuple(
         GatePlacement(Unitary(random_orthogonal(rng, 4)), wires, f"random@{wires}")
         for wires in ((0, 1), (1, 2), (2, 0), (2, 3))
     )
-    runs = _count_runs(monkeypatch)
     for heralded in (False, True):
-        spec = NetworkSpec(4, placements, heralded=heralded)
-        assert spec._z_sign(2) is None
-        runs.clear()
-        plus, minus = networks._run_signs(spec, 0.3, 2)
-        assert len(runs) == 2
-        runs.clear()
-        _assert_same_bytes(minus, _minus_run(spec, 0.3, 2))
+        assert NetworkSpec(4, placements, heralded=heralded)._z_sign(2) is None
 
 
-def test_a_frame_off_a_system_wire_runs_both_signs(monkeypatch):
+def test_a_frame_off_a_system_wire_runs_both_signs():
     """A blank wire turned by a rotation takes no Z: the frame ends as Z on wire 0
     only, and the minus output is not Z on every wire times the plus one."""
     turn = GatePlacement(clone_gate(0.4), (1,), "turn@1")
-    spec = NetworkSpec(2, (turn,))
-    assert spec._z_sign(1) is None
-    runs = _count_runs(monkeypatch)
-    plus, minus = networks._run_signs(spec, 0.3, 1)
-    assert len(runs) == 2 and plus.post_state.amps.all()
-    runs.clear()
-    _assert_same_bytes(minus, _minus_run(spec, 0.3, 1))
+    assert NetworkSpec(2, (turn,))._z_sign(1) is None
 
 
-def test_a_plus_output_with_an_exact_zero_runs_both_signs(monkeypatch):
-    """The frame holds, but the sign of an exact zero is not fixed by it: a system
-    wire that no placement touches is blank, so half the output is zeros."""
+def test_no_minus_result_is_taken_from_an_output_with_an_exact_zero():
+    """The frame may hold, but the sign of an exact zero is not fixed by it: `_z_flipped`
+    takes no minus result from a post-state with a zero of either sign, and takes one
+    from any other, with the plus run's probability and fidelity and sign Z^(x)N times
+    its post-state."""
     z_gate = GatePlacement(Unitary(np.diag([1.0, -1.0])), (0,), "Z@0")
-    spec = NetworkSpec(3, (z_gate,))
-    assert spec._z_sign(1) == 1.0
-    runs = _count_runs(monkeypatch)
-    plus, minus = networks._run_signs(spec, 0.3, 1)
-    assert len(runs) == 2 and not plus.post_state.amps.all()
-    runs.clear()
-    _assert_same_bytes(minus, _minus_run(spec, 0.3, 1))
+    # a system wire that no placement touches is blank, its bit free
+    assert NetworkSpec(3, (z_gate,))._z_sign(1) == 1.0
+    for zero in (0.0, -0.0):
+        post = StateVector(2, np.array([0.6, zero, 0.0, -0.8]))
+        assert networks._z_flipped(SimulationResult(0.9, post, 0.5), 1.0) is None
+    post = StateVector(2, np.array([0.5, -0.5, 0.5, 0.5]))
+    for sign in (1.0, -1.0):
+        minus = networks._z_flipped(SimulationResult(0.9, post, 0.5), sign)
+        assert (minus.success_probability, minus.global_fidelity_vs_exact) == (0.9, 0.5)
+        assert minus.post_state.amps.tobytes() == (sign * np.array([0.5, 0.5, -0.5, 0.5])).tobytes()
 
 
 # the frame rule of one gate: wire q is bit q of a mask, the first listed wire
@@ -784,35 +783,36 @@ def test_the_walk_is_found_once_per_network_shape():
             if decomposed:
                 spec = expand_decompositions(spec)
             fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
-            assert spec._walk == fresh._walk
+            assert [s[:2] for s in spec._walk] == [s[:2] for s in fresh._walk]
             walks.setdefault((mode, decomposed), []).append(spec._walk)
     after = networks._shape_steps.cache_info()
     assert after.misses - before.misses <= 4 and after.hits - before.hits >= 8
     for first, *rest in walks.values():
         for walk in rest:
             # the same wires, held once: the qubit tuples of the first network's placements
-            assert len(walk) == len(first) and all(a is b is None or a[1] is b[1] for a, b in zip(first, walk))
-            assert [s[0] for s in walk if s] != [s[0] for s in first if s]
+            assert len(walk) == len(first) and all(a[1] is b[1] and a[2] is b[2] for a, b in zip(first, walk))
+            assert [s[0] for s in walk] != [s[0] for s in first]
     shapes = {spec.shape for spec in (exact_network(problem(m=2, n=7)), exact_network(problem(m=2, n=6)),
                                       approx_network(problem(m=2, n=7)), exact_network(problem(m=1, n=7)))}
     assert len(shapes) == 4
 
 
-# ------------------------------------------------- live prefix vs full width
+# ----------------------------------------------- live register vs full width
 
 
 def _assert_matches_full_width_oracle(spec, states, references):
     """run_network against the full-width Kronecker oracle, one input at a time.
 
-    Each reference is one qubit; the oracle's fidelity is the overlap with
-    its explicit power over the output wires.  Returns the results and the
-    oracle's failure branches (None where the herald cannot fail), which
-    ``run_network`` does not simulate.
+    Each input is on the M input wires, and the oracle runs its padded form
+    (`oracles.pad_qubits`).  Each reference is one qubit; the oracle's
+    fidelity is the overlap with its explicit power over the output wires.
+    Returns the results and the oracle's failure branches (None where the
+    herald cannot fail), which ``run_network`` does not simulate.
     """
     placements = [(p.gate.entries, p.qubits) for p in spec.placements]
     measured = spec.n_qubits - 1 if spec.heralded else None
     expected = oracles.run_network_full(
-        placements, spec.n_qubits, [state.amps for state in states], measured
+        placements, spec.n_qubits, [oracles.pad_qubits(state.amps, spec.n_qubits) for state in states], measured
     )
     width = spec.n_qubits - spec.heralded
     results = []
@@ -851,10 +851,10 @@ def _network(prob, mode):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_run_network_matches_full_width_oracle(mode, decomposed):
-    """Live-prefix simulation changes no number: every M <= 3, N <= 8, sign.
+    """The walk on the live register changes no number: every M <= 3, N <= 8, sign.
 
-    ``evaluate_cloner`` passes only the M input wires; its results are the
-    same bits as ``run_network`` on the full-width input.  The exact
+    ``run_network`` on the M input copies matches the oracle on their padded
+    form, and ``evaluate_cloner``'s results are its bits.  The exact
     network's failure branch, in the oracle, leaves every wire blank.
     """
     for m in (1, 2, 3):
@@ -865,7 +865,7 @@ def test_run_network_matches_full_width_oracle(mode, decomposed):
                 spec = expand_decompositions(spec)
             full_width, failures = _assert_matches_full_width_oracle(
                 spec,
-                [prepare_input(prob, sign, with_ancilla=spec.heralded) for sign in (PLUS, MINUS)],
+                [family_state(prob.theta, sign, copies=m) for sign in (PLUS, MINUS)],
                 [family_state(prob.theta, sign) for sign in (PLUS, MINUS)],
             )
             if mode == "exact":
@@ -884,51 +884,42 @@ def _random_amps(rng, n_qubits):
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_run_network_on_inputs_without_blank_trailing_wires(rng, mode):
-    """A random input, one blank only in the middle, trailing amplitudes of 1e-300."""
-    prob = problem(theta=0.3, m=2, n=5)
+    """Random inputs on the M = 3 input wires, not copies of a family state: one dense,
+    one blank only on the middle wire."""
+    prob = problem(theta=0.3, m=3, n=5)
     spec = expand_decompositions(_network(prob, mode))
-    width = spec.n_qubits
     reference = family_state(prob.theta, PLUS)
-    middle = _random_amps(rng, width).reshape(4, 2, -1)
+    middle = _random_amps(rng, 3).reshape(2, 2, 2)
     middle[:, 1, :] = 0.0
-    tiny = prepare_input(prob, PLUS, with_ancilla=mode == "exact").amps.copy()
-    tiny[1::2] = 1e-300
-    inputs = (_random_amps(rng, width), middle.reshape(-1) / np.linalg.norm(middle), tiny)
+    inputs = (_random_amps(rng, 3), middle.reshape(-1) / np.linalg.norm(middle))
     _assert_matches_full_width_oracle(
-        spec, [StateVector(width, amps) for amps in inputs], [reference] * len(inputs)
+        spec, [StateVector(3, amps) for amps in inputs], [reference] * len(inputs)
     )
 
 
-def test_run_network_grows_the_herald_register_around_the_ancilla(rng):
-    """Placements reach past the live wires before, at and after the ancilla joins.
+def test_a_walk_that_would_need_padding_raises():
+    """The walk of a network shape raises when it is built if a placement would need
+    blank wires padded in: two wires joining at once, a system wire past the next one,
+    a system wire after the ancilla, a herald on an ancilla that never joined, or a
+    system wire never touched.  Networks built by hand, given a shape from one input
+    copy; each well-formed counterpart walks."""
+    def walk(n_qubits, wires, heralded):
+        placements = tuple(GatePlacement(cnot() if len(w) == 2 else clone_gate(0.4), w, f"g@{w}") for w in wires)
+        spec = NetworkSpec(n_qubits, placements, heralded)
+        spec.__dict__["shape"] = (1, "padding test", n_qubits, tuple(wires), heralded)
+        return spec._walk
 
-    The walk treats the last wire alike in unheralded networks: it joins
-    the live register at position ``width``, and blank wires go in before it.
-    """
-    local = GatePlacement(Unitary(random_orthogonal(rng, 2)), (5,), "local@5")
-    pair = GatePlacement(Unitary(random_orthogonal(rng, 4)), (3, 2), "pair@(3,2)")
-    far = GatePlacement(Unitary(random_orthogonal(rng, 4)), (4, 0), "far@(4,0)")
-    herald = GatePlacement(Unitary(random_orthogonal(rng, 4)), (0, 5), "herald@(0,5)")
-    reference = family_state(0.3, PLUS)
-    for heralded, placements in itertools.product(
-        (True, False),
-        (
-            (local, pair, herald, local, pair),  # system wires go in before the ancilla
-            (pair, far, local, herald),  # the ancilla joins once every system wire is live
-            (pair, herald, far),  # the herald fires before the last placement
-            (pair,),  # no placement touches the ancilla
-        ),
-    ):
-        spec = NetworkSpec(6, placements, heralded=heralded)
-        inputs = [family_state(0.3, PLUS), StateVector(6, _random_amps(rng, 6))]
-        _assert_matches_full_width_oracle(
-            spec, [pad_qubits(state, 6) for state in inputs], [reference] * 2
-        )
-        for state in inputs:
-            _assert_same_bits(
-                run_network(spec, state, reference=reference),
-                run_network(spec, pad_qubits(state, 6), reference=reference),
-            )
+    cases = (
+        (3, [(1, 2), (0, 1)], False, [(0, 1), (1, 2)], "padded in"),
+        (3, [(2,), (0, 1)], False, [(1,), (0, 2)], "padded in"),
+        (3, [(2, 0), (0, 1), (2, 1)], True, [(0, 1), (2, 0), (2, 1)], "padded in"),
+        (3, [(0, 1)], True, [(2, 0), (0, 1)], "the herald needs the ancilla 2 as the last live wire"),
+        (3, [(0, 1)], False, [(0, 1), (1, 2)], r"the output needs system wires 0\.\.2 live"),
+    )
+    for n_qubits, bad, heralded, good, message in cases:
+        with pytest.raises(ValueError, match=message):
+            walk(n_qubits, bad, heralded)
+        assert len(walk(n_qubits, good, heralded)) == len(good) + heralded
 
 
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
@@ -967,25 +958,21 @@ def test_herald_stays_on_the_live_register(monkeypatch, mode, decomposed):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_networks_grow_the_register_without_padding(monkeypatch, mode, decomposed):
-    """Each wire joins the live register inside `apply_gate`: no `pad_qubits` call grows a state.
+    """Each wire joins the live register inside `apply_gate`, one per call.
 
     Every mode at M <= 3, N <= 8, each run: in the paper's networks each
     growth is one wire at the end of the live register, the ancilla too.
     The approx network runs at unequal priors, so it is walked for both
     signs; the others are walked for the plus sign only.
     """
-    grown, joins = [], []
-
-    def pad_spy(state, n_qubits, at=None):
-        if n_qubits > state.n_qubits:
-            grown.append((state.n_qubits, n_qubits, at))
-        return pad_qubits(state, n_qubits, at)
+    joins = []
 
     def apply_spy(state, gate, qubits):
+        out = apply_gate(state, gate, qubits)
+        assert out.n_qubits == state.n_qubits + (state.n_qubits in qubits)
         joins.append(state.n_qubits in qubits)
-        return apply_gate(state, gate, qubits)
+        return out
 
-    monkeypatch.setattr(networks, "pad_qubits", pad_spy)
     monkeypatch.setattr(networks, "apply_gate", apply_spy)
     for m in (1, 2, 3):
         for n in range(m + 1, 9):
@@ -995,7 +982,6 @@ def test_networks_grow_the_register_without_padding(monkeypatch, mode, decompose
             # per run: the N - M system wires past the input, and the ancilla
             runs = 2 if mode == "approx" else 1
             assert sum(joins) == runs * (n - m + (mode != "approx")), (m, n)
-    assert grown == []
 
 
 #: the kernel calls of one `run_network` at theta = 0.3, in order: ``n:ab``
