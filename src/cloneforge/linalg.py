@@ -23,10 +23,10 @@ rather than dividing, which keeps the frozen output bits of the networks
 Validation happens at the boundaries, once per network: ``StateVector``
 checks its entries (`check_normalized`: finite, normalized by one
 ``vdot``); `unitaries` checks a (G, d, d) stack of gates in one pass (a
-lone ``Unitary`` is a stack of one) and notes in it each gate's exact zeros
-(`Unitary.nonzero_pattern`) and 0/1 permutation (`Unitary.permutation`);
-``gates.GatePlacement`` and ``networks.NetworkSpec`` check qubit lists; and
-``networks.run_network`` checks each output once, in place.  ``apply_gate``
+lone ``Unitary`` is a stack of one) and notes in it each gate's 0/1
+permutation (`Unitary.permutation`); ``gates.GatePlacement`` and
+``networks.NetworkSpec`` check qubit lists; and ``networks.run_network``
+checks each output once, in place.  ``apply_gate``
 checks its qubit list once per layout (gate dimension, permutation, qubits,
 width), memoized per layout, not per gate (`_layout`), so a gate of fresh
 angles binds only its entries; a bad list raises on every call.  Its
@@ -208,9 +208,10 @@ def unitaries(matrices) -> Tuple["Unitary", ...]:
         worst = errors.reshape(len(mats), -1).max(axis=1)
         err = worst[worst >= UNITARITY_TOL][0]
         raise ValueError(f"matrix is not unitary (max |U^dag U - I| = {err:.3e})")
+    # each gate's nonzero entries, one byte per entry, row by row, for `_source`
     flat, size = (mats != 0).tobytes(), dim * dim
     patterns = [flat[at:at + size] for at in range(0, len(flat), size)]
-    return tuple(map(Unitary._trusted, mats, patterns, map(_source, mats, patterns)))
+    return tuple(map(Unitary._trusted, mats, map(_source, mats, patterns)))
 
 
 def _source(mat: np.ndarray, pattern: bytes) -> Optional[Tuple[int, ...]]:
@@ -226,16 +227,13 @@ def _source(mat: np.ndarray, pattern: bytes) -> Optional[Tuple[int, ...]]:
 class Unitary:
     """A dense real unitary on one or more qubits, verified as a stack of one (`unitaries`).
 
-    ``nonzero_pattern`` tells which entries are not exactly zero, one byte
-    per entry, row by row; it is all the Z frame of ``networks`` reads of a
-    gate.  ``permutation`` is the source index of each row when the entries
-    are a 0/1 permutation matrix, else None; it picks the kernel
-    (`apply_gate`).  `unitaries` finds both for a whole stack in one pass.
+    ``permutation`` is the source index of each row when the entries are a
+    0/1 permutation matrix, else None; it picks the kernel (`apply_gate`).
+    `unitaries` finds it for a whole stack in one pass.
     """
 
     entries: np.ndarray
     dim: int = field(init=False)
-    nonzero_pattern: bytes = field(init=False, repr=False)
     permutation: Optional[Tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -243,12 +241,10 @@ class Unitary:
         self.__dict__.update(vars(checked))
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray, nonzero_pattern: bytes, permutation) -> "Unitary":
+    def _trusted(cls, entries: np.ndarray, permutation) -> "Unitary":
         """Wrap read-only entries that are already checked (a view of a checked stack)."""
         gate = object.__new__(cls)
-        gate.__dict__.update(
-            entries=entries, dim=entries.shape[0], nonzero_pattern=nonzero_pattern, permutation=permutation
-        )
+        gate.__dict__.update(entries=entries, dim=entries.shape[0], permutation=permutation)
         return gate
 
     @functools.cached_property
@@ -259,8 +255,7 @@ class Unitary:
         """
         mat = self.entries[_SWAPPED_PAIR]
         mat.flags.writeable = False
-        pattern = (mat != 0).tobytes()
-        return Unitary._trusted(mat, pattern, _source(mat, pattern))
+        return Unitary._trusted(mat, _source(mat, (mat != 0).tobytes()))
 
 
 def family_state(theta: float, sign: str, copies: int = 1) -> StateVector:

@@ -26,18 +26,22 @@ projection -- never sampled -- so repeated runs are bit-identical and
 1e-10 comparisons are meaningful.
 
 `evaluate_cloner` runs one sign where it can.  Z on every wire swaps the
-two M-copy inputs, bit for bit, and every network built here keeps that
-symmetry at equal priors, at gate and at CNOT level: the minus output is Z
-on every system wire times the plus output.  A Z frame, a Z string with a
-global sign tracked over the placements once per network
-(`NetworkSpec._z_sign`), shows that the two runs are sign flips of each
-other term by term.  IEEE rounding treats signs alike, fl(-a*b) =
+two M-copy inputs, bit for bit, and each stage of these networks keeps
+that symmetry, term by term: a transfer gate has entries only between
+basis states of equal parity on its wires, a separation gate leaves its
+system wire as it is and turns only the blank ancilla that the herald
+projects onto |+>, their CNOT circuits keep it as a whole, and a clone
+rotation keeps it when it turns by exactly 0.  So the rule is decided once,
+when a network is built (`NetworkSpec.z_symmetric`): a network whose clone
+stage, if any, does not turn maps the minus input to Z on every system wire
+times the plus output.  IEEE rounding treats signs alike, fl(-a*b) =
 -fl(a*b) and fl(-x - y) = -fl(x + y), so the minus run is then the plus
 run with its signs turned, bit for bit, up to the sign of an exact zero.
 The minus result is taken from the plus result (`_z_flipped`) when the
 plus output has no exact zero, and its post-state is formed only when it
-is read; otherwise, as for the approx network at unequal priors, both
-signs run.
+is read; otherwise, as for an approx network whose clone stage turns,
+both signs run.  ``tests/oracles.py`` proves the rule network by network
+with a general Z-frame tracker.
 """
 
 from __future__ import annotations
@@ -103,6 +107,9 @@ class NetworkSpec:
     #: what the networks of one shape share, the wires of every placement, so their
     #: walk's wires are found once per shape (`_shape_steps`); its first entry is M
     shape: ClassVar[Optional[tuple]] = None
+    #: set with ``shape``: no clone stage turns, so every stage keeps the Z symmetry of the
+    #: two inputs and the minus input's run is the plus run with its signs turned (`_run_signs`)
+    z_symmetric: ClassVar[bool] = False
 
     def __post_init__(self):
         # every wire at once: the first placement off the register is looked up only to name it
@@ -129,73 +136,17 @@ class NetworkSpec:
         return tuple(steps)
 
     @functools.cached_property
-    def _walk(self) -> Tuple[Tuple[Optional[Unitary], Optional[Tuple[int, ...]], Optional[Tuple[int, ...]]], ...]:
+    def _walk(self) -> Tuple[Tuple[Optional[Unitary], Optional[Tuple[int, ...]]], ...]:
         """The steps of `run_network`, worked out once per network and shared by its runs.
 
-        One ``(gate, qubits, live)`` per placement: ``qubits`` are its wires
-        in the network and ``live`` the wires its ``apply_gate`` call names.
-        A heralded network has one more step, ``(None, None, (position,))``
-        at the herald, where ``position`` is the ancilla's in the live
-        register.  All but the gates is found once per network shape
-        (`_shape_steps`); a network built by hand has no shape, and no live
-        wires (``live`` is None).
+        One ``(gate, live)`` per placement, ``live`` the wires its
+        ``apply_gate`` call names; a heralded network has one more step,
+        ``(None, None)``, at the herald.  The live wires are found once per
+        network shape (`_shape_steps`).
         """
-        if self.shape is None:
-            steps = [(qubits, None) for qubits in self._steps()]
-        else:
-            steps = _shape_steps(_Shape(self.shape, weakref.ref(self)))
+        steps = _shape_steps(_Shape(self.shape, weakref.ref(self)))
         gates = iter(self._gates())
-        return tuple([(None if qubits is None else next(gates), qubits, live) for qubits, live in steps])
-
-    def _z_sign(self, width: int) -> Optional[float]:
-        """The sign g with which the run of Z^(x)width |in> is g Z^(x)N times the
-        run of |in>, for any input |in> on ``width`` wires; None where no Z frame
-        shows it.
-
-        N counts the system wires.  A Z frame is a Z string (a mask: wire q is
-        bit q) with a global sign.  It claims that each amplitude of the second
-        run is the first run's at the same index times
-        sign * (-1)^|index & mask|, or that both are zero; then the two runs
-        agree bit for bit, up to the sign of an exact zero.  The frame starts
-        as Z on the input wires and follows the steps of the walk: each
-        placement maps it by the rule of its gate's nonzero pattern
-        (`_z_images`), where a wire that is not yet live is blank, so its bit
-        is free; the herald keeps the ancilla's |+> branch and drops its bit.
-        Every frame that holds is kept; with none left, or more than
-        ``_MAX_FRAMES``, there is no answer.  The networks here hold at most
-        two: after a CNOT onto a blank target, Z on the control and -Z on the
-        target both hold, and a rotation of the control keeps the second.
-        The frames are worked out from the placements alone, so an amplitude
-        that is zero in a run still constrains them: a frame found holds,
-        though one may be missed.
-        """
-        live = (1 << width) - 1
-        frames = {(live, 1.0)}
-        for gate, qubits, _ in self._walk:
-            if gate is None:
-                keep = ~(1 << (self.n_qubits - 1))
-                frames = {(mask & keep, sign) for mask, sign in frames}
-                live &= keep
-                continue
-            wires = 0
-            for q in qubits:
-                wires |= 1 << q
-            pattern, blank = gate.nonzero_pattern, wires & ~live
-            frames = {
-                (mask & ~wires | bits, -sign if flip else sign)
-                for mask, sign in frames
-                for bits, flip in _z_images(pattern, qubits, mask & wires, blank)
-            }
-            if not frames or len(frames) > _MAX_FRAMES:
-                return None
-            live |= wires
-        # a system wire that never went live is blank: its bit is free
-        system = (1 << (self.n_qubits - self.heralded)) - 1
-        return next((sign for mask, sign in frames if (mask | ~live) & system == system), None)
-
-
-#: most Z frames `NetworkSpec._z_sign` follows at once
-_MAX_FRAMES = 4
+        return tuple([(None if live is None else next(gates), live) for live in steps])
 
 
 @dataclass(frozen=True)
@@ -209,16 +160,17 @@ class _Shape:
 
 @functools.lru_cache(maxsize=128)
 def _shape_steps(shape: _Shape) -> tuple:
-    """``(qubits, live)`` per step of `NetworkSpec._steps`, for the networks of a shape: M,
-    N, the middle gates' kinds and, at CNOT level, the circuits' lengths.
+    """The live wires of each placement of `NetworkSpec._steps`, None at the herald, for
+    the networks of a shape: M, N, the middle gates' kinds and, at CNOT level, the
+    circuits' lengths.
 
-    ``live`` names the step's wires in the live register, which starts as
-    the M input wires and ends as the N system wires.  A wire joins when a
-    placement first touches it, at the end of the live register: index
-    ``state.n_qubits`` of its ``apply_gate`` call.  So a placement may bring
-    in one wire, the next system wire before the ancilla has joined, or the
-    ancilla; the herald projects the ancilla, the last live wire, and drops
-    it.  Any other growth would need blank wires padded in, and raises.
+    The live register starts as the M input wires and ends as the N system
+    wires.  A wire joins when a placement first touches it, at the end of
+    the live register: index ``state.n_qubits`` of its ``apply_gate`` call.
+    So a placement may bring in one wire, the next system wire before the
+    ancilla has joined, or the ancilla; the herald projects the ancilla,
+    the last live wire, and drops it.  Any other growth would need blank
+    wires padded in, and raises.
     """
     network = shape.network()
     system, ancilla = network.n_qubits - network.heralded, network.n_qubits - 1
@@ -228,7 +180,7 @@ def _shape_steps(shape: _Shape) -> tuple:
             if live[-1:] != [ancilla]:
                 raise ValueError(f"the herald needs the ancilla {ancilla} as the last live wire, got {live}")
             live.pop()
-            steps.append((None, (len(live),)))
+            steps.append(None)
             continue
         new = [q for q in qubits if q not in live]
         if len(new) > 1 or new and new[0] < system and live != list(range(new[0])):
@@ -237,7 +189,7 @@ def _shape_steps(shape: _Shape) -> tuple:
                 "and one wire joins at a time, the next system wire or the ancilla"
             )
         live += new
-        steps.append((qubits, tuple(map(live.index, qubits))))
+        steps.append(tuple(map(live.index, qubits)))
     if live != list(range(system)):
         raise ValueError(f"the output needs system wires 0..{system - 1} live, got {live}")
     return tuple(steps)
@@ -264,41 +216,6 @@ class _Expanded(NetworkSpec):
         return [p.gate for circuit, src in self._runs for p in (circuit.placements if circuit else (src,))]
 
 
-@functools.lru_cache(maxsize=1024)
-def _z_images(pattern: bytes, qubits: Tuple[int, ...], z: int, blank: int) -> Tuple[Tuple[int, bool], ...]:
-    """Each image ``(bits, flip)`` of a Z string under a gate: its new bits on
-    the gate's wires and whether its global sign turns.
-
-    ``pattern`` is the gate's `Unitary.nonzero_pattern` and ``qubits`` its
-    wires; ``z`` and ``blank`` are the string's bits on them and those of them
-    not yet live, as network masks (wire q is bit q).  An image holds when
-    every nonzero entry G[i][j], in a column j where no blank wire reads |->,
-    has (-1)^(|i & bits| + flip) = (-1)^|j & z|: then each term of each output
-    amplitude's sum turns sign with it.  A row with no such entry is zero and
-    a blank wire reads |+>, so neither constrains the string.  Memoized:
-    a few gate patterns recur on every wire of every network.
-    """
-    k = len(qubits)
-    shifts = range(k - 1, -1, -1)  # the first listed qubit is the most significant local bit
-
-    def local(mask):
-        return sum((mask >> q & 1) << s for q, s in zip(qubits, shifts))
-
-    z, blank, dim = local(z), local(blank), 1 << k
-    entries = [
-        (i, (j & z).bit_count() & 1)
-        for i in range(dim)
-        for j in range(dim)
-        if pattern[i * dim + j] and not j & blank
-    ]
-    images = []
-    for out in range(dim):
-        flips = {((i & out).bit_count() ^ sign_in) & 1 for i, sign_in in entries}
-        if len(flips) == 1:
-            images.append((sum((out >> s & 1) << q for q, s in zip(qubits, shifts)), flips.pop() == 1))
-    return tuple(images)
-
-
 @dataclass(frozen=True)
 @_equal_by_fields
 class SimulationResult:
@@ -315,16 +232,16 @@ class SimulationResult:
 
 
 class _ZFlipped(SimulationResult):
-    """A result whose post-state is ``_flip`` = (post-state, sign): ``sign`` Z^(x)N
-    applied to that post-state, formed on first read (`_z_flipped`)."""
+    """A result whose post-state is Z^(x)N applied to ``_flip``, the other sign's
+    post-state, formed on first read (`_z_flipped`)."""
 
     @functools.cached_property
     def post_state(self) -> StateVector:
-        post, sign = self._flip
+        post = self._flip
         # two broadcast passes, by the parities of the high and the low half of the wires
         low = post.n_qubits // 2
-        amps = post.amps.reshape(-1, 2 ** low) * _parities(post.n_qubits - low, sign)[:, None]
-        amps *= _parities(low, 1.0)
+        amps = post.amps.reshape(-1, 2 ** low) * _parities(post.n_qubits - low)[:, None]
+        amps *= _parities(low)
         return StateVector._trusted(post.n_qubits, amps.reshape(-1))
 
 
@@ -393,6 +310,8 @@ def _network(problem: CloningProblem, *middle: GatePlacement) -> NetworkSpec:
     placements = _chain(tuple([p.params for p in chain]), problem.m_copies) + middle + chain[::-1]
     spec = NetworkSpec(problem.n_copies + heralded, placements, heralded)
     spec.__dict__["shape"] = (problem.m_copies, problem.n_copies) + tuple([p.kind for p in middle])
+    # a transfer or separation stage keeps the Z symmetry, and a clone rotation only if it does not turn
+    spec.__dict__["z_symmetric"] = all(p.kind != KIND_CLONE or p.params == (0.0,) for p in middle)
     return spec
 
 
@@ -454,8 +373,10 @@ def expand_decompositions(spec: NetworkSpec) -> NetworkSpec:
     expanded = object.__new__(_Expanded)
     expanded.__dict__.update(n_qubits=spec.n_qubits, heralded=spec.heralded, _runs=runs)
     if spec.shape is not None:
-        # a circuit's length names its form (the transfer corner's is shorter)
-        expanded.__dict__["shape"] = spec.shape + (tuple([len(c.placements) for c, _ in runs if c]),)
+        # a circuit's length names its form (the transfer corner's is shorter); it keeps its gate's Z symmetry
+        expanded.__dict__.update(
+            shape=spec.shape + (tuple([len(c.placements) for c, _ in runs if c]),), z_symmetric=spec.z_symmetric
+        )
     return expanded
 
 
@@ -500,14 +421,15 @@ def run_network(
     if reference.n_qubits != 1:
         raise ValueError(f"reference must be a one-qubit state, got {reference.n_qubits} qubits")
     state, prob = input_state, 1.0
-    for gate, _, qubits in spec._walk:
+    for gate, live in spec._walk:
         if gate is None:
-            # the herald; the projection left exact zeros in the odd entries: drop the ancilla
-            (ancilla,) = qubits
+            # the herald, on the last live wire; the projection left exact zeros in the odd
+            # entries: drop the ancilla
+            ancilla = state.n_qubits - 1
             prob, success = project_qubit(state, ancilla, PLUS)
             state = StateVector._trusted(ancilla, success.amps[::2].copy())
         else:
-            state = apply_gate(state, gate, qubits)
+            state = apply_gate(state, gate, live)
     check_normalized(state.amps)
     return SimulationResult(
         success_probability=prob,
@@ -525,13 +447,14 @@ def evaluate_cloner(
 ) -> ClonerReport:
     """Simulate both input signs and compare against the analytic bounds.
 
-    The plus input is run.  When a Z frame shows that the network maps the
-    minus input to Z on every system wire times the plus output (at equal
-    priors, every network here), the minus result is taken from the plus
-    one, with the bytes its own run would give (`_run_signs`); otherwise
-    the minus input is run too.  ``decompose_gates=True`` swaps every
-    two-qubit gate for its CNOT decomposition before running (the reported
-    numbers must not move).
+    The plus input is run.  Where the network keeps the Z symmetry of the
+    two inputs (`NetworkSpec.z_symmetric`: every network but an approx one
+    whose clone stage turns, as at unequal priors), it maps the minus input
+    to Z on every system wire times the plus output, and the minus result is
+    taken from the plus one, with the bytes its own run would give
+    (`_run_signs`); otherwise the minus input is run too.
+    ``decompose_gates=True`` swaps every two-qubit gate for its CNOT
+    decomposition before running (the reported numbers must not move).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -581,13 +504,12 @@ def evaluate_cloner(
 
 def _run_signs(spec: NetworkSpec, theta: float, copies: int) -> Tuple[SimulationResult, SimulationResult]:
     """The results of ``spec`` on ``copies`` copies of each family state: the plus input's
-    run, and the minus input's taken from it (`_z_flipped`) where a Z frame shows it
-    (`NetworkSpec._z_sign`), else run too."""
+    run, and the minus input's taken from it (`_z_flipped`) where the network keeps the Z
+    symmetry (`NetworkSpec.z_symmetric`), else run too."""
     plus = run_network(
         spec, family_state(theta, PLUS, copies=copies), reference=family_state(theta, PLUS)
     )
-    sign = spec._z_sign(copies)
-    minus = None if sign is None else _z_flipped(plus, sign)
+    minus = _z_flipped(plus) if spec.z_symmetric else None
     if minus is None:
         minus = run_network(
             spec, family_state(theta, MINUS, copies=copies), reference=family_state(theta, MINUS)
@@ -595,29 +517,29 @@ def _run_signs(spec: NetworkSpec, theta: float, copies: int) -> Tuple[Simulation
     return plus, minus
 
 
-def _z_flipped(result: SimulationResult, sign: float) -> Optional[SimulationResult]:
-    """``result`` with ``sign`` Z^(x)N applied to its post-state: the other sign's result.
+def _z_flipped(result: SimulationResult) -> Optional[SimulationResult]:
+    """``result`` with Z^(x)N applied to its post-state: the other sign's result.
 
-    None when the post-state has an exact zero, whose sign the frame does not
-    fix.  Otherwise each amplitude of the other run is this one's times +/-1,
-    the probability and the fidelity are its bits, and the post-state is
-    formed when it is first read (`_ZFlipped`): no report reads it.
+    None when the post-state has an exact zero, whose sign the symmetry does
+    not fix.  Otherwise each amplitude of the other run is this one's times
+    +/-1, the probability and the fidelity are its bits, and the post-state
+    is formed when it is first read (`_ZFlipped`): no report reads it.
     """
     if not result.post_state.amps.all():
         return None
     flipped = object.__new__(_ZFlipped)
-    flipped.__dict__.update(vars(result), _flip=(result.post_state, sign))
+    flipped.__dict__.update(vars(result), _flip=result.post_state)
     del flipped.__dict__["post_state"]
     return flipped
 
 
 @functools.lru_cache(maxsize=32)
-def _parities(k: int, sign: float) -> np.ndarray:
-    """``sign`` times the diagonal of Z^(x)k, read-only: sign * (-1)^|i| for i < 2**k.
+def _parities(k: int) -> np.ndarray:
+    """The diagonal of Z^(x)k, read-only: (-1)^|i| for i < 2**k.
 
     Memoized per half register (k <= 10 for N <= 20), never per full one.
     """
-    signs = np.array([sign])
+    signs = np.array([1.0])
     for _ in range(k):
         signs = np.concatenate((signs, -signs))
     signs.flags.writeable = False

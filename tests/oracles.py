@@ -122,6 +122,98 @@ def run_network_full(placements, n: int, inputs, measured=None):
     ]
 
 
+#: most Z frames `z_sign` follows at once
+_MAX_FRAMES = 4
+
+
+def z_sign(spec, width: int):
+    """The Z-frame oracle: the sign g with which a network's run of Z^(x)width |in> is
+    g Z^(x)N times its run of |in>, for any input |in> on ``width`` wires; None where
+    no Z frame shows it.
+
+    ``spec`` is a ``networks.NetworkSpec``, read through its placements'
+    wires and gate entries alone; N counts its system wires.  A Z frame is
+    a Z string (a mask: wire q is bit q) with a global sign.  It claims
+    that each amplitude of the second run is the first run's at the same
+    index times sign * (-1)^|index & mask|, or that both are zero; then the
+    two runs agree bit for bit, up to the sign of an exact zero.  The frame
+    starts as Z on the input wires and follows the placements in order:
+    each maps it by the rule of its gate's exact zeros (`_z_images`), where
+    a wire that is not yet live is blank, so its bit is free; a heralded
+    network's ancilla is projected onto |+> right after the last placement
+    touching it, which keeps its |+> branch and drops its bit.  Every frame
+    that holds is kept; with none left, or more than ``_MAX_FRAMES``, there
+    is no answer.  After a CNOT onto a blank target, Z on the control and
+    -Z on the target both hold, and a rotation of the control keeps the
+    second.  The frames are worked out from the gates alone, so an
+    amplitude that is zero in a run still constrains them: a frame found
+    holds, though one may be missed.
+    """
+    steps = [(p.gate.entries, p.qubits) for p in spec.placements]
+    ancilla = spec.n_qubits - 1
+    if spec.heralded:
+        touching = [i for i, (_, qubits) in enumerate(steps) if ancilla in qubits]
+        steps.insert(touching[-1] + 1 if touching else 0, None)
+    live = (1 << width) - 1
+    frames = {(live, 1.0)}
+    for step in steps:
+        if step is None:
+            keep = ~(1 << ancilla)
+            frames = {(mask & keep, sign) for mask, sign in frames}
+            live &= keep
+            continue
+        entries, qubits = step
+        wires = 0
+        for q in qubits:
+            wires |= 1 << q
+        pattern, blank = (entries != 0).tobytes(), wires & ~live
+        frames = {
+            (mask & ~wires | bits, -sign if flip else sign)
+            for mask, sign in frames
+            for bits, flip in _z_images(pattern, qubits, mask & wires, blank)
+        }
+        if not frames or len(frames) > _MAX_FRAMES:
+            return None
+        live |= wires
+    # a system wire that never went live is blank: its bit is free
+    system = (1 << (spec.n_qubits - spec.heralded)) - 1
+    return next((sign for mask, sign in frames if (mask | ~live) & system == system), None)
+
+
+def _z_images(pattern: bytes, qubits, z: int, blank: int):
+    """Each image ``(bits, flip)`` of a Z string under a gate: its new bits on
+    the gate's wires and whether its global sign turns.
+
+    ``pattern`` holds one byte per entry of the gate, row by row, nonzero
+    where the entry is not exactly zero, and ``qubits`` are its wires; ``z``
+    and ``blank`` are the string's bits on them and those of them not yet
+    live, as network masks (wire q is bit q).  An image holds when every
+    nonzero entry G[i][j], in a column j where no blank wire reads |->, has
+    (-1)^(|i & bits| + flip) = (-1)^|j & z|: then each term of each output
+    amplitude's sum turns sign with it.  A row with no such entry is zero
+    and a blank wire reads |+>, so neither constrains the string.
+    """
+    k = len(qubits)
+    shifts = range(k - 1, -1, -1)  # the first listed qubit is the most significant local bit
+
+    def local(mask):
+        return sum((mask >> q & 1) << s for q, s in zip(qubits, shifts))
+
+    z, blank, dim = local(z), local(blank), 1 << k
+    entries = [
+        (i, (j & z).bit_count() & 1)
+        for i in range(dim)
+        for j in range(dim)
+        if pattern[i * dim + j] and not j & blank
+    ]
+    images = []
+    for out in range(dim):
+        flips = {((i & out).bit_count() ^ sign_in) & 1 for i, sign_in in entries}
+        if len(flips) == 1:
+            images.append((sum((out >> s & 1) << q for q, s in zip(qubits, shifts)), flips.pop() == 1))
+    return tuple(images)
+
+
 def family_power(theta: float, sign: int, k: int) -> np.ndarray:
     """k-fold tensor power of cos(theta)|0> + sign*sin(theta)|1>, by ``np.kron``.
 

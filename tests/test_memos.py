@@ -62,7 +62,6 @@ def test_every_lru_cache_is_bounded():
     assert {"cloneforge.networks._chain", "cloneforge.gates._decompose_transfers",
             "cloneforge.gates._transfers", "cloneforge.gates._separation",
             "cloneforge.linalg._layout", "cloneforge.linalg._family_state",
-            "cloneforge.networks._z_images",
             "cloneforge.networks._shape_steps",
             "cloneforge.networks._parities"} <= set(cached)
     for name, memo in cached.items():
@@ -199,9 +198,9 @@ def test_the_sign_flip_memoizes_half_registers_only(monkeypatch):
     spans the register (tests/test_networks.py checks that it is formed on demand)."""
     sizes, original = [], networks._parities
 
-    def record(k, sign):
-        sizes.append(original(k, sign).size)
-        return original(k, sign)
+    def record(k):
+        sizes.append(original(k).size)
+        return original(k)
 
     monkeypatch.setattr(networks, "_parities", record)
     report = networks.evaluate_cloner(CloningProblem(0.3, 2, 13), "exact")
@@ -209,4 +208,4 @@ def test_the_sign_flip_memoizes_half_registers_only(monkeypatch):
     assert sorted(sizes) == [2 ** 6, 2 ** 7]
     for k in (6, 7):
         with pytest.raises(ValueError):
-            original(k, 1.0)[0] = 5.0
+            original(k)[0] = 5.0

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -531,17 +532,16 @@ def test_both_signs_share_one_walk(monkeypatch):
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 @pytest.mark.parametrize("mode", MODES)
 def test_a_network_equals_one_built_afresh_from_its_placements(mode, decomposed):
-    """A spec built from another's placements is equal to it and walks the same gates on
-    the same wires.  Built by hand, it has no shape and `run_network` refuses it; given
-    the network's shape, it walks the same live wires and runs to the same bytes: the
-    walk depends on nothing but the placements and the shape, and the walk a network's
-    shape shares is its own."""
+    """A spec built from another's placements is equal to it.  Built by hand, it has no
+    shape and `run_network` refuses it; given the network's shape, it walks the same
+    gates on the same live wires and runs to the same bytes: the walk depends on nothing
+    but the placements and the shape, and the walk a network's shape shares is its own."""
     prob = problem(theta=0.3, m=2, n=5, eta_plus=0.7 if mode == "approx" else 0.5)
     spec = _network(prob, mode)
     if decomposed:
         spec = expand_decompositions(spec)
     fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
-    assert fresh == spec and [s[:2] for s in fresh._walk] == [s[:2] for s in spec._walk]
+    assert fresh == spec
     with pytest.raises(ValueError, match="not one built by hand"):
         run_network(fresh, family_state(0.3, PLUS, copies=2), reference=family_state(0.3, PLUS))
     fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
@@ -567,7 +567,8 @@ def test_objects_that_form_a_field_when_read_equal_their_dataclasses(mode):
         assert dataclasses.replace(p, label="x") == dataclasses.replace(plain, label="x") != p
     copy = dataclasses.replace(spec)
     assert copy == spec and hash(copy) == hash(spec)
-    assert [s[:2] for s in copy._walk] == [s[:2] for s in spec._walk]
+    copy.__dict__["shape"] = spec.shape
+    assert copy._walk == spec._walk
     minus = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=True).minus_result
     plain = SimulationResult(minus.success_probability, minus.post_state, minus.global_fidelity_vs_exact)
     assert minus == plain and plain == minus
@@ -575,7 +576,7 @@ def test_objects_that_form_a_field_when_read_equal_their_dataclasses(mode):
     assert dataclasses.replace(minus, success_probability=0.0) != minus
 
 
-# ------------------------------------------------------------ the Z frame
+# ----------------------------------------------- the Z rule and its oracle
 
 
 def _minus_run(spec, theta, m):
@@ -627,7 +628,7 @@ def test_a_minus_result_taken_from_the_plus_run_has_the_bytes_of_its_own_run(
     spec = hybrid_network(prob, p_s) if mode == "hybrid" else _network(prob, mode)
     if decomposed:
         spec = expand_decompositions(spec)
-    assert spec._z_sign(m) == 1.0
+    assert spec.z_symmetric
     _assert_same_bytes(report.minus_result, _minus_run(spec, theta, m))
 
 
@@ -640,7 +641,7 @@ def test_the_minus_post_state_is_formed_only_when_read(monkeypatch, mode, decomp
     signs it); the first read forms it, once, with the bytes of the minus input's own
     run."""
     formed, original = [], networks._parities
-    monkeypatch.setattr(networks, "_parities", lambda k, sign: formed.append(k) or original(k, sign))
+    monkeypatch.setattr(networks, "_parities", lambda k: formed.append(k) or original(k))
     theta = 0.3 + 1e-9 * (m + n + decomposed)  # no memo has seen it
     prob = problem(theta=theta, m=m, n=n)
     report = evaluate_cloner(prob, mode, _rate(prob, mode), decompose_gates=decomposed)
@@ -670,14 +671,15 @@ def _count_runs(monkeypatch):
 
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
 def test_an_approx_network_at_unequal_priors_runs_both_signs(monkeypatch, decomposed):
-    """Its clone stage, a generic rotation of qubit 0, breaks every Z frame."""
+    """Its clone stage, a generic rotation of qubit 0, breaks the Z symmetry: no Z frame
+    holds."""
     runs = _count_runs(monkeypatch)
     for m, n in ((1, 2), (2, 5), (3, 7)):
         prob = problem(theta=0.3, m=m, n=n, eta_plus=0.7)
         spec = approx_network(prob)
         if decomposed:
             spec = expand_decompositions(spec)
-        assert spec._z_sign(m) is None
+        assert not spec.z_symmetric and oracles.z_sign(spec, m) is None
         runs.clear()
         report = evaluate_cloner(prob, "approx", decompose_gates=decomposed)
         assert len(runs) == 2
@@ -692,62 +694,66 @@ def test_a_random_orthogonal_network_runs_both_signs(rng):
         for wires in ((0, 1), (1, 2), (2, 0), (2, 3))
     )
     for heralded in (False, True):
-        assert NetworkSpec(4, placements, heralded=heralded)._z_sign(2) is None
+        assert oracles.z_sign(NetworkSpec(4, placements, heralded=heralded), 2) is None
 
 
 def test_a_frame_off_a_system_wire_runs_both_signs():
     """A blank wire turned by a rotation takes no Z: the frame ends as Z on wire 0
     only, and the minus output is not Z on every wire times the plus one."""
     turn = GatePlacement(clone_gate(0.4), (1,), "turn@1")
-    assert NetworkSpec(2, (turn,))._z_sign(1) is None
+    assert oracles.z_sign(NetworkSpec(2, (turn,)), 1) is None
 
 
 def test_no_minus_result_is_taken_from_an_output_with_an_exact_zero():
-    """The frame may hold, but the sign of an exact zero is not fixed by it: `_z_flipped`
+    """The symmetry may hold, but the sign of an exact zero is not fixed by it: `_z_flipped`
     takes no minus result from a post-state with a zero of either sign, and takes one
-    from any other, with the plus run's probability and fidelity and sign Z^(x)N times
-    its post-state."""
+    from any other, with the plus run's probability and fidelity and Z^(x)N times its
+    post-state."""
     z_gate = GatePlacement(Unitary(np.diag([1.0, -1.0])), (0,), "Z@0")
     # a system wire that no placement touches is blank, its bit free
-    assert NetworkSpec(3, (z_gate,))._z_sign(1) == 1.0
+    assert oracles.z_sign(NetworkSpec(3, (z_gate,)), 1) == 1.0
     for zero in (0.0, -0.0):
         post = StateVector(2, np.array([0.6, zero, 0.0, -0.8]))
-        assert networks._z_flipped(SimulationResult(0.9, post, 0.5), 1.0) is None
+        assert networks._z_flipped(SimulationResult(0.9, post, 0.5)) is None
     post = StateVector(2, np.array([0.5, -0.5, 0.5, 0.5]))
-    for sign in (1.0, -1.0):
-        minus = networks._z_flipped(SimulationResult(0.9, post, 0.5), sign)
-        assert (minus.success_probability, minus.global_fidelity_vs_exact) == (0.9, 0.5)
-        assert minus.post_state.amps.tobytes() == (sign * np.array([0.5, 0.5, -0.5, 0.5])).tobytes()
+    minus = networks._z_flipped(SimulationResult(0.9, post, 0.5))
+    assert (minus.success_probability, minus.global_fidelity_vs_exact) == (0.9, 0.5)
+    assert minus.post_state.amps.tobytes() == np.array([0.5, 0.5, -0.5, 0.5]).tobytes()
 
 
-# the frame rule of one gate: wire q is bit q of a mask, the first listed wire
-# is the control of a CNOT (active on |+>)
+# the frame rule of one gate in the oracle: wire q is bit q of a mask, the first
+# listed wire is the control of a CNOT (active on |+>)
 _C, _T = 0b01, 0b10
 
 
+def _pattern(gate):
+    """The oracle's reading of a gate: one byte per entry, nonzero where it is not exactly 0."""
+    return (gate.entries != 0).tobytes()
+
+
 def test_the_cnot_maps_z_on_both_wires_to_minus_z_on_the_target():
-    assert networks._z_images(cnot().nonzero_pattern, (0, 1), _C | _T, 0) == ((_T, True),)
+    assert oracles._z_images(_pattern(cnot()), (0, 1), _C | _T, 0) == ((_T, True),)
 
 
 def test_a_transfer_gate_keeps_z_on_both_wires():
     for theta1, theta2 in ((0.3, 0.2), (0.5, 0.1), (0.0, 0.0)):
-        pattern = transfer_gate(theta1, theta2).nonzero_pattern
-        assert (_C | _T, False) in networks._z_images(pattern, (0, 1), _C | _T, 0)
-    assert networks._z_images(transfer_gate(0.3, 0.2).nonzero_pattern, (0, 1), _C | _T, 0) == (
+        pattern = _pattern(transfer_gate(theta1, theta2))
+        assert (_C | _T, False) in oracles._z_images(pattern, (0, 1), _C | _T, 0)
+    assert oracles._z_images(_pattern(transfer_gate(0.3, 0.2)), (0, 1), _C | _T, 0) == (
         (_C | _T, False),
     )
 
 
 def test_a_generic_rotation_rejects_z_and_keeps_the_identity():
-    pattern = clone_gate(0.3).nonzero_pattern
-    assert networks._z_images(pattern, (0,), 1, 0) == ()
-    assert networks._z_images(pattern, (0,), 0, 0) == ((0, False),)
+    pattern = _pattern(clone_gate(0.3))
+    assert oracles._z_images(pattern, (0,), 1, 0) == ()
+    assert oracles._z_images(pattern, (0,), 0, 0) == ((0, False),)
 
 
 def test_a_cnot_onto_a_blank_target_leaves_two_frames():
     """Z on the control; the blank target's bit is free, so Z on the control and
     -Z on the target both hold, and a rotation of the control keeps the second."""
-    images = networks._z_images(cnot().nonzero_pattern, (0, 1), _C, _T)
+    images = oracles._z_images(_pattern(cnot()), (0, 1), _C, _T)
     assert sorted(images) == [(_C, False), (_T, True)]
     spec = NetworkSpec(
         2,
@@ -757,7 +763,7 @@ def test_a_cnot_onto_a_blank_target_leaves_two_frames():
             GatePlacement(cnot(), (0, 1), "CNOT"),
         ),
     )
-    assert spec._z_sign(1) == 1.0
+    assert oracles.z_sign(spec, 1) == 1.0
 
 
 @pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
@@ -768,13 +774,74 @@ def test_every_network_at_equal_priors_keeps_the_z_frame(mode, decomposed):
         spec = _network(problem(theta=0.3, m=m, n=n), mode)
         if decomposed:
             spec = expand_decompositions(spec)
-        assert spec._z_sign(m) == 1.0
+        assert spec.z_symmetric and oracles.z_sign(spec, m) == 1.0
+
+
+_RULE_ETAS = (0.5, 0.5 + 1e-13, 0.7)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-2, 0.3, math.pi / 4], ids=["1e-6", "1e-2", "0.3", "pi/4"])
+@pytest.mark.parametrize("mode", MODES)
+def test_the_z_rule_matches_the_frame_oracle(mode, theta):
+    """`NetworkSpec.z_symmetric`, decided when a network is built, is what the Z-frame
+    oracle finds: sign +1 where no clone stage turns, no frame where one does.
+
+    M <= 3, N <= 10, gate and CNOT level, at equal priors, at priors that
+    `CloningProblem.equal_priors` calls equal yet turn the clone stage of
+    some approx networks, and at unequal priors (hybrid needs equal ones).
+    """
+    found = set()
+    for eta_plus, m in itertools.product(_RULE_ETAS, (1, 2, 3)):
+        if mode == "hybrid" and eta_plus == 0.7:
+            continue
+        for n in range(m + 1, 11):
+            spec = _network(problem(theta=theta, m=m, n=n, eta_plus=eta_plus), mode)
+            for net in (spec, expand_decompositions(spec)):
+                assert oracles.z_sign(net, m) == (1.0 if net.z_symmetric else None), (eta_plus, m, n)
+                found.add((eta_plus, net.z_symmetric))
+    turning = {eta_plus for eta_plus, symmetric in found if not symmetric}
+    if mode == "approx" and theta != math.pi / 4:
+        # the clone stage turns at unequal priors, and at 1/2 + 1e-13 for a few (M, N)
+        assert turning == ({0.7} if theta == 1e-6 else {0.5 + 1e-13, 0.7})
+    else:
+        assert turning == set()
+
+
+#: approx networks on either side of the Z rule: priors that count as equal, yet a clone
+#: stage that turns by about 1e-8; unequal priors, yet a turn of exactly 0 (at pi/4 the
+#: optimal outputs are the compressed pair itself)
+_RULE_EDGES = {
+    "turning": [(0.05, 1, 3, 0.5 + 1e-13), (0.01, 3, 7, 0.5 + 1e-13), (0.3, 1, 8, 0.5 + 1e-13)],
+    "still": [(math.pi / 4, m, n, 0.7) for m, n in ((1, 2), (2, 5), (3, 7))],
+}
+
+
+@pytest.mark.parametrize("decomposed", [False, True], ids=["gates", "cnots"])
+@pytest.mark.parametrize("edge", sorted(_RULE_EDGES))
+def test_the_z_rule_reads_the_turn_not_the_priors(monkeypatch, edge, decomposed):
+    """An approx network runs both signs where its clone stage turns, even at priors that
+    count as equal, and the plus sign only where it does not, even at unequal priors;
+    either way its minus result has the bytes of the minus input's own run."""
+    runs = _count_runs(monkeypatch)
+    for theta, m, n, eta_plus in _RULE_EDGES[edge]:
+        prob = problem(theta=theta, m=m, n=n, eta_plus=eta_plus)
+        spec = approx_network(prob)
+        turning = spec.placements[m - 1].params != (0.0,)
+        assert turning == (edge == "turning") == prob.equal_priors
+        if decomposed:
+            spec = expand_decompositions(spec)
+        assert spec.z_symmetric != turning
+        runs.clear()
+        report = evaluate_cloner(prob, "approx", decompose_gates=decomposed)
+        assert len(runs) == 1 + turning
+        runs.clear()
+        _assert_same_bytes(report.minus_result, _minus_run(spec, theta, m))
 
 
 def test_the_walk_is_found_once_per_network_shape():
-    """Networks of one shape, at any angle, share the wires of one walk; each walks its
-    own gates, and a network of another shape (another M or N, another middle stage,
-    CNOT level) walks its own wires."""
+    """Networks of one shape, at any angle, share the live wires of one walk, the wires
+    each would walk alone; each walks its own gates, and a network of another shape
+    (another M or N, another middle stage, CNOT level) walks its own wires."""
     before = networks._shape_steps.cache_info()
     walks = {}
     for theta in (0.3 + 1e-7, 0.41 + 1e-7, math.pi / 4 - 1e-7):
@@ -782,15 +849,16 @@ def test_the_walk_is_found_once_per_network_shape():
             spec = _network(problem(theta=theta, m=2, n=7), mode)
             if decomposed:
                 spec = expand_decompositions(spec)
-            fresh = NetworkSpec(spec.n_qubits, tuple(spec.placements), spec.heralded)
-            assert [s[:2] for s in spec._walk] == [s[:2] for s in fresh._walk]
+            alone = networks._shape_steps.__wrapped__(networks._Shape(spec.shape, weakref.ref(spec)))
+            assert [live for _, live in spec._walk] == list(alone)
+            assert [gate for gate, _ in spec._walk if gate is not None] == [p.gate for p in spec.placements]
             walks.setdefault((mode, decomposed), []).append(spec._walk)
     after = networks._shape_steps.cache_info()
     assert after.misses - before.misses <= 4 and after.hits - before.hits >= 8
     for first, *rest in walks.values():
         for walk in rest:
-            # the same wires, held once: the qubit tuples of the first network's placements
-            assert len(walk) == len(first) and all(a[1] is b[1] and a[2] is b[2] for a, b in zip(first, walk))
+            # the same live wires, held once: the tuples of the shape's one walk
+            assert len(walk) == len(first) and all(a[1] is b[1] for a, b in zip(first, walk))
             assert [s[0] for s in walk] != [s[0] for s in first]
     shapes = {spec.shape for spec in (exact_network(problem(m=2, n=7)), exact_network(problem(m=2, n=6)),
                                       approx_network(problem(m=2, n=7)), exact_network(problem(m=1, n=7)))}
